@@ -53,8 +53,8 @@ def _psk_from_seed(seed_hex: str, n_bytes: int = 16384) -> bytes:
     return bytes(out[:n_bytes])
 
 
-def _apply_config_file(args):
-    """Merge a JSON settings file into the parsed args (flags win)."""
+def _apply_config_file(args, argv: list[str]):
+    """Merge a JSON settings file into the parsed args; flags given in `argv` win."""
     if not getattr(args, "config", None):
         return args
     data = json.loads(Path(args.config).read_text())
@@ -62,13 +62,12 @@ def _apply_config_file(args):
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
             raise ValueError(f"unknown config key {key!r}")
-        if f"--{key}" not in sys.argv and f"--{attr}" not in sys.argv:
+        if f"--{key}" not in argv and f"--{attr}" not in argv:
             setattr(args, attr, value)
     return args
 
 
 def _build_config(args) -> SessionConfig:
-    args = _apply_config_file(args)
     if args.channel_config:
         from .cowsim import ChannelParams
 
@@ -356,7 +355,13 @@ def main(argv=None) -> int:
     p_psk.add_argument("--bytes", type=int, default=16384)
     p_psk.set_defaults(func=cmd_gen_psk)
 
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
+    try:
+        args = _apply_config_file(args, argv)
+    except (OSError, ValueError) as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return args.func(args)
 
 

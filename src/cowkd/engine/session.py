@@ -2,7 +2,13 @@
 
 Bob owns the detectors, so he drives: he discloses detection times chunk by
 chunk, sends syndromes and verification tags for his sifted blocks, and
-announces the privacy-amplification seed per batch. Alice sifts, decodes
+announces the privacy-amplification seed per batch. Error correction runs in
+one window per batch: Bob queues full sifted blocks until they, with the
+passed blocks awaiting amplification, fill `blocks_per_batch`, then sends
+all queued blocks as one syndrome frame and one verify frame (several
+pairs past `MAX_WINDOW_BLOCKS`, the frames' 16-bit block count). When dropped
+blocks leave the batch short, the next chunk that makes up the shortfall
+triggers a small top-up window. Alice sifts, decodes
 toward Bob's key, verifies, counts the exact error rate against her original
 bits, and mirrors the pool operations. All quantum-side randomness lives in
 one seed-derived substream held by Bob; protocol randomness (verification
@@ -303,6 +309,9 @@ def _unpack_hello(payload: bytes) -> tuple[bytes, bytes]:
 
 
 _EST = struct.Struct(">IQQQ")  # batch, mismatches, passed_bits, dropped_blocks
+# syndrome and verify frames count a window's blocks, and tags index them,
+# in 16 bits; a larger window is sent as several
+MAX_WINDOW_BLOCKS = 0xFFFF
 _AUD = struct.Struct(">IQQQQQQQQ")
 
 
@@ -362,7 +371,9 @@ class _PartyBase:
 
     def _take_key_bits(self, n: int) -> np.ndarray:
         out = self.key_bits[:n]
-        self.key_bits = self.key_bits[n:]
+        # copy the remainder (under a block) so a taken window's buffer is
+        # freed with the window, before privacy amplification allocates
+        self.key_bits = self.key_bits[n:].copy()
         return out
 
     def _estimate_and_reset(self, batch_index: int, mismatch_override=None) -> dict:
@@ -505,7 +516,7 @@ class BobParty(_PartyBase):
             batch = 0
             while batch < cfg.n_batches:
                 self._chunk_round()
-                self._block_rounds()
+                self._ec_window()
                 while self.pa_buffer.size >= cfg.n_sift and batch < cfg.n_batches:
                     self._pa_round(batch)
                     batch += 1
@@ -584,11 +595,17 @@ class BobParty(_PartyBase):
         self.subsample_errors += struct.unpack(">Q", resp[3:11])[0]
         return kept_bits[~mask]
 
-    # EC + verification over however many full blocks are queued
-    def _block_rounds(self):
-        n_blocks = self.key_bits.size // BLOCK_BITS
-        if n_blocks == 0:
-            return
+    # EC + verification over every queued full block, once they complete the
+    # batch together with the passed blocks awaiting amplification
+    def _ec_window(self):
+        while True:
+            queued = self.key_bits.size // BLOCK_BITS
+            n_passed = self.pa_buffer.size // BLOCK_BITS
+            if queued == 0 or queued + n_passed < self.config.blocks_per_batch:
+                return
+            self._ec_round(min(queued, MAX_WINDOW_BLOCKS))
+
+    def _ec_round(self, n_blocks: int):
         blocks = self._take_key_bits(n_blocks * BLOCK_BITS).reshape(n_blocks, BLOCK_BITS)
         synd = ldpc.syndrome_batch(blocks, self.rate)
         rate_code = f"{self.rate.numerator}/{self.rate.denominator}".encode()
@@ -601,12 +618,16 @@ class BobParty(_PartyBase):
         ch, resp = self.ep.recv()
         if ch != CH_VERIFY:
             raise SessionAborted(f"expected verify response, got {CHANNEL_NAMES[ch]}")
-        win, n = struct.unpack(">IH", resp[:6])
-        flags = np.unpackbits(np.frombuffer(resp[6:], dtype=np.uint8), count=n).astype(bool)
+        if len(resp) != 6 + (n_blocks + 7) // 8:
+            raise SessionAborted("verify response has the wrong length")
+        if struct.unpack(">IH", resp[:6]) != (self.window, n_blocks):
+            raise SessionAborted("verify response out of step")
+        flags = np.unpackbits(np.frombuffer(resp[6:], dtype=np.uint8),
+                              count=n_blocks).astype(bool)
         passed = blocks[flags].reshape(-1)
         self.pa_buffer = np.concatenate([self.pa_buffer, passed])
         self._block_mismatches.extend([0] * int(flags.sum()))
-        self._dropped_blocks += int(n - flags.sum())
+        self._dropped_blocks += int(n_blocks - flags.sum())
         self.window += 1
 
     def _pa_round(self, batch_index: int):
@@ -777,8 +798,9 @@ class AliceParty(_PartyBase):
         ch, tag_payload = self.ep.recv()
         if ch != CH_VERIFY:
             raise SessionAborted("expected verification tags")
-        win2, n2 = struct.unpack(">IH", tag_payload[:6])
-        if (win2, n2) != (win, n_blocks):
+        if len(tag_payload) != 6 + VerificationTag.WIRE_BYTES * n_blocks:
+            raise SessionAborted("verification tag frame has the wrong length")
+        if struct.unpack(">IH", tag_payload[:6]) != (win, n_blocks):
             raise SessionAborted("verification tags out of step")
         tags = [VerificationTag.from_bytes(tag_payload[6 + 14 * i : 20 + 14 * i])
                 for i in range(n_blocks)]

@@ -1,13 +1,19 @@
 """Syndrome coding on 1944-bit blocks: one-way forward reconciliation.
 
 The sender transmits H.x for each key block; the receiver runs layered
-normalized min-sum decoding (scale 0.75, ten iterations by default) steered
-toward the received syndrome by flipping check-node signs, which is
-message-for-message equivalent to translating the problem to an error
-pattern and decoding toward the zero syndrome.
+normalized min-sum decoding (ten iterations by default; the min-sum scale is
+set by the profile below) steered toward the received syndrome by flipping
+check-node signs, which is message-for-message equivalent to translating the
+problem to an error pattern and decoding toward the zero syndrome.
 
 All hot paths operate on batches of blocks at once; the scalar entry points
-wrap the batch ones.
+wrap the batch ones. The syndrome and the decoder share one set of tap
+indices per block row (`ParityMatrix.taps`), used to gather and scatter
+whole rows of column-stacked blocks. A block is frozen, and leaves the
+working arrays, at the first iteration whose hard decision meets its
+syndrome, so its result never depends on the blocks decoded beside it. The
+session hands the decoder a whole distillation batch at once; it works
+through it DECODE_SLICE blocks at a time to keep memory flat.
 """
 
 from __future__ import annotations
@@ -19,6 +25,13 @@ import numpy as np
 from .matrices import BLOCK_LENGTH, Z, as_rate, parity_matrix, syndrome_length
 
 DEFAULT_ITERS = 10
+# Rows decoded side by side. Rows never interact, so this only bounds the
+# working arrays (a few MB) and sets the vector width; results do not depend
+# on it.
+DECODE_SLICE = 64
+# Added to a check's minimum position to find its second minimum; far above
+# any message magnitude.
+_MASKED = np.float32(1e30)
 
 # Min-sum normalization profiles. "reference" uses the textbook 0.75
 # scaling; "hardware" uses the shift-add friendly 15/16, which reproduces
@@ -52,19 +65,19 @@ def leak_fraction(rate) -> float:
     return float(1 - as_rate(rate))
 
 
+def _syndrome_cols(bits_t: np.ndarray, taps) -> np.ndarray:
+    """Parity checks of column-stacked blocks: (1944, B) bits -> (checks, B)."""
+    return np.concatenate([np.bitwise_xor.reduce(np.take(bits_t, t, axis=0), axis=0)
+                           for t in taps])
+
+
 def syndrome_batch(blocks: np.ndarray, rate) -> np.ndarray:
     """H.x over GF(2) for each row of `blocks`; shape (B, 1944*(1-rate))."""
     blocks = np.atleast_2d(np.asarray(blocks, dtype=np.uint8))
     if blocks.shape[1] != BLOCK_LENGTH:
         raise ValueError(f"blocks must be {BLOCK_LENGTH} bits wide")
-    pm = parity_matrix(rate)
-    xb = blocks.reshape(blocks.shape[0], -1, Z)
-    out = np.zeros((blocks.shape[0], pm.n_block_rows, Z), dtype=np.uint8)
-    for i in range(pm.n_block_rows):
-        acc = out[:, i, :]
-        for j, s in zip(pm.row_cols[i], pm.row_shifts[i]):
-            acc ^= np.roll(xb[:, j, :], -int(s), axis=1)
-    return out.reshape(blocks.shape[0], -1)
+    synd = _syndrome_cols(np.ascontiguousarray(blocks.T), parity_matrix(rate).taps)
+    return np.ascontiguousarray(synd.T)
 
 
 def syndrome(block: np.ndarray, rate) -> np.ndarray:
@@ -76,8 +89,11 @@ def decode_batch(noisy: np.ndarray, target_syndromes: np.ndarray, rate,
                  profile: str = DEFAULT_PROFILE) -> tuple[np.ndarray, np.ndarray, int]:
     """Decode each row toward its target syndrome.
 
-    Returns (bits, converged mask, iterations used). A True mask entry
-    guarantees the row's syndrome equals its target exactly.
+    Returns (bits, converged mask, iterations run). A True mask entry
+    guarantees the row's syndrome equals its target exactly. A row is frozen
+    at the first iteration whose hard decision meets its target, so every
+    row's result equals decoding that row alone, whatever else is in the
+    batch. Rows are decoded DECODE_SLICE at a time.
     """
     if not 0.0 < channel_p < 0.5:
         raise ValueError("channel_p must be in (0, 0.5)")
@@ -85,50 +101,72 @@ def decode_batch(noisy: np.ndarray, target_syndromes: np.ndarray, rate,
         raise ValueError(f"unknown decoder profile {profile!r}")
     scale = np.float32(MIN_SUM_SCALES[profile])
     rate = as_rate(rate)
-    pm = parity_matrix(rate)
+    taps = parity_matrix(rate).taps
     noisy = np.atleast_2d(np.asarray(noisy, dtype=np.uint8))
     targets = np.atleast_2d(np.asarray(target_syndromes, dtype=np.uint8))
     b = noisy.shape[0]
     if noisy.shape[1] != BLOCK_LENGTH or targets.shape != (b, syndrome_length(rate)):
         raise ValueError("noisy/syndrome dimensions inconsistent")
 
+    llr = np.float32(math.log((1.0 - channel_p) / channel_p))
     bits = noisy.copy()
-    ok = (syndrome_batch(bits, rate) == targets).all(axis=1)
-    if ok.all():
-        return bits, ok, 0
+    ok = np.zeros(b, dtype=bool)
+    iters = 0
+    for lo in range(0, b, DECODE_SLICE):
+        part = slice(lo, lo + DECODE_SLICE)
+        iters = max(iters, _decode_slice(bits[part], targets[part], ok[part], taps,
+                                         llr, scale, max_iters))
+    return bits, ok, iters
 
-    llr0 = math.log((1.0 - channel_p) / channel_p)
-    lam = ((1.0 - 2.0 * noisy.astype(np.float32)) * np.float32(llr0)).reshape(b, -1, Z)
-    synd_sign = (1.0 - 2.0 * targets.astype(np.float32)).reshape(b, pm.n_block_rows, Z)
-    msgs = [np.zeros((b, len(pm.row_cols[i]), Z), dtype=np.float32)
-            for i in range(pm.n_block_rows)]
 
-    iters_used = max_iters
+def _decode_slice(bits, targets, ok, taps, llr, scale, max_iters) -> int:
+    """Layered min-sum on a few rows, in place on `bits` and `ok`.
+
+    Column-stacked: row p of `lam` holds bit p's posterior LLR for every
+    live block, so a layer gathers and scatters its taps as whole rows, and
+    freezing a block drops one column. Returns the iterations run.
+    """
+    tgt = np.ascontiguousarray(targets.T)
+    ok[:] = (_syndrome_cols(np.ascontiguousarray(bits.T), taps) == tgt).all(axis=0)
+    live = np.flatnonzero(~ok)
+    if live.size == 0:
+        return 0
+    lam = np.ascontiguousarray((1 - 2 * bits[live].T.astype(np.float32)) * llr)
+    tgt = tgt[:, live]
+    flip = tgt.reshape(len(taps), Z, -1).astype(bool)  # target bit 1 flips the check
+    msgs = [np.zeros(t.shape + (live.size,), dtype=np.float32) for t in taps]
     for it in range(1, max_iters + 1):
-        for i in range(pm.n_block_rows):
-            cols, shifts = pm.row_cols[i], pm.row_shifts[i]
-            q = np.stack([np.roll(lam[:, j, :], -int(s), axis=1)
-                          for j, s in zip(cols, shifts)], axis=1)
+        for i, t in enumerate(taps):
+            q = np.take(lam, t, axis=0)
             q -= msgs[i]
+            # magnitude: the smallest |q| of the check, except at its (unique)
+            # position, which gets the second smallest; on a tie both are equal
             mag = np.abs(q)
-            part = np.partition(mag, 1, axis=1)
-            min1, min2 = part[:, 0, :], part[:, 1, :]
-            at_min = np.arange(len(cols))[None, :, None] == np.argmin(mag, axis=1)[:, None, :]
-            out_mag = np.where(at_min, min2[:, None, :], min1[:, None, :])
-            sign = np.where(q < 0, np.float32(-1.0), np.float32(1.0))
-            total_sign = np.prod(sign, axis=1)
-            out_sign = total_sign[:, None, :] * sign  # product excluding self
-            new = scale * synd_sign[:, i, :][:, None, :] * out_sign * out_mag
-            upd = q + new
-            for t, (j, s) in enumerate(zip(cols, shifts)):
-                lam[:, j, :] = np.roll(upd[:, t, :], int(s), axis=1)
+            min1 = mag.min(axis=0)
+            at_min = mag == min1
+            at_min &= np.add.reduce(at_min.view(np.uint8), axis=0) == 1
+            at = at_min.astype(np.float32)
+            min2 = (mag + at * _MASKED).min(axis=0)
+            new = np.maximum(at * (scale * min2), scale * min1)
+            # sign: product of the other taps' signs, flipped by the target bit
+            odd = np.logical_xor.reduce(q < 0, axis=0) ^ flip[i]
+            new = np.copysign(new, q)
+            new *= 1 - 2 * odd.astype(np.float32)
             msgs[i] = new
-        bits = (lam.reshape(b, -1) < 0).astype(np.uint8)
-        ok = (syndrome_batch(bits, rate) == targets).all(axis=1)
-        if ok.all():
-            iters_used = it
-            break
-    return bits, ok, iters_used
+            q += new
+            lam[t] = q
+        hard = (lam < 0).view(np.uint8)
+        done = (_syndrome_cols(hard, taps) == tgt).all(axis=0)
+        if done.any():
+            bits[live[done]] = hard[:, done].T
+            ok[live[done]] = True
+            keep = ~done
+            live, lam, tgt, flip = live[keep], lam[:, keep], tgt[:, keep], flip[..., keep]
+            msgs = [m[..., keep] for m in msgs]
+            if live.size == 0:
+                return it
+    bits[live] = (lam < 0).T
+    return max_iters
 
 
 def decode(noisy: np.ndarray, target_syndrome: np.ndarray, rate,

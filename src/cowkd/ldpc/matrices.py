@@ -3,7 +3,8 @@
 The prototype tables (24 block columns, circulant size 81) are shipped as a
 JSON data file whose SHA-256 is pinned here; each entry is either -1 (zero
 block) or the cyclic shift of an 81x81 identity block. Expanded matrices and
-the tap lists used by the decoder are derived on first use and cached.
+the tap indices used by the syndrome and the decoder are derived on first
+use and cached.
 """
 
 from __future__ import annotations
@@ -52,9 +53,9 @@ def _load_raw() -> dict:
 class ParityMatrix:
     rate: Fraction
     prototype: np.ndarray  # (block rows, 24) of shifts, -1 for zero blocks
-    # per block row: indices of nonzero block columns and their shifts
-    row_cols: tuple
-    row_shifts: tuple
+    # per block row: (degree, 81) flat bit indices into the 1944-bit block;
+    # taps[i][t, r] is the t-th bit checked by parity check i*81 + r
+    taps: tuple
 
     @property
     def n_block_rows(self) -> int:
@@ -67,10 +68,9 @@ class ParityMatrix:
     def dense(self) -> np.ndarray:
         """Fully expanded (n_checks, 1944) uint8 matrix; oracle/test use."""
         h = np.zeros((self.n_checks, BLOCK_LENGTH), dtype=np.uint8)
-        for i in range(self.n_block_rows):
-            for j, s in zip(self.row_cols[i], self.row_shifts[i]):
-                rows = np.arange(Z)
-                h[i * Z + rows, j * Z + (rows + s) % Z] = 1
+        rows = np.arange(Z)
+        for i, j in zip(*np.nonzero(self.prototype >= 0)):
+            h[i * Z + rows, j * Z + (rows + self.prototype[i, j]) % Z] = 1
         return h
 
 
@@ -84,10 +84,10 @@ def parity_matrix(rate) -> ParityMatrix:
         proto = np.array(raw["prototypes"][f"{rate.numerator}/{rate.denominator}"], dtype=int)
         if proto.shape != (24 - 24 * rate.numerator // rate.denominator, N_BLOCK_COLS):
             raise RuntimeError("prototype table has unexpected shape")
-        cols, shifts = [], []
+        taps = []
+        r = np.arange(Z)
         for row in proto:
             nz = np.flatnonzero(row >= 0)
-            cols.append(nz.astype(np.int64))
-            shifts.append(row[nz].astype(np.int64))
-        _cache[rate] = ParityMatrix(rate, proto, tuple(cols), tuple(shifts))
+            taps.append(nz[:, None] * Z + (r + row[nz][:, None]) % Z)
+        _cache[rate] = ParityMatrix(rate, proto, tuple(taps))
     return _cache[rate]

@@ -113,9 +113,8 @@ def poly_hash48(message_bits: np.ndarray, seed: int) -> int:
 def _limb_matrix(blocks: np.ndarray) -> np.ndarray:
     """(n_blocks, 43) uint64 limb matrix for a (n_blocks, 1944) bit array."""
     n = blocks.shape[0]
-    padded = np.zeros((n, PADDED_BITS), dtype=np.uint8)
-    padded[:, :BLOCK_BITS] = blocks
-    packed = np.packbits(padded, axis=1)  # (n, 256)
+    packed = np.zeros((n, PADDED_BITS // 8), dtype=np.uint8)
+    packed[:, : BLOCK_BITS // 8] = np.packbits(blocks, axis=1)
     limbs = np.zeros((n, N_LIMBS), dtype=np.uint64)
     for i in range(N_LIMBS):
         chunk = packed[:, 6 * i : 6 * i + 6]
@@ -127,16 +126,20 @@ def _limb_matrix(blocks: np.ndarray) -> np.ndarray:
 
 
 def hash_blocks(blocks: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-    """Vectorized per-block hashing: one seed per 1944-bit block row."""
+    """Vectorized per-block hashing: one seed per 1944-bit block row.
+
+    Evaluates sum(c_i * s^i) as one product of the limb matrix with the
+    powers s^1..s^43, which take six doubling steps; seven multiplies in all
+    instead of Horner's 44 keep the fixed cost per call low.
+    """
     blocks = np.asarray(blocks, dtype=np.uint8)
     if blocks.ndim != 2 or blocks.shape[1] != BLOCK_BITS:
         raise ValueError("blocks must be (n, 1944)")
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    limbs = _limb_matrix(blocks)
-    acc = np.zeros(blocks.shape[0], dtype=np.uint64)
-    for i in range(N_LIMBS - 1, -1, -1):
-        acc = gf48_mul_vec(acc, seeds) ^ limbs[:, i]
-    return gf48_mul_vec(acc, seeds)
+    powers = np.asarray(seeds, dtype=np.uint64)[:, None]
+    while powers.shape[1] < N_LIMBS:  # s^1..s^k -> s^1..s^2k, capped at 43
+        k = min(powers.shape[1], N_LIMBS - powers.shape[1])
+        powers = np.concatenate([powers, gf48_mul_vec(powers[:, :k], powers[:, -1:])], axis=1)
+    return np.bitwise_xor.reduce(gf48_mul_vec(_limb_matrix(blocks), powers), axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -145,3 +145,14 @@ def test_run_with_config_files(tmp_path, capsys):
     report = json.loads((tmp_path / "o/report_bob.json").read_text())
     assert report["batches"] == 1
     capsys.readouterr()
+
+
+def test_run_flags_win_over_config_file(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"batches": 7}))
+    args = run_args(tmp_path / "o")
+    args[args.index("--batches") + 1] = "2"
+    assert main([*args, "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "o/report_bob.json").read_text())
+    assert report["batches"] == 2

@@ -5,6 +5,7 @@ import pytest
 
 from cowkd.auth import TAG_BITS, parse_psk
 from cowkd.engine import (
+    EXIT_ABORT,
     EXIT_CONFIG,
     AuthAlarm,
     DeliveryFrozen,
@@ -19,12 +20,15 @@ from cowkd.engine import (
     encode_frame,
     run_session,
 )
-from cowkd.engine.frames import CH_ADMIN, CH_SIFTING, FrameError
+from cowkd.engine.frames import CH_ADMIN, CH_SIFTING, CH_VERIFY, HEADER_BYTES, FrameError
+from cowkd.engine import session as session_mod
 from cowkd.engine.session import AliceParty, BobParty
 from cowkd.presets import channel_params
 
 PSK = bytes(range(256)) * 32  # 8 KiB deterministic test PSK
 SEED = "ab" * 32
+# pool digest of small_config(): a refactor must not change the keys
+SMALL_CONFIG_POOL_DIGEST = "3882e8f3cc148771962b6a34f8cdc888c8ebdc2d3babfa4d73bad7b2c84b4744"
 
 
 def small_config(**kw):
@@ -172,7 +176,7 @@ def test_pool_freeze_blocks_delivery():
 
 def test_loopback_session_pools_identical():
     ra, rb = run_session(small_config())
-    assert ra["pool_digest"] == rb["pool_digest"]
+    assert ra["pool_digest"] == rb["pool_digest"] == SMALL_CONFIG_POOL_DIGEST
     assert ra["secret_bits"] > 0
     assert ra["alarms"] == [] and rb["alarms"] == []
     assert ra["transcript"]["out"] == rb["transcript"]["in"]
@@ -216,6 +220,19 @@ def test_session_with_heavy_drops_still_agrees():
     assert ra["qber_effective"] > ra["qber_raw"]
 
 
+def test_window_past_block_count_field_is_split(monkeypatch):
+    # frames count a window's blocks in 16 bits; a larger window goes out as
+    # several, and since rows decode independently the keys do not change
+    monkeypatch.setattr(session_mod, "MAX_WINDOW_BLOCKS", 3)
+    cfg = small_config()
+    ta, tb = LoopbackTransport.pair(timeout=20)
+    alice, bob = AliceParty(cfg, ta), BobParty(cfg, tb)
+    assert run_parties(alice, bob, 30) == {}
+    assert bob.window >= 3 * cfg.n_batches  # at least ceil(8 / 3) per batch
+    assert alice.report()["pool_digest"] == bob.report()["pool_digest"] \
+        == SMALL_CONFIG_POOL_DIGEST
+
+
 def test_subsample_mode_runs_and_costs_more_traffic():
     # fine chunks so the +1/0.875 sifting demand shows through granularity
     ra_c, rb_c = run_session(small_config(n_batches=1, chunk_qubits=1 << 19))
@@ -227,14 +244,8 @@ def test_subsample_mode_runs_and_costs_more_traffic():
     assert 0.05 < extra < 0.35, extra
 
 
-def test_alice_buffer_overflow_aborts():
-    cfg_small_buffer = small_config(chunk_qubits=1 << 21, alice_buffer_qubits=1 << 21)
-    # Bob announces chunks larger than Alice's buffer: alice sees the
-    # violation at the first sifting frame
-    cfg_big_chunks = small_config(chunk_qubits=1 << 22, alice_buffer_qubits=1 << 22)
-    ta, tb = LoopbackTransport.pair(timeout=20)
-    alice = AliceParty(cfg_small_buffer, ta)
-    bob = BobParty(cfg_big_chunks, tb)
+def run_parties(alice, bob, timeout: float) -> dict:
+    """Run both parties in threads; return the exception each raised, by role."""
     errors = {}
 
     def run(name, party):
@@ -248,7 +259,18 @@ def test_alice_buffer_overflow_aborts():
     for t in ths:
         t.start()
     for t in ths:
-        t.join(30)
+        t.join(timeout)
+    assert not any(t.is_alive() for t in ths)
+    return errors
+
+
+def test_alice_buffer_overflow_aborts():
+    cfg_small_buffer = small_config(chunk_qubits=1 << 21, alice_buffer_qubits=1 << 21)
+    # Bob announces chunks larger than Alice's buffer: alice sees the
+    # violation at the first sifting frame
+    cfg_big_chunks = small_config(chunk_qubits=1 << 22, alice_buffer_qubits=1 << 22)
+    ta, tb = LoopbackTransport.pair(timeout=20)
+    errors = run_parties(AliceParty(cfg_small_buffer, ta), BobParty(cfg_big_chunks, tb), 30)
     assert any(isinstance(e, SessionAborted) for e in errors.values())
 
 
@@ -282,42 +304,72 @@ def test_tampered_traffic_raises_auth_alarm_and_freezes():
     evil = _TamperTransport(tb, after_bytes=2000)
     alice = AliceParty(cfg, ta)
     bob = BobParty(cfg, evil)
-    errors = {}
-
-    def run(name, party):
-        try:
-            party.run()
-        except BaseException as exc:
-            errors[name] = exc
-
-    ths = [threading.Thread(target=run, args=("alice", alice), daemon=True),
-           threading.Thread(target=run, args=("bob", bob), daemon=True)]
-    for t in ths:
-        t.start()
-    for t in ths:
-        t.join(60)
+    errors = run_parties(alice, bob, 60)
     assert any(isinstance(e, AuthAlarm) for e in errors.values()), errors
     assert alice.pool.frozen or bob.pool.frozen
 
 
+class _RewriteTransport:
+    """Rewrites the payload of the first frame sent on one channel."""
+
+    def __init__(self, inner, channel_id: int, rewrite):
+        self._inner = inner
+        self._channel_id = channel_id
+        self._rewrite = rewrite
+        self.rewritten = False
+
+    def send(self, data: bytes):
+        channel_id, _ = decode_header(data[:HEADER_BYTES])
+        if not self.rewritten and channel_id == self._channel_id:
+            data = encode_frame(channel_id, self._rewrite(data[HEADER_BYTES:]))
+            self.rewritten = True
+        self._inner.send(data)
+
+    def recv_exact(self, n):
+        return self._inner.recv_exact(n)
+
+    def close(self):
+        self._inner.close()
+
+
+def _bump_window(payload: bytes) -> bytes:
+    return (int.from_bytes(payload[:4], "big") + 1).to_bytes(4, "big") + payload[4:]
+
+
+@pytest.mark.parametrize("rewrite, match", [
+    (_bump_window, "out of step"),
+    (lambda p: p + b"\x00", "wrong length"),
+    (lambda p: p[:-1], "wrong length"),
+])
+def test_bob_rejects_malformed_verify_response(rewrite, match):
+    # Alice's reply must echo Bob's (window, n_blocks) and carry one flag per block
+    cfg = small_config(n_batches=1)
+    ta, tb = LoopbackTransport.pair(timeout=20)
+    evil = _RewriteTransport(ta, CH_VERIFY, rewrite)
+    errors = run_parties(AliceParty(cfg, evil), BobParty(cfg, tb), 30)
+    assert evil.rewritten
+    err = errors["bob"]
+    assert type(err) is SessionAborted and err.exit_code == EXIT_ABORT
+    assert match in str(err)
+
+
+@pytest.mark.parametrize("rewrite", [lambda p: p[:-1], lambda p: p + bytes(14)])
+def test_alice_rejects_wrong_size_tag_frame(rewrite):
+    # the tag frame must hold exactly 14 bytes per block of the syndrome frame
+    cfg = small_config(n_batches=1)
+    ta, tb = LoopbackTransport.pair(timeout=20)
+    evil = _RewriteTransport(tb, CH_VERIFY, rewrite)
+    errors = run_parties(AliceParty(cfg, ta), BobParty(cfg, evil), 30)
+    assert evil.rewritten
+    err = errors["alice"]
+    assert type(err) is SessionAborted and err.exit_code == EXIT_ABORT
+    assert "wrong length" in str(err)
+
+
 def test_config_digest_mismatch_aborts():
     ta, tb = LoopbackTransport.pair(timeout=10)
-    alice = AliceParty(small_config(), ta)
-    bob = BobParty(small_config(code_rate="2/3"), tb)
-    errors = {}
-
-    def run(name, party):
-        try:
-            party.run()
-        except BaseException as exc:
-            errors[name] = exc
-
-    ths = [threading.Thread(target=run, args=("a", alice), daemon=True),
-           threading.Thread(target=run, args=("b", bob), daemon=True)]
-    for t in ths:
-        t.start()
-    for t in ths:
-        t.join(20)
+    errors = run_parties(AliceParty(small_config(), ta),
+                         BobParty(small_config(code_rate="2/3"), tb), 20)
     aborts = [e for e in errors.values() if isinstance(e, SessionAborted)]
     assert aborts and any(e.exit_code == EXIT_CONFIG for e in aborts)
 

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -58,16 +60,18 @@ def test_syndrome_linearity():
 def test_syndrome_matches_dense_oracle():
     rng = stream(2)
     for r in ALL_RATES:
-        h = ldpc.parity_matrix(r).dense()
-        x = rng.draw_bits(1944)
-        assert np.array_equal(ldpc.syndrome(x, r), (h @ x % 2).astype(np.uint8))
+        h = ldpc.parity_matrix(r).dense().astype(np.int64)
+        x = rng.draw_bits(5 * 1944).reshape(5, 1944)
+        want = (x @ h.T % 2).astype(np.uint8)
+        assert np.array_equal(ldpc.syndrome_batch(x, r), want)
+        assert np.array_equal(ldpc.syndrome(x[0], r), want[0])
 
 
 def test_expanded_weights_match_prototype():
     for r in ALL_RATES:
         pm = ldpc.parity_matrix(r)
         h = pm.dense()
-        row_deg = np.array([len(c) for c in pm.row_cols])
+        row_deg = (pm.prototype >= 0).sum(axis=1)
         # every expanded row in block-row i has the prototype's row degree
         assert np.array_equal(h.sum(axis=1).reshape(-1, 81),
                               np.repeat(row_deg, 81).reshape(-1, 81))
@@ -120,6 +124,27 @@ def test_decoder_soundness_on_status():
     for i in range(16):
         if ok[i]:
             assert np.array_equal(got[i], synd[i])
+
+
+def test_decode_rows_independent_across_slices():
+    # each row decodes as if alone: frozen once its syndrome matches, and
+    # unaffected by the slice it lands in (70 rows span two slices)
+    rng = stream(8)
+    n = 70
+    assert ldpc.codec.DECODE_SLICE < n
+    true = rng.draw_bits(n * 1944).reshape(n, 1944)
+    synd = ldpc.syndrome_batch(true, "3/4")
+    # error rates from clean to hopeless, so rows freeze at different
+    # iterations and some never converge
+    p = np.linspace(0.0, 0.04, n)[:, None]
+    flips = (rng.draw_uniform(n * 1944).reshape(n, 1944) < p).astype(np.uint8)
+    bits, ok, _ = ldpc.decode_batch(true ^ flips, synd, "3/4", channel_p=0.02)
+    assert 0 < ok.sum() < n
+    for i in range(n):
+        alone, ok_alone, _ = ldpc.decode_batch(true[i] ^ flips[i], synd[i], "3/4",
+                                               channel_p=0.02)
+        assert ok[i] == ok_alone[0], i
+        assert np.array_equal(bits[i], alone[0]), i
 
 
 def test_sign_flip_equals_translate_then_decode():
@@ -175,3 +200,8 @@ def test_fer_monotone_in_crossover_monte_carlo():
     for rate, points in grids.items():
         fers = [ldpc_fer.measure_point(rate, p, 512, seed=300) for p in points]
         assert fers[0] <= fers[1] <= fers[2], (rate, fers)
+
+
+def test_fer_script_prints_the_table_literal():
+    # regenerating the table is a paste of `python -m cowkd.ldpc.fer`'s output
+    assert ldpc_fer.format_table(ldpc_fer.FER_TABLE) in inspect.getsource(ldpc_fer)
