@@ -24,8 +24,6 @@ LIMB_BITS = 126
 FRESH_KEY_BITS = 383  # cost per tag if the hash function were not reused
 MAX_LIMBS = 1 + math.ceil(UNIT_BITS / LIMB_BITS)
 
-TAG_WIRE_BYTES = 20  # 32-bit unit index + tag padded to 16 bytes
-
 
 class PadReuseError(RuntimeError):
     """A one-time pad index was presented twice."""
@@ -75,17 +73,8 @@ def poly_mac(message: bytes, poly_key: int) -> int:
 
 @dataclass(frozen=True)
 class AuthTag:
-    message_unit_index: int
+    message_unit_index: int  # the pad index
     tag: int  # 127-bit OTP-encrypted hash
-
-    def to_bytes(self) -> bytes:
-        return self.message_unit_index.to_bytes(4, "big") + self.tag.to_bytes(16, "big")
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "AuthTag":
-        if len(data) != TAG_WIRE_BYTES:
-            raise ValueError("auth tag record has wrong size")
-        return cls(int.from_bytes(data[0:4], "big"), int.from_bytes(data[4:20], "big"))
 
 
 @dataclass
@@ -93,14 +82,12 @@ class AuthKeyState:
     """Long-lived polynomial key plus the pad consumption ledger."""
 
     poly_key: int
-    otp_cursor: int = 0
     _used_pads: set = field(default_factory=set, repr=False)
 
     def _claim(self, pad_index: int):
         if pad_index in self._used_pads:
             raise PadReuseError(f"pad {pad_index} already consumed")
         self._used_pads.add(pad_index)
-        self.otp_cursor = max(self.otp_cursor, pad_index + 1)
 
     @property
     def pads_consumed(self) -> int:
@@ -166,8 +153,3 @@ def parse_psk(raw: bytes) -> PreSharedKey:
     for off in range(16, len(raw) - 15, 16):
         pads.append(int.from_bytes(raw[off : off + 16], "big") & P127)
     return PreSharedKey(poly_key, tuple(pads))
-
-
-def load_psk(path) -> PreSharedKey:
-    with open(path, "rb") as fh:
-        return parse_psk(fh.read())

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import SessionAborted
+
 
 def pack_bits(bits: np.ndarray) -> bytes:
     """Pack a 0/1 array into bytes, big-endian bit order, zero padded."""
@@ -16,10 +18,17 @@ def pack_bits(bits: np.ndarray) -> bytes:
 
 
 def unpack_bits(data: bytes, n_bits: int) -> np.ndarray:
-    """Unpack `n_bits` bits from bytes (big-endian bit order)."""
-    if n_bits > 8 * len(data):
-        raise ValueError(f"need {n_bits} bits, got {8 * len(data)}")
-    return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=n_bits)
+    """Inverse of `pack_bits`: `n_bits` bits from exactly ceil(n_bits / 8) bytes.
+
+    Wire fields are parsed with it, so a short or long field, or a nonzero
+    padding bit, raises `SessionAborted`.
+    """
+    if len(data) != (n_bits + 7) // 8:
+        raise SessionAborted(f"{n_bits}-bit field has the wrong length ({len(data)} bytes)")
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+    if bits[n_bits:].any():
+        raise SessionAborted(f"{n_bits}-bit field has nonzero padding bits")
+    return bits[:n_bits]
 
 
 def bits_to_int(bits: np.ndarray) -> int:

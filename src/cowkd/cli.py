@@ -98,6 +98,11 @@ def _build_config(args) -> SessionConfig:
     )
 
 
+BATCH_COLUMNS = ("batch", "qber_raw", "qber_effective", "visibility_raw",
+                 "visibility_corrected", "f_sec_measured", "compression",
+                 "n_out_bits", "attempted_blocks", "dropped_blocks")
+
+
 def _write_report(out_dir: Path, report: dict):
     out_dir.mkdir(parents=True, exist_ok=True)
     role = report["role"]
@@ -105,15 +110,8 @@ def _write_report(out_dir: Path, report: dict):
         json.dump(report, fh, indent=2, sort_keys=True)
     with open(out_dir / f"batches_{role}.csv", "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["batch", "qber_raw", "qber_effective", "visibility_raw",
-                    "visibility_corrected", "f_sec_measured", "compression",
-                    "n_out_bits", "attempted_blocks", "dropped_blocks"])
-        for row in report["per_batch"]:
-            w.writerow([row["batch"], row["qber_raw"], row["qber_effective"],
-                        row["visibility_raw"], row["visibility_corrected"],
-                        row["f_sec_measured"], row["compression"],
-                        row["n_out_bits"], row["attempted_blocks"],
-                        row["dropped_blocks"]])
+        w.writerow(BATCH_COLUMNS)
+        w.writerows([row[c] for c in BATCH_COLUMNS] for row in report["per_batch"])
 
 
 def _print_summary(report: dict):
@@ -152,16 +150,19 @@ def cmd_run(args) -> int:
                 print("POOL MISMATCH", file=sys.stderr)
                 return EXIT_ABORT
         else:
-            host, port = parse_endpoint(args.transport.removeprefix("tcp:"))
-            if args.role == "bob":
-                transport = TcpTransport.listen_accept(host, port, timeout=args.timeout)
-                party = BobParty(config, transport)
-            elif args.role == "alice":
-                transport = TcpTransport.connect(host, port, timeout=args.timeout)
-                party = AliceParty(config, transport)
-            else:
+            if args.role is None:
                 print("tcp transport requires --role alice|bob", file=sys.stderr)
                 return EXIT_CONFIG
+            host, port = parse_endpoint(args.transport.removeprefix("tcp:"))
+            try:
+                if args.role == "bob":
+                    transport = TcpTransport.listen_accept(host, port, timeout=args.timeout)
+                else:  # retry until Bob listens, for up to the timeout
+                    transport = TcpTransport.connect(host, port, timeout=args.timeout,
+                                                     retries=max(1, int(args.timeout / 0.1)))
+            except OSError as exc:  # refused, unreachable or timed out
+                raise SessionAborted(f"no connection to {host}:{port}: {exc}") from exc
+            party = (BobParty if args.role == "bob" else AliceParty)(config, transport)
             report = party.run()
             _write_report(out_dir, report)
             _print_summary(report)

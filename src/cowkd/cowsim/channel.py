@@ -44,21 +44,6 @@ class RunMismatch(ValueError):
     """Streams from different simulation runs were combined."""
 
 
-@dataclass(frozen=True)
-class PreparedQubit:
-    index: int
-    basis: int  # BASIS_DATA | BASIS_DECOY
-    bit: int  # ignored for decoy qubits
-
-
-@dataclass(frozen=True)
-class DetectionRecord:
-    gate_index: int
-    detector: str
-    truth: int
-    mon_destructive: bool | None = None
-
-
 class QubitSource:
     """Random-access view of Alice's prepared sequence.
 
@@ -112,8 +97,9 @@ class PreparedSequence:
     def __len__(self):
         return self.basis.size
 
-    def __getitem__(self, i: int) -> PreparedQubit:
-        return PreparedQubit(i, int(self.basis[i]), int(self.bit[i]))
+    def at(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(basis, bit) arrays for the given qubit indices, as `QubitSource.at`."""
+        return self.basis[indices], self.bit[indices]
 
     def pulse_bins(self) -> tuple[np.ndarray, np.ndarray]:
         """Boolean (early, late) nominal pulse presence per qubit."""
@@ -143,11 +129,6 @@ class DetectionArrays:
 
     def __len__(self):
         return self.gate.size
-
-    def records(self, detector: str):
-        for k in range(self.gate.size):
-            dest = bool(self.destructive[k]) if self.destructive is not None else None
-            yield DetectionRecord(int(self.gate[k]), detector, int(self.truth[k]), dest)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +204,8 @@ def transmit_detect(params: ChannelParams, seq: PreparedSequence,
         g = np.flatnonzero(clk).astype(np.int64)
         t = np.where(psig[g], TRUTH_SIGNAL,
                      np.where(pdark[g], TRUTH_DARK, TRUTH_NOISE)).astype(np.uint8)
-        g, t = _apply_deadtime(g, t, params.deadtime_mon_gates)
+        live = deadtime_mask(g, params.deadtime_mon_gates)
+        g, t = g[live], t[live]
         mon_gate_list.append(g)
         mon_truth_list.append(t)
         mon_dest_list.append(np.full(g.size, destructive, dtype=bool))
@@ -239,17 +221,19 @@ def transmit_detect(params: ChannelParams, seq: PreparedSequence,
     return data, monitor
 
 
-def _apply_deadtime(gates: np.ndarray, truth: np.ndarray,
-                    deadtime_gates: int) -> tuple[np.ndarray, np.ndarray]:
-    if deadtime_gates <= 0 or gates.size == 0:
-        return gates, truth
-    keep = np.zeros(gates.size, dtype=bool)
-    next_live = -1
-    for k in range(gates.size):
-        if gates[k] >= next_live:
-            keep[k] = True
-            next_live = gates[k] + deadtime_gates
-    return gates[keep], truth[keep]
+def deadtime_mask(gates: np.ndarray, deadtime_gates: int) -> np.ndarray:
+    """True for each click of a gate-sorted stream that a detector blind for
+    `deadtime_gates` gates after every accepted click registers."""
+    keep = np.ones(gates.size, dtype=bool)
+    if deadtime_gates <= 0:
+        return keep
+    next_live = -(1 << 62)
+    for k, gate in enumerate(gates.tolist()):
+        if gate >= next_live:
+            next_live = gate + deadtime_gates
+        else:
+            keep[k] = False
+    return keep
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +294,8 @@ def sample_detections(params: ChannelParams, source: QubitSource, n_qubits: int,
         dark = _geometric_hits(rng, n_gates, params.p_dark_mon)
         noise = _geometric_hits(rng, n_gates, params.p_noise_mon_port)
         merged = _merge_truth(sig, dark, noise, run_id=source.run_id)
-        g, t = _apply_deadtime(merged.gate, merged.truth, params.deadtime_mon_gates)
-        mon_streams.append((g, t, destructive))
+        live = deadtime_mask(merged.gate, params.deadtime_mon_gates)
+        mon_streams.append((merged.gate[live], merged.truth[live], destructive))
 
     mg = np.concatenate([g for g, _, _ in mon_streams])
     mt = np.concatenate([t for _, t, _ in mon_streams])
@@ -372,14 +356,8 @@ def ground_truth_stats(seq_or_source, data: DetectionArrays,
     clicks on interfering slots; the corrected variant drops dark/noise
     clicks first.
     """
-    if isinstance(seq_or_source, PreparedSequence):
-        src = seq_or_source.source
-        run_id = seq_or_source.run_id
-        lookup = lambda idx: (seq_or_source.basis[idx], seq_or_source.bit[idx])
-    else:
-        src = seq_or_source
-        run_id = src.run_id
-        lookup = src.at
+    run_id = seq_or_source.run_id
+    lookup = seq_or_source.at
     if data.run_id != run_id or monitor.run_id != run_id:
         raise RunMismatch("detection streams do not belong to this preparation")
 

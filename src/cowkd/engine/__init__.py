@@ -1,3 +1,4 @@
+from ..errors import EXIT_ABORT, EXIT_AUTH_ALARM, EXIT_CONFIG, EXIT_OK, AuthAlarm, SessionAborted
 from .frames import (
     CH_ADMIN,
     CH_AUTH_TAG,
@@ -7,31 +8,19 @@ from .frames import (
     CH_SYNDROME,
     CH_VERIFY,
     CHANNEL_NAMES,
-    Frame,
     FrameError,
     decode_header,
     encode_frame,
 )
 from .keypool import DeliveryFrozen, InsufficientKey, PadsExhausted, SecretKeyPool
-from .session import (
-    EXIT_ABORT,
-    EXIT_AUTH_ALARM,
-    EXIT_CONFIG,
-    EXIT_OK,
-    AliceParty,
-    AuthAlarm,
-    BobParty,
-    SessionAborted,
-    SessionConfig,
-    run_session,
-)
+from .session import AliceParty, BobParty, SessionConfig, run_session
 from .transport import LoopbackTransport, TcpTransport, TransportClosed, parse_endpoint
 
 __all__ = [
     "AliceParty", "AuthAlarm", "BobParty", "CH_ADMIN", "CH_AUTH_TAG",
     "CH_CONTROL", "CH_PA_SEED", "CH_SIFTING", "CH_SYNDROME", "CH_VERIFY",
     "CHANNEL_NAMES", "DeliveryFrozen", "EXIT_ABORT", "EXIT_AUTH_ALARM",
-    "EXIT_CONFIG", "EXIT_OK", "Frame", "FrameError", "InsufficientKey",
+    "EXIT_CONFIG", "EXIT_OK", "FrameError", "InsufficientKey",
     "LoopbackTransport", "PadsExhausted", "SecretKeyPool", "SessionAborted",
     "SessionConfig", "TcpTransport", "TransportClosed", "decode_header",
     "encode_frame", "parse_endpoint", "run_session",

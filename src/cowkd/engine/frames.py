@@ -1,13 +1,31 @@
-"""Service-channel framing: 1-byte channel id, 3-byte length, payload.
+"""Service-channel framing and the codec of every session record.
 
-All channels except `admin` count toward authentication: their bytes (frame
-headers included) form the per-direction tagged units. Admin frames carry
+This is the only module that knows a record's byte layout: the layouts below
+list each record's fields, big-endian. The session builds each payload with
+an `encode_*` function and reads it with the matching `decode_*`, which is
+strict: exact length (a bit field of n bits takes exactly ceil(n/8) bytes,
+padding bits zero), reserved fields zero, and counts and indices that agree
+with what the receiver holds. Anything else raises `SessionAborted` (exit 3).
+
+Frames: 1-byte channel id, 3-byte big-endian length, payload. All channels
+except `admin` count toward authentication: their bytes (frame headers
+included) form the per-direction tagged units. Admin frames carry
 diagnostics only and are excluded from the accounting.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import struct
+from fractions import Fraction
+
+import numpy as np
+
+from ..auth import TAG_BITS, AuthTag
+from ..bitops import pack_bits, unpack_bits
+from ..errors import EXIT_ABORT, EXIT_CONFIG, SessionAborted
+from ..ldpc import syndrome_length
+from ..privamp import PASeed
+from ..verification import VerificationTag
 
 CH_SIFTING = 1
 CH_SYNDROME = 2
@@ -30,37 +48,265 @@ CHANNEL_NAMES = {
 MAX_PAYLOAD = (1 << 24) - 1
 HEADER_BYTES = 4
 
+FrameError = SessionAborted  # former name of the malformed-frame error
 
-class FrameError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class Frame:
-    channel_id: int
-    payload: bytes
-
-    @property
-    def wire_bytes(self) -> int:
-        return HEADER_BYTES + len(self.payload)
-
-    @property
-    def authenticated(self) -> bool:
-        return self.channel_id != CH_ADMIN
+PROTOCOL_MAGIC = b"COWD1"
+END = b"END"  # closes each direction, before its final auth tag
 
 
 def encode_frame(channel_id: int, payload: bytes) -> bytes:
     if channel_id not in CHANNEL_NAMES:
-        raise FrameError(f"unknown channel {channel_id}")
+        raise SessionAborted(f"unknown channel {channel_id}")
     if len(payload) > MAX_PAYLOAD:
-        raise FrameError("payload exceeds 3-byte length field")
+        raise SessionAborted("payload exceeds 3-byte length field")
     return bytes([channel_id]) + len(payload).to_bytes(3, "big") + payload
 
 
 def decode_header(header: bytes) -> tuple[int, int]:
     if len(header) != HEADER_BYTES:
-        raise FrameError("short frame header")
+        raise SessionAborted("short frame header")
     channel_id = header[0]
     if channel_id not in CHANNEL_NAMES:
-        raise FrameError(f"unknown channel {channel_id}")
+        raise SessionAborted(f"unknown channel {channel_id}")
     return channel_id, int.from_bytes(header[1:4], "big")
+
+
+class _Layout:
+    """A record: optional magic bytes, a fixed head, then packed bit fields."""
+
+    def __init__(self, name: str, head: str, magic: bytes = b""):
+        self.name = name
+        self.magic = magic
+        self.head = struct.Struct(">" + head)
+
+    def pack(self, *head, bits=()) -> bytes:
+        return self.magic + self.head.pack(*head) + b"".join(pack_bits(b) for b in bits)
+
+    def unpack(self, payload, expect=(), sizes=None, rest=False) -> tuple:
+        """Head fields, then one bit array per length in `sizes(*head)`, then
+        (with `rest`) a view of the remaining bytes. Each head field must
+        equal its entry in `expect` unless that entry is None."""
+        view = memoryview(payload)
+        pos = len(self.magic) + self.head.size
+        if view[: len(self.magic)] != self.magic:
+            raise SessionAborted(f"expected {self.name}")
+        if len(view) < pos:
+            raise SessionAborted(f"{self.name} has the wrong length")
+        head = self.head.unpack(view[len(self.magic) : pos])
+        if any(want is not None and want != got for want, got in zip(expect, head)):
+            raise SessionAborted(f"{self.name} out of step: {head} where {expect} was due")
+        fields = []
+        for n in sizes(*head) if sizes else ():
+            fields.append(unpack_bits(view[pos : pos + (n + 7) // 8], n))
+            pos += (n + 7) // 8
+        if rest:
+            fields.append(view[pos:])
+        elif pos != len(view):
+            raise SessionAborted(f"{self.name} has the wrong length")
+        return (*head, *fields)
+
+
+def _check(ok: bool, message: str, exit_code: int = EXIT_ABORT):
+    if not ok:
+        raise SessionAborted(message, exit_code)
+
+
+# Record layouts. bits[n]: n bits packed MSB first into ceil(n/8) bytes.
+# hello: "COWD1" | config digest | session seed
+_HELLO = _Layout("hello", "5s32s32s")
+# reserved 0 | chunk qubits | blocks n | the n sifting blocks (see `sifting`)
+_SIFT = _Layout("sifting disclosure", "IQI")
+# data detections n | keep flags bits[n]
+_SIFT_RESPONSE = _Layout("sifting response", "I")
+# kept bits n | disclosed d | mask bits[n] | disclosed bits[d]
+_SUBSAMPLE = _Layout("subsample disclosure", "II", b"SMP")
+# errors among the disclosed bits
+_SUBSAMPLE_ERRORS = _Layout("subsample error report", "Q", b"SME")
+# window | blocks n | 3 | rate "a/b" | syndromes bits[n * m]
+_SYNDROME = _Layout("syndrome frame", "IHB3s")
+# window | blocks n | n verification tag records
+_TAGS = _Layout("verification tag frame", "IH")
+# block index | 48-bit seed | 48-bit tag
+_VERIFICATION_TAG = _Layout("verification tag record", "H6s6s")
+# window | blocks n | pass flags bits[n]
+_VERIFY_RESPONSE = _Layout("verify response", "IH")
+# batch | mismatches | reserved 0 | dropped blocks
+_ESTIMATE = _Layout("estimation report", "IQQQ", b"EST")
+# batch | the 8 counters of `decode_audit`
+_AUDIT = _Layout("truth audit", "I8Q", b"AUD")
+# mode | batch | width w | LFSR (mode 1): state bits[w] | feedback taps bits[w];
+# explicit diagonal (mode 0): bits[w]
+_SEED = _Layout("privacy amplification seed", "BII")
+# pad index | tag below 2^127
+_AUTH_TAG = _Layout("auth tag", "I16s")
+
+
+# -- handshake and sifting ----------------------------------------------------------
+
+def encode_hello(config_digest: bytes, seed: bytes) -> bytes:
+    return _HELLO.pack(PROTOCOL_MAGIC, config_digest, seed)
+
+
+def decode_hello(payload: bytes) -> tuple[bytes, bytes]:
+    """(config digest, session seed); another magic is a configuration error."""
+    magic, digest, seed = _HELLO.unpack(payload)
+    _check(magic == PROTOCOL_MAGIC, "peer speaks a different protocol", EXIT_CONFIG)
+    return digest, seed
+
+
+def encode_sift_disclosure(n_qubits: int, n_blocks: int, blocks: bytes) -> bytes:
+    return _SIFT.pack(0, n_qubits, n_blocks) + blocks
+
+
+def decode_sift_disclosure(payload: bytes, max_qubits: int) -> tuple[int, int, memoryview]:
+    """(qubits, blocks, the packed blocks as a view, not a copy)."""
+    _, n_qubits, n_blocks, blocks = _SIFT.unpack(payload, expect=(0,), rest=True)
+    _check(n_qubits <= max_qubits, "preparation buffer overflow")
+    return n_qubits, n_blocks, blocks
+
+
+def encode_sift_response(keep: np.ndarray) -> bytes:
+    return _SIFT_RESPONSE.pack(keep.size, bits=[keep])
+
+
+def decode_sift_response(payload: bytes, n_data: int) -> np.ndarray:
+    return _SIFT_RESPONSE.unpack(payload, (n_data,), lambda n: [n])[1].astype(bool)
+
+
+def encode_subsample(mask: np.ndarray, disclosed: np.ndarray) -> bytes:
+    return _SUBSAMPLE.pack(mask.size, disclosed.size, bits=[mask, disclosed])
+
+
+def decode_subsample(payload: bytes, n_kept: int) -> tuple[np.ndarray, np.ndarray]:
+    """(mask, disclosed bits) over the `n_kept` bits the last sift round kept."""
+    _, n_disc, mask, disclosed = _SUBSAMPLE.unpack(payload, (n_kept,), lambda n, d: [n, d])
+    _check(n_disc == mask.sum(), "subsample disclosure does not match its mask")
+    return mask.astype(bool), disclosed
+
+
+def encode_subsample_errors(errors: int) -> bytes:
+    return _SUBSAMPLE_ERRORS.pack(errors)
+
+
+def decode_subsample_errors(payload: bytes, n_disclosed: int) -> int:
+    (errors,) = _SUBSAMPLE_ERRORS.unpack(payload)
+    _check(errors <= n_disclosed, "subsample error report exceeds the disclosed bits")
+    return errors
+
+
+# -- error correction and verification ----------------------------------------------
+
+def _rate_code(rate: Fraction) -> bytes:
+    return f"{rate.numerator}/{rate.denominator}".encode()
+
+
+def encode_syndrome(window: int, rate: Fraction, syndromes: np.ndarray) -> bytes:
+    return _SYNDROME.pack(window, syndromes.shape[0], 3, _rate_code(rate), bits=[syndromes])
+
+
+def decode_syndrome(payload: bytes, window: int, rate: Fraction, max_blocks: int) -> np.ndarray:
+    """(blocks, syndrome length) syndromes of window `window`, at most `max_blocks`."""
+    m = syndrome_length(rate)
+    _, n, _, _, syndromes = _SYNDROME.unpack(payload, (window, None, 3, _rate_code(rate)),
+                                             lambda w, n, r, c: [n * m])
+    _check(0 < n <= max_blocks, f"syndrome frame claims {n} blocks, {max_blocks} held")
+    return syndromes.reshape(n, m)
+
+
+def encode_verification_tag(tag: VerificationTag) -> bytes:
+    return _VERIFICATION_TAG.pack(tag.block_index, tag.seed.to_bytes(6, "big"),
+                                  tag.tag.to_bytes(6, "big"))
+
+
+def decode_verification_tag(data: bytes) -> VerificationTag:
+    index, seed, tag = _VERIFICATION_TAG.unpack(data)
+    return VerificationTag(index, int.from_bytes(seed, "big"), int.from_bytes(tag, "big"))
+
+
+def encode_tags(window: int, tags: list[VerificationTag]) -> bytes:
+    return _TAGS.pack(window, len(tags)) + b"".join(encode_verification_tag(t) for t in tags)
+
+
+def decode_tags(payload: bytes, window: int, n_blocks: int) -> list[VerificationTag]:
+    """One tag per block of the window, indexed by position."""
+    records = _TAGS.unpack(payload, (window, n_blocks), rest=True)[2]
+    size = _VERIFICATION_TAG.head.size
+    _check(len(records) == size * n_blocks, "verification tag frame has the wrong length")
+    tags = [decode_verification_tag(records[size * i : size * (i + 1)]) for i in range(n_blocks)]
+    _check(all(t.block_index == i for i, t in enumerate(tags)), "verification tags out of order")
+    return tags
+
+
+def encode_verify_response(window: int, flags: np.ndarray) -> bytes:
+    return _VERIFY_RESPONSE.pack(window, flags.size, bits=[flags])
+
+
+def decode_verify_response(payload: bytes, window: int, n_blocks: int) -> np.ndarray:
+    return _VERIFY_RESPONSE.unpack(payload, (window, n_blocks), lambda w, n: [n])[2].astype(bool)
+
+
+# -- estimation and amplification ---------------------------------------------------
+
+def encode_estimate(batch: int, mismatches: int, dropped: int) -> bytes:
+    return _ESTIMATE.pack(batch, mismatches, 0, dropped)
+
+
+def decode_estimate(payload: bytes, batch: int, dropped: int, max_mismatches: int) -> int:
+    """Alice's mismatch count for `batch`; her drop count must equal ours."""
+    mismatches = _ESTIMATE.unpack(payload, (batch, None, 0, dropped))[1]
+    _check(mismatches <= max_mismatches, "estimation report exceeds the batch size")
+    return mismatches
+
+
+def encode_audit(batch: int, counters) -> bytes:
+    return _AUDIT.pack(batch, *counters)
+
+
+def decode_audit(payload: bytes, batch: int) -> tuple[int, ...]:
+    """Counters: kept bits, their errors, dark and noise errors, then bright and
+    destructive interfering monitor clicks, all and signal-only."""
+    counters = _AUDIT.unpack(payload, (batch,))[1:]
+    kept, err, dark, noise, bright, dest, bright_sig, dest_sig = counters
+    _check(max(kept, bright, dest) < 1 << 62 and dark + noise <= err <= kept
+           and bright_sig <= bright and dest_sig <= dest, "truth audit counters are inconsistent")
+    return counters
+
+
+def encode_seed(seed: PASeed, batch_id: int) -> bytes:
+    if seed.mode == PASeed.EXPLICIT:
+        return _SEED.pack(0, batch_id, seed.diagonal.size, bits=[seed.diagonal])
+    return _SEED.pack(1, batch_id, seed.lfsr_state.size,
+                      bits=[seed.lfsr_state, seed.feedback_poly])
+
+
+def decode_seed(data: bytes) -> tuple[PASeed, int]:
+    """(seed, batch id) of either mode; an LFSR needs a nonzero feedback polynomial."""
+    mode, batch_id, _, *bits = _SEED.unpack(
+        data, sizes=lambda mode, batch, w: [w] if mode == 0 else [w, w])
+    if mode == 0:
+        return PASeed(mode=PASeed.EXPLICIT, diagonal=bits[0]), batch_id
+    _check(mode == 1, f"unknown seed mode {mode}")
+    _check(bits[1].any(), "seed has a zero feedback polynomial")
+    return PASeed(mode=PASeed.LFSR, lfsr_state=bits[0], feedback_poly=bits[1]), batch_id
+
+
+def decode_pa_seed(payload: bytes, batch: int, n_out: int) -> PASeed:
+    """The LFSR seed of `batch`, `n_out` bits wide."""
+    seed, batch_id = decode_seed(payload)
+    _check(batch_id == batch, "privacy amplification batches out of step")
+    _check(seed.mode == PASeed.LFSR and seed.lfsr_state.size == n_out,
+           f"seed is not an LFSR of width {n_out}")
+    return seed
+
+
+# -- authentication -----------------------------------------------------------------
+
+def encode_auth_tag(tag: AuthTag) -> bytes:
+    return _AUTH_TAG.pack(tag.message_unit_index, tag.tag.to_bytes(16, "big"))
+
+
+def decode_auth_tag(data: bytes) -> AuthTag:
+    index, raw = _AUTH_TAG.unpack(data)
+    tag = AuthTag(index, int.from_bytes(raw, "big"))
+    _check(tag.tag >> TAG_BITS == 0, "auth tag exceeds 127 bits")
+    return tag

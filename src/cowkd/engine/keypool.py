@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..auth import TAG_BITS, PreSharedKey
+from ..bitops import bits_to_int
 
 
 class InsufficientKey(RuntimeError):
@@ -53,7 +54,6 @@ class SecretKeyPool:
         self._pad_reserve_target = pad_reserve_target
         self.frozen = False
         self.ledger = PoolLedger()
-        self._deliveries: list[tuple[str, int]] = []
 
     # -- production -------------------------------------------------------
 
@@ -88,13 +88,9 @@ class SecretKeyPool:
         if start + TAG_BITS > self._pad_bits.size:
             raise PadsExhausted(
                 f"pad {pad_index} beyond reserved stream ({self._pad_bits.size} bits)")
-        chunk = self._pad_bits[start : start + TAG_BITS]
         self._pads_taken.add(pad_index)
         self.ledger.consumed_auth += TAG_BITS
-        value = 0
-        for b in chunk:
-            value = (value << 1) | int(b)
-        return value
+        return bits_to_int(self._pad_bits[start : start + TAG_BITS])
 
     # -- delivery -----------------------------------------------------------
 
@@ -117,7 +113,6 @@ class SecretKeyPool:
         self._delivery[start : start + n_bits] = 0
         self._delivery_cursor += n_bits
         self.ledger.delivered += n_bits
-        self._deliveries.append((consumer_id, n_bits))
         return out
 
     def freeze(self):

@@ -19,22 +19,26 @@ Per-direction authentication: every non-admin frame byte enters a 2^20-bit
 unit stream; each filled unit is tagged (pad index = 2*unit + direction) and
 the receiver re-verifies against its mirrored stream. A mismatch freezes key
 delivery and aborts the session.
+
+Every record is built and parsed by `frames`. A malformed record or a lost or
+silent peer ends the session in `SessionAborted` (exit 3), a bad tag in
+`AuthAlarm` (exit 4).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .. import auth as auth_mod
 from .. import ldpc
-from ..auth import UNIT_BITS, AuthKeyState, AuthTag, parse_psk
+from ..auth import UNIT_BITS, AuthKeyState, PadScheduleError, parse_psk
 from ..cowsim import ChannelParams, QubitSource
 from ..cowsim.channel import TRUTH_DARK, TRUTH_NOISE, TRUTH_SIGNAL, interfering_slot_mask, sample_detections
+from ..errors import EXIT_AUTH_ALARM, EXIT_CONFIG, EXIT_OK, AuthAlarm, SessionAborted
 from ..finitekey import (
     FiniteKeyBudget,
     PEMode,
@@ -43,10 +47,11 @@ from ..finitekey import (
     secret_fraction,
 )
 from ..ldpc.fer import fer_estimate
-from ..privamp import CompressionSetting, DistillationBatch, PASeed, SeedLedger, amplify_batch, decode_seed, encode_seed, make_seed
+from ..privamp import CompressionSetting, DistillationBatch, PASeed, SeedLedger, amplify_batch, make_seed
 from ..randomness import EntropySeed, RandomStream
 from ..sifting import SiftingMode, decode_and_sift, encode, resolve_collisions
-from ..verification import BLOCK_BITS, VerificationTag, make_tags, verify_batch
+from ..verification import BLOCK_BITS, BatchEstimate, estimate_from_counts, make_tags, verify_batch
+from . import frames
 from .frames import (
     CH_ADMIN,
     CH_AUTH_TAG,
@@ -61,28 +66,16 @@ from .frames import (
     encode_frame,
 )
 from .keypool import SecretKeyPool
-
-PROTOCOL_MAGIC = b"COWD1"
+from .transport import TransportClosed
 
 # substream labels off the session seed
 DOM_QUANTUM = 1
 DOM_BOB = 3
 
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_ABORT = 3
-EXIT_AUTH_ALARM = 4
-
-
-class SessionAborted(RuntimeError):
-    def __init__(self, message: str, exit_code: int = EXIT_ABORT):
-        super().__init__(message)
-        self.exit_code = exit_code
-
-
-class AuthAlarm(SessionAborted):
-    def __init__(self, message: str):
-        super().__init__(message, EXIT_AUTH_ALARM)
+_UNIT_BYTES = UNIT_BITS // 8
+# syndrome and verify frames count a window's blocks, and tags index them,
+# in 16 bits; a larger window is sent as several
+MAX_WINDOW_BLOCKS = 0xFFFF
 
 
 @dataclass
@@ -101,7 +94,6 @@ class SessionConfig:
     psk: bytes = b""
     channel_p_prior: float = 0.02
     pad_reserve_target: int = 96
-    deadtime_gates: int = 0
     subsample_eta: float = 0.125
     # refuse to deliver when the measured secret fraction falls below the
     # applied compression; disable only for reduced-size plumbing tests
@@ -166,7 +158,12 @@ class SessionConfig:
 # ---------------------------------------------------------------------------
 
 class _Endpoint:
-    """Transport wrapper handling tagging, verification and accounting."""
+    """Transport wrapper handling tagging, verification and accounting.
+
+    A failed or timed-out transport raises `SessionAborted`; a tag that is
+    malformed, out of schedule or wrong freezes the pool and raises
+    `AuthAlarm`.
+    """
 
     def __init__(self, transport, pool: SecretKeyPool, poly_key: int, out_dir: int):
         self.transport = transport
@@ -184,99 +181,94 @@ class _Endpoint:
         self._in_hash = hashlib.sha256()
         self.alarm: str | None = None
 
+    def _io(self, call, *args):
+        try:
+            return call(*args)
+        except (TransportClosed, TimeoutError) as exc:
+            raise SessionAborted(f"service channel failed: {exc}") from exc
+
     # -- send ----------------------------------------------------------------
 
     def send(self, channel_id: int, payload: bytes):
-        raw = encode_frame(channel_id, payload)
-        self.transport.send(raw)
+        self._write(channel_id, encode_frame(channel_id, payload))
+        # tag each unit the stream fills; a tag frame joins the stream too
+        while len(self._out_buf) >= _UNIT_BYTES:
+            unit = bytes(self._out_buf[:_UNIT_BYTES])
+            del self._out_buf[:_UNIT_BYTES]
+            self._emit_tag(unit)
+
+    def _write(self, channel_id: int, raw: bytes):
+        self._io(self.transport.send, raw)
         self.bytes_out[channel_id] += len(raw)
         self._out_hash.update(raw)
         if channel_id != CH_ADMIN:
             self._out_buf.extend(raw)
-            self._drain_out_units()
 
-    def _drain_out_units(self):
-        unit_bytes = UNIT_BITS // 8
-        while len(self._out_buf) >= unit_bytes:
-            unit = bytes(self._out_buf[:unit_bytes])
-            del self._out_buf[:unit_bytes]
-            self._emit_tag(unit, self._out_units)
-            self._out_units += 1
-
-    def _emit_tag(self, message: bytes, unit_index: int):
-        pad_index = 2 * unit_index + self.out_dir
-        pad = self.pool.take_pad(pad_index)
-        tag = auth_mod.tag(message, self.auth_state, pad, pad_index)
-        raw = encode_frame(CH_AUTH_TAG, tag.to_bytes())
-        self.transport.send(raw)
-        self.bytes_out[CH_AUTH_TAG] += len(raw)
-        self._out_hash.update(raw)
-        self._out_buf.extend(raw)
-        # a tag frame can itself complete the next unit
-        self._drain_out_units()
+    def _emit_tag(self, unit: bytes):
+        pad_index = 2 * self._out_units + self.out_dir
+        self._out_units += 1
+        tag = auth_mod.tag(unit, self.auth_state, self.pool.take_pad(pad_index), pad_index)
+        self._write(CH_AUTH_TAG, encode_frame(CH_AUTH_TAG, frames.encode_auth_tag(tag)))
 
     def flush_final_tag(self):
         """Tag whatever remains of the outbound stream (possibly empty)."""
         unit = bytes(self._out_buf)
         self._out_buf.clear()
-        self._emit_tag(unit, self._out_units)
-        self._out_units += 1
-
-    def drain_final_tag(self):
-        """Consume the peer's closing tag frame and verify the remainder."""
-        header = self.transport.recv_exact(HEADER_BYTES)
-        channel_id, length = decode_header(header)
-        payload = self.transport.recv_exact(length) if length else b""
-        raw = header + payload
-        self.bytes_in[channel_id] += len(raw)
-        self._in_hash.update(raw)
-        if channel_id != CH_AUTH_TAG:
-            raise SessionAborted("peer failed to flush its final tag")
-        self._verify_final_tag(AuthTag.from_bytes(payload))
-
-    def _verify_final_tag(self, tag: AuthTag):
-        message = bytes(self._in_buf)
-        self._in_buf.clear()
-        pad_index = 2 * self._in_units + self.in_dir
-        self._in_units += 1
-        pad = self.pool.take_pad(pad_index)
-        if not auth_mod.verify(message, tag, self.auth_state, pad, pad_index):
-            self.alarm = "authentication tag mismatch on the closing unit"
-            self.pool.freeze()
-            raise AuthAlarm(self.alarm)
+        self._emit_tag(unit)
 
     # -- receive ---------------------------------------------------------------
+
+    def _read_frame(self) -> tuple[int, bytes, bytes]:
+        header = self._io(self.transport.recv_exact, HEADER_BYTES)
+        channel_id, length = decode_header(header)
+        payload = self._io(self.transport.recv_exact, length) if length else b""
+        self.bytes_in[channel_id] += HEADER_BYTES + length
+        self._in_hash.update(header)
+        self._in_hash.update(payload)
+        return channel_id, header, payload
 
     def recv(self) -> tuple[int, bytes]:
         """Next non-auth frame; tag frames are consumed and verified inline."""
         while True:
-            header = self.transport.recv_exact(HEADER_BYTES)
-            channel_id, length = decode_header(header)
-            payload = self.transport.recv_exact(length) if length else b""
-            raw = header + payload
-            self.bytes_in[channel_id] += len(raw)
-            self._in_hash.update(raw)
+            channel_id, header, payload = self._read_frame()
             if channel_id == CH_AUTH_TAG:
-                self._verify_tag(AuthTag.from_bytes(payload))
-                self._in_buf.extend(raw)
-                continue
+                self._verify_tag(payload)
             if channel_id != CH_ADMIN:
-                self._in_buf.extend(raw)
-            return channel_id, payload
+                self._in_buf += header
+                self._in_buf += payload
+            if channel_id != CH_AUTH_TAG:
+                return channel_id, payload
 
-    def _verify_tag(self, tag: AuthTag):
-        unit_bytes = UNIT_BITS // 8
-        if len(self._in_buf) >= unit_bytes:
-            message = bytes(self._in_buf[:unit_bytes])
-            del self._in_buf[:unit_bytes]
-        else:  # final flush tag covers the partial unit
-            message = bytes(self._in_buf)
-            self._in_buf.clear()
-        pad_index = 2 * self._in_units + self.in_dir
+    def expect(self, channel_id: int) -> bytes:
+        """Payload of the next frame, which must arrive on `channel_id`."""
+        got, payload = self.recv()
+        if got != channel_id:
+            raise SessionAborted(
+                f"expected a {CHANNEL_NAMES[channel_id]} frame, got {CHANNEL_NAMES[got]}")
+        return payload
+
+    def recv_final_tag(self):
+        """Verify the peer's closing tag, which covers the rest of its stream."""
+        channel_id, _, payload = self._read_frame()
+        if channel_id != CH_AUTH_TAG:
+            raise SessionAborted("peer failed to flush its final tag")
+        self._verify_tag(payload)
+
+    def _verify_tag(self, payload: bytes):
+        # a tag covers one full unit, or what is left when the peer closes
+        message = bytes(self._in_buf[:_UNIT_BYTES])
+        del self._in_buf[:_UNIT_BYTES]
+        unit = self._in_units
         self._in_units += 1
+        pad_index = 2 * unit + self.in_dir
         pad = self.pool.take_pad(pad_index)
-        if not auth_mod.verify(message, tag, self.auth_state, pad, pad_index):
-            self.alarm = f"authentication tag mismatch on unit {self._in_units - 1}"
+        try:
+            tag = frames.decode_auth_tag(payload)
+            ok, problem = auth_mod.verify(message, tag, self.auth_state, pad, pad_index), "mismatch"
+        except (SessionAborted, PadScheduleError) as exc:  # malformed or out of schedule
+            ok, problem = False, str(exc)
+        if not ok:
+            self.alarm = f"authentication failed on unit {unit}: {problem}"
             self.pool.freeze()
             raise AuthAlarm(self.alarm)
 
@@ -292,27 +284,6 @@ class _Endpoint:
 
     def transcript_digests(self) -> dict:
         return {"out": self._out_hash.hexdigest(), "in": self._in_hash.hexdigest()}
-
-
-# ---------------------------------------------------------------------------
-# control-channel records
-# ---------------------------------------------------------------------------
-
-def _pack_hello(cfg_digest: bytes, quantum_seed: bytes) -> bytes:
-    return PROTOCOL_MAGIC + cfg_digest + quantum_seed
-
-
-def _unpack_hello(payload: bytes) -> tuple[bytes, bytes]:
-    if payload[:5] != PROTOCOL_MAGIC:
-        raise SessionAborted("peer speaks a different protocol", EXIT_CONFIG)
-    return payload[5:37], payload[37:69]
-
-
-_EST = struct.Struct(">IQQQ")  # batch, mismatches, passed_bits, dropped_blocks
-# syndrome and verify frames count a window's blocks, and tags index them,
-# in 16 bits; a larger window is sent as several
-MAX_WINDOW_BLOCKS = 0xFFFF
-_AUD = struct.Struct(">IQQQQQQQQ")
 
 
 # ---------------------------------------------------------------------------
@@ -361,11 +332,16 @@ class _PartyBase:
         self.alarms: list[str] = []
         self.subsample_errors = 0
         self.subsample_disclosed = 0
-        # estimation bookkeeping: one mismatch count per passed block (in
-        # consumption order) plus drops since the last amplification round
-        self._block_mismatches: list[int] = []
-        self._dropped_blocks = 0
+        self.window = 0  # EC windows so far
+        self._dropped_blocks = 0  # since the last amplification round
         self._audit = np.zeros(8, dtype=np.int64)  # Bob fills; Alice receives
+
+    def run(self) -> dict:
+        try:
+            self._run()
+        finally:
+            self.ep.transport.close()
+        return self.report()
 
     # small helpers ---------------------------------------------------------
 
@@ -376,32 +352,34 @@ class _PartyBase:
         self.key_bits = self.key_bits[n:].copy()
         return out
 
-    def _estimate_and_reset(self, batch_index: int, mismatch_override=None) -> dict:
-        passed = self.config.blocks_per_batch
-        dropped = self._dropped_blocks
-        consumed = self._block_mismatches[:passed]
-        del self._block_mismatches[:passed]
+    def _estimate_and_reset(self, mismatches: int) -> BatchEstimate:
+        """This batch's error estimate; the drop count restarts for the next."""
+        passed, dropped = self.config.blocks_per_batch, self._dropped_blocks
         self._dropped_blocks = 0
-        mism = sum(consumed) if mismatch_override is None else mismatch_override
-        attempted = passed + dropped
-        q_raw = mism / (passed * BLOCK_BITS) if passed else 0.0
-        q_eff = ((mism + 0.5 * dropped * BLOCK_BITS) / (attempted * BLOCK_BITS)
-                 if attempted else 0.0)
+        est = estimate_from_counts(mismatches, passed, dropped)
         if self.config.pe_mode == PEMode.SUBSAMPLING and self.subsample_disclosed:
             q_raw = self.subsample_errors / self.subsample_disclosed
             q_eff = min((q_raw * passed * BLOCK_BITS + 0.5 * dropped * BLOCK_BITS)
-                        / (attempted * BLOCK_BITS), 0.5) if attempted else q_raw
-        return {"batch": batch_index, "q_raw": q_raw, "q_eff": q_eff,
-                "attempted": attempted, "dropped": dropped, "mismatches": mism}
+                        / (est.n_blocks * BLOCK_BITS), 0.5)
+            est = replace(est, qber_raw=q_raw, qber_effective=q_eff)
+        return est
 
-    def _batch_observables(self, est: dict, audit: np.ndarray):
+    def _amplify(self, batch_index: int, bits: np.ndarray, est: BatchEstimate,
+                 seed: PASeed) -> np.ndarray:
+        n_sift = self.config.n_sift
+        batch = DistillationBatch(batch_index, bits, blocks_attempted=est.n_blocks,
+                                  blocks_dropped=est.n_dropped, n_in=n_sift)
+        return amplify_batch(batch, CompressionSetting(self.compression, n_sift),
+                             seed, self.seed_ledger)
+
+    def _batch_observables(self, est: BatchEstimate, audit: np.ndarray):
         (n_kept, err_total, err_dark, err_noise,
          nb_raw, nd_raw, nb_sig, nd_sig) = (int(x) for x in audit)
         dark_q = err_dark / n_kept if n_kept else 0.0
         noise_q = err_noise / n_kept if n_kept else 0.0
         v_raw = (nb_raw - nd_raw) / (nb_raw + nd_raw) if nb_raw + nd_raw else 1.0
         obs = corrected_observables(
-            qber_raw=min(est["q_raw"], 1.0), qber_effective=min(est["q_eff"], 1.0),
+            qber_raw=min(est.qber_raw, 1.0), qber_effective=min(est.qber_effective, 1.0),
             visibility_raw=max(v_raw, 0.0),
             dark_qber=dark_q, noise_qber=noise_q,
             mu=self.config.params.mu, code_rate=float(self.rate),
@@ -413,7 +391,7 @@ class _PartyBase:
         obs.visibility_corrected = max(min(v_corr, 1.0), 0.0)
         return obs
 
-    def _finish_batch(self, batch_index: int, est: dict, audit: np.ndarray,
+    def _finish_batch(self, batch_index: int, est: BatchEstimate, audit: np.ndarray,
                       key: np.ndarray):
         obs = self._batch_observables(est, audit)
         f_sec = secret_fraction(obs, FiniteKeyBudget.reference())
@@ -426,16 +404,16 @@ class _PartyBase:
         self.pool.append(key)
         n_kept = int(audit[0])
         self.batches.append(BatchRow(
-            batch=batch_index, qber_raw=est["q_raw"], qber_effective=est["q_eff"],
+            batch=batch_index, qber_raw=est.qber_raw, qber_effective=est.qber_effective,
             visibility_raw=obs.visibility_raw,
             visibility_corrected=obs.visibility_corrected,
             dark_qber=int(audit[2]) / n_kept if n_kept else 0.0,
             noise_qber=int(audit[3]) / n_kept if n_kept else 0.0,
             f_sec_measured=f_sec, compression=self.compression,
-            n_out_bits=key.size, attempted_blocks=est["attempted"],
-            dropped_blocks=est["dropped"],
+            n_out_bits=key.size, attempted_blocks=est.n_blocks,
+            dropped_blocks=est.n_dropped,
         ))
-        self.channel_p = min(max(est["q_raw"], 1e-4), 0.3)
+        self.channel_p = min(max(est.qber_raw, 1e-4), 0.3)
 
     # report ---------------------------------------------------------------------
 
@@ -507,42 +485,31 @@ class BobParty(_PartyBase):
         self.rng: RandomStream | None = None
         self.source: QubitSource | None = None
         self.pa_buffer = np.zeros(0, dtype=np.uint8)  # verified key bits
-        self.window = 0
 
-    def run(self) -> dict:
+    def _run(self):
         cfg = self.config
-        try:
-            self._handshake()
-            batch = 0
-            while batch < cfg.n_batches:
-                self._chunk_round()
-                self._ec_window()
-                while self.pa_buffer.size >= cfg.n_sift and batch < cfg.n_batches:
-                    self._pa_round(batch)
-                    batch += 1
-            self.ep.send(CH_CONTROL, b"END")
-            self.ep.flush_final_tag()
-            ch, payload = self.ep.recv()
-            if (ch, payload) != (CH_CONTROL, b"END"):
-                raise SessionAborted("peer failed to close the session")
-            self.ep.drain_final_tag()
-        finally:
-            self.ep.transport.close()
-        return self.report()
+        self._handshake()
+        batch = 0
+        while batch < cfg.n_batches:
+            self._chunk_round()
+            self._ec_window()
+            while self.pa_buffer.size >= cfg.n_sift and batch < cfg.n_batches:
+                self._pa_round(batch)
+                batch += 1
+        self.ep.send(CH_CONTROL, frames.END)
+        self.ep.flush_final_tag()
+        if self.ep.expect(CH_CONTROL) != frames.END:
+            raise SessionAborted("peer failed to close the session")
+        self.ep.recv_final_tag()
 
     def _handshake(self):
         cfg = self.config
         self.ep.send(CH_ADMIN, b"bob ready")
-        ch, _ = self.ep.recv()
-        if ch != CH_ADMIN:
-            raise SessionAborted("expected peer banner", EXIT_CONFIG)
-        ch, payload = self.ep.recv()
-        if ch != CH_CONTROL:
-            raise SessionAborted("expected hello", EXIT_CONFIG)
-        peer_digest, quantum_seed = _unpack_hello(payload)
+        self.ep.expect(CH_ADMIN)
+        peer_digest, quantum_seed = frames.decode_hello(self.ep.expect(CH_CONTROL))
         if peer_digest != cfg.digest():
             raise SessionAborted("configuration mismatch between parties", EXIT_CONFIG)
-        self.ep.send(CH_CONTROL, _pack_hello(cfg.digest(), quantum_seed))
+        self.ep.send(CH_CONTROL, frames.encode_hello(cfg.digest(), quantum_seed))
         qseed = EntropySeed(quantum_seed, "fixed")
         self.rng = RandomStream(qseed, DOM_QUANTUM)
         self.proto_rng = RandomStream(qseed, DOM_BOB)
@@ -554,28 +521,22 @@ class BobParty(_PartyBase):
         n_q = cfg.chunk_qubits
         q0 = self.total_qubits
         chunk_view = _OffsetSource(self.source, q0)
+        # gates and qubits stay chunk-local; collision resolution does not
+        # depend on where the chunk starts
         data, monitor = sample_detections(cfg.params, chunk_view, n_q, self.rng)
-        data.gate += 2 * q0
-        monitor.gate += 2 * q0
-        events = resolve_collisions(data, monitor, cfg.deadtime_gates, self.rng)
-        self._accumulate_audit(monitor)
+        events = resolve_collisions(data, monitor, 0, self.rng)
+        self._accumulate_audit(monitor, q0)
         self.total_qubits += n_q
-        payload, n_blocks = encode(_shift_events(events, -q0), self.mode)
-        head = struct.pack(">IQI", 0, n_q, n_blocks)
-        self.ep.send(CH_SIFTING, head + payload)
+        payload, n_blocks = encode(events, self.mode)
+        self.ep.send(CH_SIFTING, frames.encode_sift_disclosure(n_q, n_blocks, payload))
 
-        ch, resp = self.ep.recv()
-        if ch != CH_SIFTING:
-            raise SessionAborted(f"expected sifting response, got {CHANNEL_NAMES[ch]}")
-        (n_data,) = struct.unpack(">I", resp[:4])
-        keep = np.unpackbits(np.frombuffer(resp[4:], dtype=np.uint8), count=n_data).astype(bool)
         dmask = events.data_mask()
-        if n_data != int(dmask.sum()):
-            raise SessionAborted("sifting response does not match disclosure")
+        n_data = int(dmask.sum())
+        keep = frames.decode_sift_response(self.ep.expect(CH_SIFTING), n_data)
         kept_bits = events.bob_bit[dmask][keep].astype(np.uint8)
         self.total_raw += n_data
         self.total_sifted += kept_bits.size
-        self._audit_errors(events, dmask, keep)
+        self._audit_errors(events, dmask, keep, q0)
         kept_bits = self._maybe_subsample(kept_bits)
         self.key_bits = np.concatenate([self.key_bits, kept_bits])
 
@@ -585,14 +546,10 @@ class BobParty(_PartyBase):
             return kept_bits
         mask = self.proto_rng.draw_uniform(kept_bits.size) < cfg.subsample_eta
         disclosed = kept_bits[mask]
-        head = struct.pack(">II", kept_bits.size, int(mask.sum()))
-        self.ep.send(CH_CONTROL, b"SMP" + head + np.packbits(mask).tobytes()
-                     + np.packbits(disclosed).tobytes())
+        self.ep.send(CH_CONTROL, frames.encode_subsample(mask, disclosed))
         self.subsample_disclosed += disclosed.size
-        ch, resp = self.ep.recv()
-        if ch != CH_CONTROL or resp[:3] != b"SME":
-            raise SessionAborted("expected subsample error report")
-        self.subsample_errors += struct.unpack(">Q", resp[3:11])[0]
+        self.subsample_errors += frames.decode_subsample_errors(
+            self.ep.expect(CH_CONTROL), disclosed.size)
         return kept_bits[~mask]
 
     # EC + verification over every queued full block, once they complete the
@@ -608,25 +565,13 @@ class BobParty(_PartyBase):
     def _ec_round(self, n_blocks: int):
         blocks = self._take_key_bits(n_blocks * BLOCK_BITS).reshape(n_blocks, BLOCK_BITS)
         synd = ldpc.syndrome_batch(blocks, self.rate)
-        rate_code = f"{self.rate.numerator}/{self.rate.denominator}".encode()
-        head = struct.pack(">IHB", self.window, n_blocks, len(rate_code))
-        self.ep.send(CH_SYNDROME, head + rate_code + np.packbits(synd).tobytes())
-        tags = make_tags(blocks, self.proto_rng, first_index=0)
-        blob = b"".join(t.to_bytes() for t in tags)
-        self.ep.send(CH_VERIFY, struct.pack(">IH", self.window, n_blocks) + blob)
+        self.ep.send(CH_SYNDROME, frames.encode_syndrome(self.window, self.rate, synd))
+        tags = make_tags(blocks, self.proto_rng)
+        self.ep.send(CH_VERIFY, frames.encode_tags(self.window, tags))
 
-        ch, resp = self.ep.recv()
-        if ch != CH_VERIFY:
-            raise SessionAborted(f"expected verify response, got {CHANNEL_NAMES[ch]}")
-        if len(resp) != 6 + (n_blocks + 7) // 8:
-            raise SessionAborted("verify response has the wrong length")
-        if struct.unpack(">IH", resp[:6]) != (self.window, n_blocks):
-            raise SessionAborted("verify response out of step")
-        flags = np.unpackbits(np.frombuffer(resp[6:], dtype=np.uint8),
-                              count=n_blocks).astype(bool)
+        flags = frames.decode_verify_response(self.ep.expect(CH_VERIFY), self.window, n_blocks)
         passed = blocks[flags].reshape(-1)
         self.pa_buffer = np.concatenate([self.pa_buffer, passed])
-        self._block_mismatches.extend([0] * int(flags.sum()))
         self._dropped_blocks += int(n_blocks - flags.sum())
         self.window += 1
 
@@ -635,32 +580,25 @@ class BobParty(_PartyBase):
         batch_bits = self.pa_buffer[: cfg.n_sift]
         self.pa_buffer = self.pa_buffer[cfg.n_sift :]
         seed = make_seed(self.proto_rng, cfg.n_sift, self.n_out, mode=PASeed.LFSR)
-        self.ep.send(CH_PA_SEED, encode_seed(seed, batch_index))
+        self.ep.send(CH_PA_SEED, frames.encode_seed(seed, batch_index))
 
         # exchange estimation inputs: Alice's exact mismatch count against
         # Bob's truth-channel audit
-        ch, est_payload = self.ep.recv()
-        if ch != CH_CONTROL or est_payload[:3] != b"EST":
-            raise SessionAborted("expected estimation report")
-        _, mism, _, _ = _EST.unpack(est_payload[3:])
+        mism = frames.decode_estimate(self.ep.expect(CH_CONTROL), batch_index,
+                                      self._dropped_blocks, cfg.n_sift)
         audit = self._audit.copy()
-        self.ep.send(CH_CONTROL, b"AUD" + _AUD.pack(batch_index, *audit))
+        self.ep.send(CH_CONTROL, frames.encode_audit(batch_index, audit))
         self._audit[:] = 0
 
-        est = self._estimate_and_reset(batch_index, mismatch_override=int(mism))
-        batch = DistillationBatch(batch_index, batch_bits,
-                                  blocks_attempted=est["attempted"],
-                                  blocks_dropped=est["dropped"],
-                                  n_in=cfg.n_sift)
-        key = amplify_batch(batch, CompressionSetting(self.compression, cfg.n_sift),
-                            seed, self.seed_ledger)
-        self._finish_batch(batch_index, est, audit, key)
+        est = self._estimate_and_reset(mism)
+        self._finish_batch(batch_index, est, audit,
+                           self._amplify(batch_index, batch_bits, est, seed))
 
     # truth-channel audit accumulators (simulation only)
-    def _accumulate_audit(self, monitor):
+    def _accumulate_audit(self, monitor, q0: int):
         if len(monitor) == 0:
             return
-        interf = interfering_slot_mask(self.source.at, monitor.gate)
+        interf = interfering_slot_mask(self.source.at, monitor.gate + 2 * q0)
         dest = monitor.destructive
         sig = monitor.truth == TRUTH_SIGNAL
         self._audit[4] += int((interf & ~dest).sum())
@@ -668,23 +606,16 @@ class BobParty(_PartyBase):
         self._audit[6] += int((interf & ~dest & sig).sum())
         self._audit[7] += int((interf & dest & sig).sum())
 
-    def _audit_errors(self, events, dmask, keep):
+    def _audit_errors(self, events, dmask, keep, q0: int):
         q = events.qubit[dmask][keep]
         bob = events.bob_bit[dmask][keep]
         truth = events.truth[dmask][keep]
-        _, alice_bits = self.source.at(q)
+        _, alice_bits = self.source.at(q + q0)
         err = bob != alice_bits
         self._audit[0] += q.size
         self._audit[1] += int(err.sum())
         self._audit[2] += int((err & (truth == TRUTH_DARK)).sum())
         self._audit[3] += int((err & (truth == TRUTH_NOISE)).sum())
-
-
-def _shift_events(events, offset: int):
-    from ..sifting import ResolvedEvents
-
-    return ResolvedEvents(events.qubit + offset, events.control, events.bob_bit,
-                          events.truth, events.raw_count, events.run_id)
 
 
 # ---------------------------------------------------------------------------
@@ -694,42 +625,37 @@ def _shift_events(events, offset: int):
 class AliceParty(_PartyBase):
     role = "alice"
 
-    def __init__(self, config: SessionConfig, transport,
-                 os_entropy: bool | None = None):
+    def __init__(self, config: SessionConfig, transport):
         super().__init__(config, transport, out_dir=0)
         self.source: QubitSource | None = None
         self.corrected_buffer = np.zeros(0, dtype=np.uint8)
-        self.original_buffer = np.zeros(0, dtype=np.uint8)
         self.qubits_seen = 0
-        self.pending_audit: np.ndarray | None = None
+        # kept bits of the last sift round still awaiting a subsample disclosure
+        self._unsampled = 0
+        # mismatches of each passed block, in consumption order
+        self._block_mismatches: list[int] = []
 
-    def run(self) -> dict:
-        cfg = self.config
-        try:
-            self._handshake()
-            batch = 0
-            while batch < cfg.n_batches:
-                ch, payload = self.ep.recv()
-                if ch == CH_SIFTING:
-                    self._sift_round(payload)
-                elif ch == CH_SYNDROME:
-                    self._ec_round(payload)
-                elif ch == CH_PA_SEED:
-                    self._pa_round(payload, batch)
-                    batch += 1
-                elif ch == CH_CONTROL and payload[:3] == b"SMP":
-                    self._subsample_round(payload[3:])
-                else:
-                    raise SessionAborted(f"unexpected frame on {CHANNEL_NAMES[ch]}")
+    def _run(self):
+        self._handshake()
+        batch = 0
+        while batch < self.config.n_batches:
             ch, payload = self.ep.recv()
-            if (ch, payload) != (CH_CONTROL, b"END"):
-                raise SessionAborted("expected session end")
-            self.ep.drain_final_tag()
-            self.ep.send(CH_CONTROL, b"END")
-            self.ep.flush_final_tag()
-        finally:
-            self.ep.transport.close()
-        return self.report()
+            if ch == CH_SIFTING:
+                self._sift_round(payload)
+            elif ch == CH_SYNDROME:
+                self._ec_round(payload)
+            elif ch == CH_PA_SEED:
+                self._pa_round(payload, batch)
+                batch += 1
+            elif ch == CH_CONTROL and self._unsampled:
+                self._subsample_round(payload)
+            else:
+                raise SessionAborted(f"unexpected frame on {CHANNEL_NAMES[ch]}")
+        if self.ep.expect(CH_CONTROL) != frames.END:
+            raise SessionAborted("expected session end")
+        self.ep.recv_final_tag()
+        self.ep.send(CH_CONTROL, frames.END)
+        self.ep.flush_final_tag()
 
     def _handshake(self):
         cfg = self.config
@@ -740,74 +666,53 @@ class AliceParty(_PartyBase):
 
             session_seed = os.urandom(32)
         self.ep.send(CH_ADMIN, b"alice ready")
-        ch, _ = self.ep.recv()
-        if ch != CH_ADMIN:
-            raise SessionAborted("expected peer banner", EXIT_CONFIG)
-        self.ep.send(CH_CONTROL, _pack_hello(cfg.digest(), session_seed))
-        ch, payload = self.ep.recv()
-        if ch != CH_CONTROL:
-            raise SessionAborted("expected hello echo", EXIT_CONFIG)
-        peer_digest, echoed = _unpack_hello(payload)
-        if peer_digest != cfg.digest() or echoed != session_seed:
-            raise SessionAborted("configuration mismatch between parties", EXIT_CONFIG)
+        self.ep.expect(CH_ADMIN)
+        self.ep.send(CH_CONTROL, frames.encode_hello(cfg.digest(), session_seed))
+        # Bob echoes only a hello that matched his configuration
+        if frames.decode_hello(self.ep.expect(CH_CONTROL)) != (cfg.digest(), session_seed):
+            raise SessionAborted("peer echoed a different hello")
         qseed = EntropySeed(session_seed, "fixed")
         rng = RandomStream(qseed, DOM_QUANTUM)
         self.source = QubitSource(rng.draw_bytes(32), cfg.params.p_decoy)
 
     def _sift_round(self, payload: bytes):
         cfg = self.config
-        _, n_q, n_blocks = struct.unpack(">IQI", payload[:16])
-        if n_q > cfg.alice_buffer_qubits:
-            raise SessionAborted("preparation buffer overflow")
+        n_q, n_blocks, blocks = frames.decode_sift_disclosure(payload, cfg.alice_buffer_qubits)
         view = decode_and_sift(_OffsetSource(self.source, self.qubits_seen),
-                               payload[16:], self.mode, n_blocks)
+                               blocks, self.mode, n_blocks)
+        if any(q[-1] >= n_q for q in (view.data_qubits, view.monitor_qubits) if q.size):
+            raise SessionAborted("sifting disclosure runs past its chunk")
         self.qubits_seen += n_q
         self.total_qubits += n_q
         self.total_raw += view.raw_count
         self.total_sifted += view.sifted_count
         self.key_bits = np.concatenate([self.key_bits, view.alice_key_bits])
-        resp = struct.pack(">I", view.raw_count) + np.packbits(view.keep_mask).tobytes()
-        self.ep.send(CH_SIFTING, resp)
+        if cfg.pe_mode == PEMode.SUBSAMPLING:
+            self._unsampled = view.sifted_count
+        self.ep.send(CH_SIFTING, frames.encode_sift_response(view.keep_mask))
 
     def _subsample_round(self, payload: bytes):
-        n_kept, n_disc = struct.unpack(">II", payload[:8])
-        nb = (n_kept + 7) // 8
-        mask = np.unpackbits(np.frombuffer(payload[8 : 8 + nb], dtype=np.uint8),
-                             count=n_kept).astype(bool)
-        bob_vals = np.unpackbits(np.frombuffer(payload[8 + nb :], dtype=np.uint8),
-                                 count=n_disc)
-        mine = self.key_bits[-n_kept:] if n_kept else np.zeros(0, dtype=np.uint8)
+        n_kept, self._unsampled = self._unsampled, 0
+        mask, bob_vals = frames.decode_subsample(payload, n_kept)
+        mine = self.key_bits[-n_kept:]
         errors = int((mine[mask] != bob_vals).sum())
         self.subsample_errors += errors
-        self.subsample_disclosed += n_disc
+        self.subsample_disclosed += bob_vals.size
         head = self.key_bits[: self.key_bits.size - n_kept]
         self.key_bits = np.concatenate([head, mine[~mask]])
-        self.ep.send(CH_CONTROL, b"SME" + struct.pack(">Q", errors))
+        self.ep.send(CH_CONTROL, frames.encode_subsample_errors(errors))
 
     def _ec_round(self, payload: bytes):
-        win, n_blocks, rate_len = struct.unpack(">IHB", payload[:7])
-        rate_code = payload[7 : 7 + rate_len].decode()
-        if ldpc.as_rate(rate_code) != self.rate:
-            raise SessionAborted("peer switched code rate mid-session")
-        synd_bits = n_blocks * ldpc.syndrome_length(self.rate)
-        synd = np.unpackbits(np.frombuffer(payload[7 + rate_len :], dtype=np.uint8),
-                             count=synd_bits).reshape(n_blocks, -1)
+        synd = frames.decode_syndrome(payload, self.window, self.rate,
+                                      self.key_bits.size // BLOCK_BITS)
+        n_blocks = synd.shape[0]
         mine = self._take_key_bits(n_blocks * BLOCK_BITS).reshape(n_blocks, BLOCK_BITS)
         corrected, ok, _ = ldpc.decode_batch(mine, synd, self.rate,
                                              channel_p=self.channel_p)
-        ch, tag_payload = self.ep.recv()
-        if ch != CH_VERIFY:
-            raise SessionAborted("expected verification tags")
-        if len(tag_payload) != 6 + VerificationTag.WIRE_BYTES * n_blocks:
-            raise SessionAborted("verification tag frame has the wrong length")
-        if struct.unpack(">IH", tag_payload[:6]) != (win, n_blocks):
-            raise SessionAborted("verification tags out of step")
-        tags = [VerificationTag.from_bytes(tag_payload[6 + 14 * i : 20 + 14 * i])
-                for i in range(n_blocks)]
-        flags = verify_batch(corrected, tags) & ok
-        self.ep.send(CH_VERIFY, struct.pack(">IH", win, n_blocks)
-                     + np.packbits(flags).tobytes())
-        passed = flags
+        tags = frames.decode_tags(self.ep.expect(CH_VERIFY), self.window, n_blocks)
+        passed = verify_batch(corrected, tags) & ok
+        self.ep.send(CH_VERIFY, frames.encode_verify_response(self.window, passed))
+        self.window += 1
         self.corrected_buffer = np.concatenate(
             [self.corrected_buffer, corrected[passed].reshape(-1)])
         per_block = (mine[passed] ^ corrected[passed]).sum(axis=1)
@@ -816,26 +721,19 @@ class AliceParty(_PartyBase):
 
     def _pa_round(self, payload: bytes, batch_index: int):
         cfg = self.config
-        seed, batch_id = decode_seed(payload)
-        if batch_id != batch_index:
-            raise SessionAborted("privacy amplification batches out of step")
+        seed = frames.decode_pa_seed(payload, batch_index, self.n_out)
+        if self.corrected_buffer.size < cfg.n_sift:
+            raise SessionAborted("privacy amplification seed before its batch is complete")
         batch_bits = self.corrected_buffer[: cfg.n_sift]
         self.corrected_buffer = self.corrected_buffer[cfg.n_sift :]
-        batch_mism = sum(self._block_mismatches[: cfg.blocks_per_batch])
-        self.ep.send(CH_CONTROL, b"EST" + _EST.pack(
-            batch_index, batch_mism, 0, self._dropped_blocks))
-        ch, audit_payload = self.ep.recv()
-        if ch != CH_CONTROL or audit_payload[:3] != b"AUD":
-            raise SessionAborted("expected truth audit")
-        audit = np.array(_AUD.unpack(audit_payload[3:])[1:], dtype=np.int64)
-        est = self._estimate_and_reset(batch_index)
-        batch = DistillationBatch(batch_index, batch_bits,
-                                  blocks_attempted=est["attempted"],
-                                  blocks_dropped=est["dropped"],
-                                  n_in=cfg.n_sift)
-        key = amplify_batch(batch, CompressionSetting(self.compression, cfg.n_sift),
-                            seed, self.seed_ledger)
-        self._finish_batch(batch_index, est, audit, key)
+        mism = sum(self._block_mismatches[: cfg.blocks_per_batch])
+        del self._block_mismatches[: cfg.blocks_per_batch]
+        self.ep.send(CH_CONTROL, frames.encode_estimate(batch_index, mism, self._dropped_blocks))
+        audit = np.array(frames.decode_audit(self.ep.expect(CH_CONTROL), batch_index),
+                         dtype=np.int64)
+        est = self._estimate_and_reset(mism)
+        self._finish_batch(batch_index, est, audit,
+                           self._amplify(batch_index, batch_bits, est, seed))
 
 
 class _OffsetSource:

@@ -73,13 +73,12 @@ class TcpTransport:
 
     @classmethod
     def listen_accept(cls, host: str, port: int, timeout: float = 60.0) -> "TcpTransport":
-        srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        srv.bind((host, port))
-        srv.listen(1)
-        srv.settimeout(timeout)
-        conn, _ = srv.accept()
-        srv.close()
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as srv:
+            srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            srv.bind((host, port))
+            srv.listen(1)
+            srv.settimeout(timeout)
+            conn, _ = srv.accept()
         conn.settimeout(timeout)
         return cls(conn)
 

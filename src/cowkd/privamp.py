@@ -319,35 +319,3 @@ def amplify_batch(batch: DistillationBatch, setting: CompressionSetting,
     if ledger is not None:
         ledger.register(seed)
     return toeplitz_hash(batch.bits, seed, setting.n_out)
-
-
-# ---------------------------------------------------------------------------
-# wire format: mode byte + 32-bit batch id + packed payload
-# ---------------------------------------------------------------------------
-
-_MODE_CODES = {PASeed.EXPLICIT: 0, PASeed.LFSR: 1}
-_MODE_NAMES = {v: k for k, v in _MODE_CODES.items()}
-
-
-def encode_seed(seed: PASeed, batch_id: int) -> bytes:
-    head = bytes([_MODE_CODES[seed.mode]]) + batch_id.to_bytes(4, "big")
-    if seed.mode == PASeed.EXPLICIT:
-        bits = seed.diagonal
-        return head + seed.diagonal.size.to_bytes(4, "big") + np.packbits(bits).tobytes()
-    return (head + seed.lfsr_state.size.to_bytes(4, "big")
-            + np.packbits(seed.lfsr_state).tobytes()
-            + np.packbits(seed.feedback_poly).tobytes())
-
-
-def decode_seed(data: bytes) -> tuple[PASeed, int]:
-    mode = _MODE_NAMES[data[0]]
-    batch_id = int.from_bytes(data[1:5], "big")
-    n = int.from_bytes(data[5:9], "big")
-    nbytes = (n + 7) // 8
-    if mode == PASeed.EXPLICIT:
-        diag = np.unpackbits(np.frombuffer(data[9 : 9 + nbytes], dtype=np.uint8), count=n)
-        return PASeed(mode=mode, diagonal=diag), batch_id
-    state = np.unpackbits(np.frombuffer(data[9 : 9 + nbytes], dtype=np.uint8), count=n)
-    poly = np.unpackbits(
-        np.frombuffer(data[9 + nbytes : 9 + 2 * nbytes], dtype=np.uint8), count=n)
-    return PASeed(mode=mode, lfsr_state=state, feedback_poly=poly), batch_id

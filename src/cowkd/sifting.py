@@ -21,7 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cowsim.channel import BASIS_DATA, DetectionArrays, PreparedSequence
+from .bitops import unpack_bits
+from .cowsim.channel import BASIS_DATA, DetectionArrays, deadtime_mask
+from .errors import SessionAborted
 from .randomness import RandomStream
 
 CONTROL_EMPTY = 0b00
@@ -32,8 +34,7 @@ CONTROL_MON_OTHER = 0b11
 _VALID_WIDTHS = (6, 14)
 
 
-class ProtocolAbort(RuntimeError):
-    """Malformed sifting stream."""
+ProtocolAbort = SessionAborted  # former name of the malformed-stream error
 
 
 @dataclass(frozen=True)
@@ -62,13 +63,6 @@ class SiftingMode:
         """Cheaper of the two widths at this per-qubit detection probability."""
         costs = {w: sifting_cost(p_detect, cls(w)) for w in _VALID_WIDTHS}
         return cls(min(costs, key=costs.get))
-
-
-@dataclass(frozen=True)
-class SiftedBlock:
-    time_delta: int
-    control: int
-    sample: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -105,24 +99,24 @@ def resolve_collisions(data: DetectionArrays, monitor: DetectionArrays,
     """
     if np.any(np.diff(data.gate) < 0) or np.any(np.diff(monitor.gate) < 0):
         raise ProtocolAbort("detection streams must be gate-sorted")
-    dkeep = _deadtime_mask(data.gate, deadtime_gates)
+    dkeep = deadtime_mask(data.gate, deadtime_gates)
     dg, dt = data.gate[dkeep], data.truth[dkeep]
     raw_count = dg.size
 
     # same-gate cross-detector: drop the monitor record; then one event per
     # qubit period (the channel emits the destructive port first on ties)
     keep_mon = ~np.isin(monitor.gate, dg)
-    keep_mon &= _deadtime_mask(monitor.gate, deadtime_gates, base_mask=keep_mon)
+    live = np.flatnonzero(keep_mon)
+    keep_mon[live] = deadtime_mask(monitor.gate[live], deadtime_gates)
     mg = monitor.gate[keep_mon]
     mt = monitor.truth[keep_mon]
     mdest = monitor.destructive[keep_mon]
-    _, keep2 = _dedupe_per_qubit(mg)
+    keep2 = _first_per_qubit(mg)
     mg, mt, mdest = mg[keep2], mt[keep2], mdest[keep2]
 
     # both-bin collapse on the data detector
     dq = dg >> 1
-    first = np.ones(dq.size, dtype=bool)
-    first[1:] = dq[1:] != dq[:-1]
+    first = _first_per_qubit(dg)
     dup = ~first
     bits = ((dg & 1) ^ 1).astype(np.uint8)  # early gate reads bit 1
     if dup.any():
@@ -149,27 +143,12 @@ def resolve_collisions(data: DetectionArrays, monitor: DetectionArrays,
                           raw_count=raw_count, run_id=data.run_id)
 
 
-def _deadtime_mask(gates, deadtime_gates, base_mask=None):
-    keep = np.ones(gates.size, dtype=bool)
-    if deadtime_gates <= 0 or gates.size == 0:
-        return keep
-    next_live = -(1 << 62)
-    for k in range(gates.size):
-        if base_mask is not None and not base_mask[k]:
-            keep[k] = False
-            continue
-        if gates[k] >= next_live:
-            next_live = gates[k] + deadtime_gates
-        else:
-            keep[k] = False
-    return keep
-
-
-def _dedupe_per_qubit(gates):
+def _first_per_qubit(gates: np.ndarray) -> np.ndarray:
+    """True at the first of each run of gates within one qubit period."""
     q = gates >> 1
     first = np.ones(q.size, dtype=bool)
     first[1:] = q[1:] != q[:-1]
-    return gates[first], first
+    return first
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +194,7 @@ def encode(events: ResolvedEvents, mode: SiftingMode,
 def decode(payload: bytes, mode: SiftingMode, n_blocks: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Inverse of encode: (qubit indices, control codes, sample flags)."""
     bb = mode.block_bits
-    need = n_blocks * bb
-    avail = 8 * len(payload)
-    if need > avail or avail - need >= 8:
-        raise ProtocolAbort("sifting payload length inconsistent with block count")
-    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=need)
-    rows = bits.reshape(n_blocks, bb)
+    rows = unpack_bits(payload, n_blocks * bb).reshape(n_blocks, bb)
     w = mode.time_field_bits
     weights = (1 << np.arange(w - 1, -1, -1)).astype(np.int64)
     values = rows[:, :w].astype(np.int64) @ weights
@@ -277,11 +251,7 @@ def decode_and_sift(alice, payload: bytes, mode: SiftingMode, n_blocks: int) -> 
     qubits, control, _ = decode(payload, mode, n_blocks)
     is_data = control == CONTROL_DATA
     dq = qubits[is_data]
-    if isinstance(alice, PreparedSequence):
-        basis = alice.basis[dq]
-        bits = alice.bit[dq]
-    else:
-        basis, bits = alice.at(dq)
+    basis, bits = alice.at(dq)
     keep = basis == BASIS_DATA
     mon = ~is_data
     return AliceSiftView(

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitops import pack_bits
+from .errors import SessionAborted
 from .randomness import RandomStream
 
 BLOCK_BITS = 1944
@@ -30,8 +31,7 @@ REDUCTION_TAIL = 0x2D  # x^48 == x^5 + x^3 + x^2 + 1
 FIELD_POLY = (1 << 48) | REDUCTION_TAIL
 
 
-class ProtocolAbort(RuntimeError):
-    """Raised when the verification exchange is malformed."""
+ProtocolAbort = SessionAborted  # former name of the malformed-exchange error
 
 
 # ---------------------------------------------------------------------------
@@ -92,15 +92,6 @@ def _limbs_from_bits(bits: np.ndarray) -> list[int]:
     return limbs
 
 
-def _pad_block(block_bits: np.ndarray) -> np.ndarray:
-    block_bits = np.asarray(block_bits, dtype=np.uint8)
-    if block_bits.size == PADDED_BITS:
-        return block_bits
-    if block_bits.size != BLOCK_BITS:
-        raise ValueError(f"block must be {BLOCK_BITS} bits, got {block_bits.size}")
-    return np.concatenate([block_bits, np.zeros(PADDED_BITS - BLOCK_BITS, dtype=np.uint8)])
-
-
 def poly_hash48(message_bits: np.ndarray, seed: int) -> int:
     """48-bit polynomial hash of a 2048-bit message at evaluation point `seed`."""
     limbs = _limbs_from_bits(np.asarray(message_bits, dtype=np.uint8))
@@ -149,33 +140,16 @@ def hash_blocks(blocks: np.ndarray, seeds: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class VerificationTag:
     block_index: int
-    seed: int
-    tag: int
-
-    WIRE_BYTES = 14  # 16-bit index, 48-bit seed, 48-bit tag
-
-    def to_bytes(self) -> bytes:
-        return (self.block_index.to_bytes(2, "big")
-                + self.seed.to_bytes(6, "big")
-                + self.tag.to_bytes(6, "big"))
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "VerificationTag":
-        if len(data) != cls.WIRE_BYTES:
-            raise ProtocolAbort("verification tag record has wrong size")
-        return cls(
-            block_index=int.from_bytes(data[0:2], "big"),
-            seed=int.from_bytes(data[2:8], "big"),
-            tag=int.from_bytes(data[8:14], "big"),
-        )
+    seed: int  # 48 bits
+    tag: int  # 48 bits
 
 
-def make_tags(blocks: np.ndarray, rng: RandomStream, first_index: int = 0) -> list[VerificationTag]:
+def make_tags(blocks: np.ndarray, rng: RandomStream) -> list[VerificationTag]:
     """Hash every block under a fresh 48-bit seed drawn from `rng`."""
     blocks = np.atleast_2d(np.asarray(blocks, dtype=np.uint8))
     seeds = np.array([rng.draw_int(48) for _ in range(blocks.shape[0])], dtype=np.uint64)
     tags = hash_blocks(blocks, seeds)
-    return [VerificationTag(first_index + i, int(seeds[i]), int(tags[i]))
+    return [VerificationTag(i, int(seeds[i]), int(tags[i]))
             for i in range(blocks.shape[0])]
 
 
@@ -219,14 +193,22 @@ def estimate_qber(alice_original: np.ndarray, alice_corrected: np.ndarray,
     """
     orig = np.atleast_2d(np.asarray(alice_original, dtype=np.uint8))
     corr = np.atleast_2d(np.asarray(alice_corrected, dtype=np.uint8))
-    flags = np.asarray(drop_flags, dtype=bool)
-    if orig.shape != corr.shape or orig.shape[0] != flags.size:
+    passed = np.asarray(drop_flags, dtype=bool)
+    if orig.shape != corr.shape or orig.shape[0] != passed.size:
         raise ValueError("misaligned estimation inputs")
-    n_blocks = orig.shape[0]
-    passed = flags
-    mismatches = int((orig[passed] ^ corr[passed]).sum())
-    n_dropped = int(n_blocks - passed.sum())
-    n_passed_bits = int(passed.sum()) * BLOCK_BITS
+    n_passed = int(passed.sum())
+    return estimate_from_counts(int((orig[passed] ^ corr[passed]).sum()), n_passed,
+                                passed.size - n_passed)
+
+
+def estimate_from_counts(mismatches: int, n_passed: int, n_dropped: int) -> BatchEstimate:
+    """Error rates from the mismatches counted over `n_passed` blocks.
+
+    The effective rate charges each of the `n_dropped` blocks one half.
+    """
+    n_blocks = n_passed + n_dropped
+    n_passed_bits = n_passed * BLOCK_BITS
     qber_raw = mismatches / n_passed_bits if n_passed_bits else 0.0
-    qber_effective = (mismatches + 0.5 * n_dropped * BLOCK_BITS) / (n_blocks * BLOCK_BITS)
+    qber_effective = ((mismatches + 0.5 * n_dropped * BLOCK_BITS) / (n_blocks * BLOCK_BITS)
+                      if n_blocks else 0.0)
     return BatchEstimate(n_blocks, n_dropped, mismatches, qber_raw, qber_effective)

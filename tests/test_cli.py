@@ -1,5 +1,6 @@
 import csv
 import json
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -156,3 +157,16 @@ def test_run_flags_win_over_config_file(tmp_path, capsys):
     capsys.readouterr()
     report = json.loads((tmp_path / "o/report_bob.json").read_text())
     assert report["batches"] == 2
+
+
+@pytest.mark.parametrize("role", ["alice", "bob"])
+def test_tcp_run_without_peer_exits_3_with_one_line(role, tmp_path, capsys):
+    # alice finds no listener; bob's accept times out
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    code = main(run_args(tmp_path, "--transport", f"tcp:127.0.0.1:{port}",
+                         "--role", role, "--timeout", "0.3"))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("session aborted: no connection to") and err.count("\n") == 1

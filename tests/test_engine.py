@@ -27,8 +27,11 @@ from cowkd.presets import channel_params
 
 PSK = bytes(range(256)) * 32  # 8 KiB deterministic test PSK
 SEED = "ab" * 32
-# pool digest of small_config(): a refactor must not change the keys
+# pool and per-direction transcript digests of small_config(): a refactor
+# must not change the keys or the wire
 SMALL_CONFIG_POOL_DIGEST = "3882e8f3cc148771962b6a34f8cdc888c8ebdc2d3babfa4d73bad7b2c84b4744"
+SMALL_CONFIG_ALICE_TO_BOB = "476b9f7d6105bad8ae6e79a24b4ecbdf81e9e29fb3fbeeac27fc96e889363d2d"
+SMALL_CONFIG_BOB_TO_ALICE = "0e0804a2740592ab85f5fe4a958a64bcdfe5806caf25e83506cc08b1371cc214"
 
 
 def small_config(**kw):
@@ -179,8 +182,23 @@ def test_loopback_session_pools_identical():
     assert ra["pool_digest"] == rb["pool_digest"] == SMALL_CONFIG_POOL_DIGEST
     assert ra["secret_bits"] > 0
     assert ra["alarms"] == [] and rb["alarms"] == []
-    assert ra["transcript"]["out"] == rb["transcript"]["in"]
-    assert ra["transcript"]["in"] == rb["transcript"]["out"]
+    assert ra["transcript"]["out"] == rb["transcript"]["in"] == SMALL_CONFIG_ALICE_TO_BOB
+    assert ra["transcript"]["in"] == rb["transcript"]["out"] == SMALL_CONFIG_BOB_TO_ALICE
+
+
+def test_frame_spanning_several_units_is_tagged_unit_by_unit():
+    # one frame longer than two 2^20-bit units: each unit gets its own pad
+    ta, tb = LoopbackTransport.pair(timeout=5)
+    sender = session_mod._Endpoint(ta, make_pool(), parse_psk(PSK).poly_key, out_dir=1)
+    receiver = session_mod._Endpoint(tb, make_pool(), parse_psk(PSK).poly_key, out_dir=0)
+    big = bytes(range(256)) * 1200  # 307,200 bytes
+    sender.send(CH_SIFTING, big)
+    sender.send(CH_ADMIN, b"end")
+    sender.flush_final_tag()
+    assert receiver.recv() == (CH_SIFTING, big)
+    assert receiver.recv() == (CH_ADMIN, b"end")  # verifies the two full units
+    receiver.recv_final_tag()
+    assert sender.units_tagged() == receiver.units_tagged() == 3
 
 
 def test_loopback_session_deterministic_across_runs():
@@ -310,18 +328,22 @@ def test_tampered_traffic_raises_auth_alarm_and_freezes():
 
 
 class _RewriteTransport:
-    """Rewrites the payload of the first frame sent on one channel."""
+    """Rewrites the payload of the first frame sent on one channel whose
+    payload starts with `prefix`."""
 
-    def __init__(self, inner, channel_id: int, rewrite):
+    def __init__(self, inner, channel_id: int, rewrite, prefix: bytes = b""):
         self._inner = inner
         self._channel_id = channel_id
         self._rewrite = rewrite
+        self._prefix = prefix
         self.rewritten = False
 
     def send(self, data: bytes):
         channel_id, _ = decode_header(data[:HEADER_BYTES])
-        if not self.rewritten and channel_id == self._channel_id:
-            data = encode_frame(channel_id, self._rewrite(data[HEADER_BYTES:]))
+        payload = data[HEADER_BYTES:]
+        if not self.rewritten and channel_id == self._channel_id \
+                and payload.startswith(self._prefix):
+            data = encode_frame(channel_id, self._rewrite(payload))
             self.rewritten = True
         self._inner.send(data)
 

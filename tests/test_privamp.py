@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+from cowkd.engine.frames import decode_seed, encode_seed
 from cowkd.finitekey import N_SIFT_BLOCK
 from cowkd.privamp import (
     CompressionSetting,
@@ -11,8 +12,6 @@ from cowkd.privamp import (
     SeedLedger,
     SeedReuseError,
     amplify_batch,
-    decode_seed,
-    encode_seed,
     gf2_conv,
     lfsr_expand,
     lfsr_expand_ref,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cowkd.engine.frames import decode_verification_tag, encode_verification_tag
 from cowkd.randomness import EntropySeed, new_stream
 from cowkd.verification import (
     BLOCK_BITS,
@@ -135,9 +136,9 @@ def test_verification_epsilon_bound():
 
 def test_tag_wire_roundtrip():
     t = VerificationTag(block_index=513, seed=0xABCDEF012345, tag=0x123456789ABC)
-    assert VerificationTag.from_bytes(t.to_bytes()) == t
+    assert decode_verification_tag(encode_verification_tag(t)) == t
     with pytest.raises(ProtocolAbort):
-        VerificationTag.from_bytes(b"short")
+        decode_verification_tag(b"short")
 
 
 def test_identical_blocks_all_pass():
