@@ -62,17 +62,13 @@ class SecretKeyPool:
         bits = np.asarray(bits, dtype=np.uint8)
         self.ledger.produced += bits.size
         want = self._pad_reserve_target * TAG_BITS
-        unused_pad_bits = self._pad_bits.size - self._pool_pad_bits_consumed()
+        unused_pad_bits = self._pad_bits.size - self.ledger.consumed_auth
         need = max(0, want - unused_pad_bits)
         carve = min(need, bits.size)
         if carve:
             self._pad_bits = np.concatenate([self._pad_bits, bits[:carve]])
             self.ledger.reserved_auth += carve
         self._delivery = np.concatenate([self._delivery, bits[carve:]])
-
-    def _pool_pad_bits_consumed(self) -> int:
-        pool_pads = [k for k in self._pads_taken if k >= len(self._psk_pads)]
-        return TAG_BITS * len(pool_pads)
 
     # -- authentication pads ------------------------------------------------
 

@@ -125,13 +125,16 @@ def lfsr_expand(lfsr_state: np.ndarray, feedback_poly: np.ndarray, length: int) 
 
 
 def _series_divide_blocks(g: np.ndarray, f: np.ndarray, w: int, length: int) -> np.ndarray:
-    """g / f mod x^length, emitted in blocks of w coefficients.
+    """g / f mod x^length, emitted in blocks of b = size - w - 1 coefficients.
 
-    Only inverts f to precision w; each block costs two fixed-size
-    convolutions with the spectra of f and its inverse precomputed.
+    Each block costs two fixed-size cyclic convolutions with the spectra of
+    f and of its inverse (to precision b) precomputed. With the numerator r
+    below x^w, r * inv up to x^b and f * block up to x^(w+b) both stay
+    below x^size, so neither wraps around.
     """
-    inv = _gf2_series_inv(f, w)
     size = _fft_size(2 * w + 1)
+    b = size - w - 1
+    inv = _gf2_series_inv(f, b)
     spec_f = np.fft.rfft(f.astype(np.float64), size)
     spec_inv = np.fft.rfft(inv.astype(np.float64), size)
     out = np.empty(length, dtype=np.uint8)
@@ -139,15 +142,15 @@ def _series_divide_blocks(g: np.ndarray, f: np.ndarray, w: int, length: int) -> 
     pos = 0
     while pos < length:
         spec_r = np.fft.rfft(r.astype(np.float64), size)
-        block = (_round_checked(np.fft.irfft(spec_r * spec_inv, size)[:w]) & 1).astype(np.uint8)
-        take = min(w, length - pos)
+        block = (_round_checked(np.fft.irfft(spec_r * spec_inv, size)[:b]) & 1).astype(np.uint8)
+        take = min(b, length - pos)
         out[pos : pos + take] = block[:take]
         pos += take
         if pos < length:
-            # f*block cancels r below x^w; the high half is the next numerator
+            # f*block cancels r below x^b; the next w coefficients are the next numerator
             spec_b = np.fft.rfft(block.astype(np.float64), size)
-            t = _round_checked(np.fft.irfft(spec_b * spec_f, size)[: 2 * w]) & 1
-            r = t[w : 2 * w].astype(np.uint8)
+            t = _round_checked(np.fft.irfft(spec_b * spec_f, size)[: b + w]) & 1
+            r = t[b : b + w].astype(np.uint8)
     return out
 
 

@@ -96,6 +96,10 @@ def resolve_collisions(data: DetectionArrays, monitor: DetectionArrays,
     blind for `deadtime_gates` after each accepted click. Where a data and a
     monitor event survive within one qubit period, the data event wins (one
     disclosure per qubit period).
+
+    Both streams must be sorted by gate index (the channel emits them that
+    way; an unsorted stream aborts). Every membership test below relies on
+    it: it is a binary search into a sorted array.
     """
     if np.any(np.diff(data.gate) < 0) or np.any(np.diff(monitor.gate) < 0):
         raise ProtocolAbort("detection streams must be gate-sorted")
@@ -105,7 +109,7 @@ def resolve_collisions(data: DetectionArrays, monitor: DetectionArrays,
 
     # same-gate cross-detector: drop the monitor record; then one event per
     # qubit period (the channel emits the destructive port first on ties)
-    keep_mon = ~np.isin(monitor.gate, dg)
+    keep_mon = ~_in_sorted(monitor.gate, dg)
     live = np.flatnonzero(keep_mon)
     keep_mon[live] = deadtime_mask(monitor.gate[live], deadtime_gates)
     mg = monitor.gate[keep_mon]
@@ -128,7 +132,7 @@ def resolve_collisions(data: DetectionArrays, monitor: DetectionArrays,
 
     # merge: data beats monitor within a qubit period
     mq = mg >> 1
-    mon_keep = ~np.isin(mq, dq_k)
+    mon_keep = ~_in_sorted(mq, dq_k)
     mq, mt, mdest = mq[mon_keep], mt[mon_keep], mdest[mon_keep]
 
     q = np.concatenate([dq_k, mq])
@@ -141,6 +145,15 @@ def resolve_collisions(data: DetectionArrays, monitor: DetectionArrays,
     order = np.argsort(q, kind="stable")
     return ResolvedEvents(q[order], ctrl[order], bob_bit[order], truth[order],
                           raw_count=raw_count, run_id=data.run_id)
+
+
+def _in_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """True where a[i] occurs in b, which must be sorted: a binary search per element."""
+    if b.size == 0:
+        return np.zeros(a.size, dtype=bool)
+    pos = np.searchsorted(b, a)
+    pos[pos == b.size] = 0
+    return b[pos] == a
 
 
 def _first_per_qubit(gates: np.ndarray) -> np.ndarray:

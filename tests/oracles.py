@@ -1,0 +1,95 @@
+"""Straightforward reference versions of vectorized kernels, for tests only.
+
+`poly_mac_horner` is the scalar Horner evaluation of the GF(2^127 - 1)
+polynomial MAC; `resolve_collisions_isin` resolves collisions with
+`np.isin` membership tests. Both define what `cowkd.auth.poly_mac` and
+`cowkd.sifting.resolve_collisions` must return, bit for bit.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from cowkd.auth import LIMB_BITS, UNIT_BITS, mod_p
+from cowkd.cowsim.channel import DetectionArrays, deadtime_mask
+from cowkd.randomness import RandomStream
+from cowkd.sifting import (
+    CONTROL_DATA,
+    CONTROL_MON_DEST,
+    CONTROL_MON_OTHER,
+    ProtocolAbort,
+    ResolvedEvents,
+    _first_per_qubit,
+)
+
+
+def limbs(message: bytes) -> list[int]:
+    """Length limb followed by the 126-bit message limbs."""
+    out = [8 * len(message)]
+    if not message:
+        return out
+    bits = np.unpackbits(np.frombuffer(message, dtype=np.uint8))
+    pad = (-bits.size) % LIMB_BITS
+    if pad:
+        bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
+    rows = bits.reshape(-1, LIMB_BITS)
+    # left-pad each limb to 128 bits so packbits yields its big-endian bytes
+    padded = np.concatenate([np.zeros((rows.shape[0], 2), dtype=np.uint8), rows], axis=1)
+    packed = np.packbits(padded, axis=1)
+    out.extend(int.from_bytes(row.tobytes(), "big") for row in packed)
+    return out
+
+
+def poly_mac_horner(message: bytes, poly_key: int) -> int:
+    """Unencrypted polynomial hash of a message unit, one limb at a time."""
+    if 8 * len(message) > UNIT_BITS:
+        raise ValueError(f"message unit exceeds {UNIT_BITS} bits")
+    acc = 0
+    for limb in limbs(message):
+        acc = mod_p(acc * poly_key + limb)
+    return acc
+
+
+def resolve_collisions_isin(data: DetectionArrays, monitor: DetectionArrays,
+                            deadtime_gates: int, rng: RandomStream) -> ResolvedEvents:
+    """Collision resolution with hash-based `np.isin` membership tests."""
+    if np.any(np.diff(data.gate) < 0) or np.any(np.diff(monitor.gate) < 0):
+        raise ProtocolAbort("detection streams must be gate-sorted")
+    dkeep = deadtime_mask(data.gate, deadtime_gates)
+    dg, dt = data.gate[dkeep], data.truth[dkeep]
+    raw_count = dg.size
+
+    keep_mon = ~np.isin(monitor.gate, dg)
+    live = np.flatnonzero(keep_mon)
+    keep_mon[live] = deadtime_mask(monitor.gate[live], deadtime_gates)
+    mg = monitor.gate[keep_mon]
+    mt = monitor.truth[keep_mon]
+    mdest = monitor.destructive[keep_mon]
+    keep2 = _first_per_qubit(mg)
+    mg, mt, mdest = mg[keep2], mt[keep2], mdest[keep2]
+
+    dq = dg >> 1
+    first = _first_per_qubit(dg)
+    dup = ~first
+    bits = ((dg & 1) ^ 1).astype(np.uint8)
+    if dup.any():
+        coin = rng.draw_bits(int(dup.sum()))
+        bits[np.flatnonzero(dup) - 1] = coin
+    dq_k = dq[first]
+    dbits = bits[first]
+    dtruth = dt[first]
+
+    mq = mg >> 1
+    mon_keep = ~np.isin(mq, dq_k)
+    mq, mt, mdest = mq[mon_keep], mt[mon_keep], mdest[mon_keep]
+
+    q = np.concatenate([dq_k, mq])
+    ctrl = np.concatenate([
+        np.full(dq_k.size, CONTROL_DATA, dtype=np.uint8),
+        np.where(mdest, CONTROL_MON_DEST, CONTROL_MON_OTHER).astype(np.uint8),
+    ])
+    bob_bit = np.concatenate([dbits, np.zeros(mq.size, dtype=np.uint8)])
+    truth = np.concatenate([dtruth, mt])
+    order = np.argsort(q, kind="stable")
+    return ResolvedEvents(q[order], ctrl[order], bob_bit[order], truth[order],
+                          raw_count=raw_count, run_id=data.run_id)

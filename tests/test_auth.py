@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from oracles import poly_mac_horner
 
 from cowkd.auth import (
     MAX_LIMBS,
@@ -76,11 +79,11 @@ def test_verify_rejects_single_bit_flip_monte_carlo():
     msg = rng.bytes(64)
     accepts = 0
     for _ in range(100_000):
-        key = int.from_bytes(rng.bytes(16), "big") % P127
-        core = poly_mac(msg, key)
+        state = AuthKeyState(poly_key=int.from_bytes(rng.bytes(16), "big") % P127)
+        core = poly_mac(msg, state)
         flipped = bytearray(msg)
         flipped[17] ^= 0x10
-        if poly_mac(bytes(flipped), key) == core:
+        if poly_mac(bytes(flipped), state) == core:
             accepts += 1
     assert accepts == 0
 
@@ -139,7 +142,7 @@ def test_tag_wire_roundtrip():
 
 def test_poly_mac_rejects_oversized_unit():
     with pytest.raises(ValueError):
-        poly_mac(bytes(UNIT_BITS // 8 + 1), 7)
+        poly_mac(bytes(UNIT_BITS // 8 + 1), AuthKeyState(poly_key=7))
 
 
 def test_psk_parsing():
@@ -159,5 +162,48 @@ def test_poly_mac_unit_speed():
 
     msg = bytes(UNIT_BITS // 8)
     t0 = time.time()
-    poly_mac(msg, 0x1234567890ABCDEF)
+    poly_mac(msg, AuthKeyState(poly_key=0x1234567890ABCDEF))
     assert time.time() - t0 < 0.5
+
+
+# ---------------------------------------------------------------------------
+# the limb-piece kernel against the scalar Horner oracle
+# ---------------------------------------------------------------------------
+
+UNIT_BYTES = UNIT_BITS // 8
+# around the 16-byte, 21-byte piece-group and 126-byte 8-limb boundaries,
+# and the largest units
+EDGE_LENGTHS = [0, 1, 15, 16, 17, 20, 21, 22, 125, 126, 127, UNIT_BYTES - 1, UNIT_BYTES]
+EDGE_KEYS = [0, 1, 2, P127 - 1]
+
+
+@pytest.mark.parametrize("length", EDGE_LENGTHS)
+def test_poly_mac_matches_horner_at_edge_lengths_and_keys(length):
+    msg = np.random.default_rng(length).bytes(length)
+    for key in EDGE_KEYS + [0x1234567890ABCDEF << 60]:
+        assert poly_mac(msg, AuthKeyState(poly_key=key)) == poly_mac_horner(msg, key)
+
+
+@pytest.mark.parametrize("key", EDGE_KEYS)
+def test_poly_mac_all_ones_full_unit(key):
+    # every piece at 2^21 - 1 and 8,324 limbs: the int64 worst case
+    msg = b"\xff" * UNIT_BYTES
+    assert poly_mac(msg, AuthKeyState(poly_key=key)) == poly_mac_horner(msg, key)
+
+
+def test_key_powers_grow_from_short_to_full_unit():
+    key, pad = (1 << 126) | 0xABCDEF, 0x5A5A
+    state = AuthKeyState(poly_key=key)
+    short, full = b"short unit", np.random.default_rng(3).bytes(UNIT_BYTES)
+    assert tag(short, state, pad, 0).tag ^ pad == poly_mac_horner(short, key)
+    assert state._powers.shape[0] == 2  # a length limb and one message limb
+    assert tag(full, state, pad, 1).tag ^ pad == poly_mac_horner(full, key)
+    assert state._powers.shape[0] == MAX_LIMBS
+    assert tag(short, state, pad, 2).tag ^ pad == poly_mac_horner(short, key)
+
+
+@given(st.binary(max_size=3000), st.integers(0, P127 - 1))
+@example(b"", 0)
+@example(b"\xff" * 126, P127 - 1)
+def test_poly_mac_matches_horner(msg, key):
+    assert poly_mac(msg, AuthKeyState(poly_key=key)) == poly_mac_horner(msg, key)

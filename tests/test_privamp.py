@@ -129,6 +129,19 @@ def test_lfsr_expand_matches_reference_random_cases():
                               lfsr_expand_ref(state, taps, n))
 
 
+@pytest.mark.parametrize("w, length", [
+    (257, 1700),  # blocks of 768 - 258 = 510: three full, a partial last one
+    (257, 1020),  # exactly two blocks
+    (300, 301),  # one partial block
+    (400, 3001),  # blocks of 1024 - 401 = 623, partial last block
+])
+def test_lfsr_block_division_matches_reference_past_256_bits(w, length):
+    rng = stream(10)
+    state, taps = rng.draw_bits(w), rng.draw_bits(w)
+    taps[-1] = 1
+    assert np.array_equal(lfsr_expand(state, taps, length), lfsr_expand_ref(state, taps, length))
+
+
 def test_lfsr_zero_polynomial_rejected():
     with pytest.raises(ValueError):
         lfsr_expand(np.ones(8, dtype=np.uint8), np.zeros(8, dtype=np.uint8), 20)

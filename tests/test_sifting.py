@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from oracles import resolve_collisions_isin
 
 from cowkd.cowsim import ChannelParams, DetectionArrays, QubitSource, prepare_sequence
 from cowkd.randomness import EntropySeed, new_stream
@@ -151,6 +154,33 @@ def test_monitor_collapses_to_one_event_per_qubit():
 def test_unsorted_input_rejected():
     with pytest.raises(ProtocolAbort):
         resolve_collisions(detarrays([5, 3]), detarrays([], []), 0, stream(5))
+
+
+@st.composite
+def detection_streams(draw, with_port: bool):
+    # gates from a narrow range, so same-gate clicks in both detectors, both
+    # bins of one qubit and data/monitor clicks in one qubit period are common
+    gates = sorted(draw(st.lists(st.integers(0, 40), max_size=30)))
+    n = len(gates)
+    truth = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    dest = draw(st.lists(st.booleans(), min_size=n, max_size=n)) if with_port else None
+    return DetectionArrays(np.asarray(gates, dtype=np.int64), np.asarray(truth, dtype=np.uint8),
+                           None if dest is None else np.asarray(dest, dtype=bool))
+
+
+@given(detection_streams(False), detection_streams(True), st.sampled_from([0, 2, 7]))
+@example(detarrays([]), detarrays([], []), 0)
+@example(detarrays([]), detarrays([4, 4, 5], [True, False, True]), 0)
+@example(detarrays([8, 9, 9]), detarrays([], []), 0)
+@example(detarrays([10, 11]), detarrays([10, 11, 12], [False, True, True]), 0)
+@example(detarrays([70]), detarrays([70, 75], [True, True]), 50)  # a dropped click starts no deadtime
+def test_resolve_collisions_matches_isin_oracle(data, mon, deadtime):
+    got = resolve_collisions(data, mon, deadtime, stream(6))
+    want = resolve_collisions_isin(data, mon, deadtime, stream(6))
+    for name in ("qubit", "control", "bob_bit", "truth"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+    assert got.raw_count == want.raw_count
 
 
 # ---------------------------------------------------------------------------
