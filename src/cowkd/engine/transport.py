@@ -69,7 +69,8 @@ class LoopbackTransport:
 class TcpTransport:
     def __init__(self, sock: socket.socket):
         self._sock = sock
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if sock.family in (socket.AF_INET, socket.AF_INET6):
+            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
     @classmethod
     def listen_accept(cls, host: str, port: int, timeout: float = 60.0) -> "TcpTransport":
@@ -104,19 +105,20 @@ class TcpTransport:
         except OSError as exc:
             raise TransportClosed(str(exc))
 
-    def recv_exact(self, n: int) -> bytes:
-        chunks = []
+    def recv_exact(self, n: int) -> bytearray:
+        """Exactly n bytes, read straight into one buffer of that size."""
+        buf = bytearray(n)
+        view = memoryview(buf)
         got = 0
         while got < n:
             try:
-                part = self._sock.recv(min(n - got, 1 << 20))
+                part = self._sock.recv_into(view[got:])
             except OSError as exc:
                 raise TransportClosed(str(exc))
             if not part:
                 raise TransportClosed("connection closed mid-frame")
-            chunks.append(part)
-            got += len(part)
-        return b"".join(chunks)
+            got += part
+        return buf
 
     def close(self):
         try:

@@ -99,7 +99,7 @@ class RandomStream:
 
     def draw_bytes(self, n: int) -> bytes:
         """Draw n bytes. Byte draws are aligned to the bit stream."""
-        return pack_exact(self.draw_bits(8 * n))
+        return self._draw_packed(n).tobytes()
 
     def draw_bits(self, n: int) -> np.ndarray:
         """Draw n bits as a uint8 0/1 array, advancing the stream."""
@@ -124,7 +124,7 @@ class RandomStream:
             out[filled:] = bits[:remaining]
             leftover = bits.size - remaining
             if leftover:
-                self._buf = raw
+                self._buf = raw[-_BLOCK_BYTES:]
                 self._buf_bits = leftover
             else:
                 self._buf = b""
@@ -132,10 +132,36 @@ class RandomStream:
         self.bits_emitted += n
         return out
 
+    def _draw_packed(self, n_bytes: int) -> np.ndarray:
+        """The next 8 * n_bytes stream bits, packed most significant first.
+
+        Unread bits are the last `_buf_bits` bits of `_buf` (one AES block);
+        when the stream sits off a byte boundary, each output byte joins the
+        tail of one source byte with the head of the next.
+        """
+        if n_bytes < 0:
+            raise ValueError("n must be >= 0")
+        n_bits = 8 * n_bytes
+        have = self._buf_bits
+        n_blocks = -(-(n_bits - have) // 128) if n_bits > have else 0
+        raw = self._raw_blocks(n_blocks) if n_blocks else b""
+        head = np.frombuffer(self._buf, dtype=np.uint8)[len(self._buf) - (have + 7) // 8 :]
+        src = np.concatenate([head, np.frombuffer(raw, dtype=np.uint8)])
+        read = (-have) % 8  # bits of head[0] drawn already
+        if read:
+            src = (src[:-1] << read) | (src[1:] >> (8 - read))
+        if n_blocks:
+            self._buf = raw[-_BLOCK_BYTES:]
+        self._buf_bits = have + 128 * n_blocks - n_bits
+        self.bits_emitted += n_bits
+        return src[:n_bytes]
+
     def draw_uniform(self, n: int) -> np.ndarray:
-        """n floats uniform on [0, 1) with 32-bit resolution."""
-        raw = self.draw_bits(32 * n)
-        words = np.packbits(raw).view(">u4").astype(np.uint64)
+        """n floats uniform on [0, 1) with 32-bit resolution.
+
+        Each float is the next 32 stream bits read as a big-endian word.
+        """
+        words = self._draw_packed(4 * n).view(">u4")
         return words.astype(np.float64) / float(1 << 32)
 
     def draw_int(self, bits: int) -> int:
@@ -155,12 +181,6 @@ class RandomStream:
             raise ValueError(f"substream label {label} already issued")
         self._children.add(label)
         return RandomStream(self.seed, domain=label)
-
-
-def pack_exact(bits: np.ndarray) -> bytes:
-    if bits.size % 8:
-        raise ValueError("bit count not byte aligned")
-    return np.packbits(bits).tobytes()
 
 
 def new_stream(seed: EntropySeed) -> RandomStream:

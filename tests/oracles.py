@@ -2,8 +2,12 @@
 
 `poly_mac_horner` is the scalar Horner evaluation of the GF(2^127 - 1)
 polynomial MAC; `resolve_collisions_isin` resolves collisions with
-`np.isin` membership tests. Both define what `cowkd.auth.poly_mac` and
-`cowkd.sifting.resolve_collisions` must return, bit for bit.
+`np.isin` membership tests; `lfsr_expand_ref` steps the LFSR one bit at a
+time and `toeplitz_hash_dense` multiplies by the dense Toeplitz matrix;
+`draw_uniform_bits` builds uniform floats from the stream's bits. They
+define what `cowkd.auth.poly_mac`, `cowkd.sifting.resolve_collisions`,
+`cowkd.privamp.lfsr_expand` / `toeplitz_hash` and
+`cowkd.randomness.RandomStream.draw_uniform` must return, bit for bit.
 """
 
 from __future__ import annotations
@@ -93,3 +97,38 @@ def resolve_collisions_isin(data: DetectionArrays, monitor: DetectionArrays,
     order = np.argsort(q, kind="stable")
     return ResolvedEvents(q[order], ctrl[order], bob_bit[order], truth[order],
                           raw_count=raw_count, run_id=data.run_id)
+
+
+def lfsr_expand_ref(lfsr_state, feedback_poly, length: int) -> np.ndarray:
+    """Bit-at-a-time LFSR expansion."""
+    state = list(np.asarray(lfsr_state, dtype=np.uint8))
+    taps = np.asarray(feedback_poly, dtype=np.uint8)
+    if not taps.any():
+        raise ValueError("feedback polynomial must be nonzero")
+    w = len(state)
+    out = list(state)
+    while len(out) < length:
+        t = len(out)
+        bit = 0
+        for j in range(1, w + 1):
+            if taps[j - 1]:
+                bit ^= out[t - j]
+        out.append(bit)
+    return np.array(out[:length], dtype=np.uint8)
+
+
+def toeplitz_hash_dense(input_bits: np.ndarray, diagonal: np.ndarray, n_out: int) -> np.ndarray:
+    """Dense matrix-vector product, O(n_in * n_out)."""
+    x = np.asarray(input_bits, dtype=np.int64)
+    d = np.asarray(diagonal, dtype=np.int64)
+    n_in = x.size
+    rows = [d[np.arange(n_in)[::-1] + i] for i in range(n_out)]
+    t = np.stack(rows) if n_out else np.zeros((0, n_in), dtype=np.int64)
+    return ((t @ x) & 1).astype(np.uint8)
+
+
+def draw_uniform_bits(rng: RandomStream, n: int) -> np.ndarray:
+    """n floats uniform on [0, 1): 32 stream bits per float, big-endian."""
+    raw = rng.draw_bits(32 * n)
+    words = np.packbits(raw).view(">u4").astype(np.uint64)
+    return words.astype(np.float64) / float(1 << 32)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import fk_oracle
+from oracles import toeplitz_hash_dense
 from cowkd import ldpc
 from cowkd.auth import P127, consumption_fraction, deception_bound, field_mul
 from cowkd.cowsim import QubitSource
@@ -39,7 +40,6 @@ from cowkd.privamp import (
     lfsr_expand,
     make_seed,
     toeplitz_hash,
-    toeplitz_hash_dense,
 )
 from cowkd.randomness import EntropySeed, new_stream
 from cowkd.sifting import (

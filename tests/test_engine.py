@@ -16,6 +16,7 @@ from cowkd.engine import (
     SessionAborted,
     SessionConfig,
     TcpTransport,
+    TransportClosed,
     decode_header,
     encode_frame,
     run_session,
@@ -98,6 +99,56 @@ def test_tcp_transport_roundtrip():
     client.close()
     th.join(5)
     assert got["data"] == b"ping"
+
+
+def _write_pieces(sock, frame, sizes, close_after):
+    """Send `frame` in pieces of the given sizes (cycled), then maybe close."""
+    import time
+
+    pos, k = 0, 0
+    while pos < len(frame):
+        step = sizes[k % len(sizes)]
+        sock.sendall(frame[pos : pos + step])
+        pos += step
+        k += 1
+        time.sleep(0)  # let the reader take what has arrived so far
+    if close_after:
+        sock.close()
+
+
+@pytest.mark.parametrize("sizes", [[1], [3, 1, 7, 2, 5], [4093, 1, 8191]])
+def test_tcp_recv_exact_assembles_pieces(sizes):
+    import socket
+
+    frame = np.random.default_rng(len(sizes)).integers(0, 256, 13_000, dtype=np.uint8).tobytes()
+    a, b = socket.socketpair()
+    reader = TcpTransport(a)
+    writer = threading.Thread(target=_write_pieces, args=(b, frame, sizes, False))
+    writer.start()
+    try:
+        assert reader.recv_exact(7) == frame[:7]
+        assert reader.recv_exact(len(frame) - 7) == frame[7:]
+    finally:
+        writer.join(10)
+        assert not writer.is_alive()
+        reader.close()
+        b.close()
+
+
+def test_tcp_recv_exact_close_mid_frame_raises():
+    import socket
+
+    a, b = socket.socketpair()
+    reader = TcpTransport(a)
+    writer = threading.Thread(target=_write_pieces, args=(b, b"\x01" * 301, [1, 150], True))
+    writer.start()
+    try:
+        with pytest.raises(TransportClosed):
+            reader.recv_exact(1000)
+    finally:
+        writer.join(10)
+        assert not writer.is_alive()
+        reader.close()
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
+import hashlib
 import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import lfsr_expand_ref, toeplitz_hash_dense
 from cowkd.engine.frames import decode_seed, encode_seed
 from cowkd.finitekey import N_SIFT_BLOCK
 from cowkd.privamp import (
@@ -11,13 +15,12 @@ from cowkd.privamp import (
     PASeed,
     SeedLedger,
     SeedReuseError,
+    _division_sizes,
     amplify_batch,
     gf2_conv,
     lfsr_expand,
-    lfsr_expand_ref,
     make_seed,
     toeplitz_hash,
-    toeplitz_hash_dense,
 )
 from cowkd.randomness import EntropySeed, new_stream
 
@@ -91,6 +94,18 @@ def test_fft_path_matches_direct_convolution():
     assert np.array_equal(fft_out, direct)
 
 
+@pytest.mark.parametrize("n_in, n_out", [(3000, 73), (3000, 74), (4000, 97), (4000, 98)])
+def test_fft_window_at_transform_size_boundaries(n_in, n_out):
+    # diagonals of 3 * 2^10 and 2^12 bits and one more: a transform one
+    # point shorter than the diagonal would wrap into the output
+    rng = stream(13)
+    x = rng.draw_bits(n_in)
+    d = rng.draw_bits(n_in + n_out - 1)
+    full = np.convolve(d.astype(np.int64), x.astype(np.int64))
+    direct = (full[n_in - 1 : n_in - 1 + n_out] & 1).astype(np.uint8)
+    assert np.array_equal(toeplitz_hash(x, explicit_seed(d), n_out), direct)
+
+
 # ---------------------------------------------------------------------------
 # LFSR
 # ---------------------------------------------------------------------------
@@ -130,10 +145,14 @@ def test_lfsr_expand_matches_reference_random_cases():
 
 
 @pytest.mark.parametrize("w, length", [
-    (257, 1700),  # blocks of 768 - 258 = 510: three full, a partial last one
-    (257, 1020),  # exactly two blocks
-    (300, 301),  # one partial block
-    (400, 3001),  # blocks of 1024 - 401 = 623, partial last block
+    # up to w = 512 the division emits blocks of 512 bits after the register
+    (257, 1700),  # two full blocks, a partial last one
+    (257, 1020),  # one full block, a partial one
+    (300, 301),  # one partial block of one bit
+    (400, 3001),  # five full blocks, a partial last one
+    (1, 1025),  # exactly two blocks
+    (512, 1536),  # exactly two blocks, register as wide as a block
+    (600, 2137),  # blocks of 768 past w = 512: two, plus one bit
 ])
 def test_lfsr_block_division_matches_reference_past_256_bits(w, length):
     rng = stream(10)
@@ -145,6 +164,71 @@ def test_lfsr_block_division_matches_reference_past_256_bits(w, length):
 def test_lfsr_zero_polynomial_rejected():
     with pytest.raises(ValueError):
         lfsr_expand(np.ones(8, dtype=np.uint8), np.zeros(8, dtype=np.uint8), 20)
+
+
+@pytest.mark.parametrize("n_in", [50, 200])
+@pytest.mark.parametrize("state_bits, tap_bits, taps_nonzero", [
+    (50, 50, False),  # zero feedback polynomial
+    (49, 49, True),  # register narrower than n_out
+    (51, 51, True),  # register wider than n_out
+    (50, 49, True),  # taps narrower than the register
+])
+def test_lfsr_hash_rejects_bad_seed(n_in, state_bits, tap_bits, taps_nonzero):
+    rng = stream(12)
+    taps = np.ones(tap_bits, dtype=np.uint8) if taps_nonzero else np.zeros(tap_bits, dtype=np.uint8)
+    seed = PASeed(mode=PASeed.LFSR, lfsr_state=rng.draw_bits(state_bits), feedback_poly=taps)
+    with pytest.raises(ValueError):
+        toeplitz_hash(rng.draw_bits(n_in), seed, 50)
+
+
+def _lfsr_case(w, extra, seed, cw_zero):
+    """(x, state, taps, n_out) with n_out = w and n_in = w + extra."""
+    gen = np.random.default_rng(seed)
+    state = gen.integers(0, 2, w, dtype=np.uint8)
+    taps = gen.integers(0, 2, w, dtype=np.uint8)
+    if cw_zero:
+        taps[-1] = 0  # chi(z) is then divisible by z
+    if not taps.any():
+        taps[0] = 1
+    return gen.integers(0, 2, w + extra, dtype=np.uint8), state, taps, w
+
+
+@st.composite
+def lfsr_hash_cases(draw):
+    """n_in from n_out up; for small w also at and around one and two blocks."""
+    w = draw(st.integers(1, 600))
+    b = _division_sizes(w)[1]
+    extra = st.integers(0, 40)
+    if w <= 64:
+        extra = extra | st.sampled_from([b - 1, b, b + 1, 2 * b - 1, 2 * b, 2 * b + 1])
+    return _lfsr_case(w, draw(extra), draw(st.integers(0, 2 ** 32 - 1)), draw(st.booleans()))
+
+
+@settings(max_examples=120)
+@given(lfsr_hash_cases())
+@example(_lfsr_case(1, 0, 1, False))
+@example(_lfsr_case(5, 512, 2, False))
+@example(_lfsr_case(64, 1024, 3, True))
+@example(_lfsr_case(600, 768, 4, False))
+def test_lfsr_hash_matches_dense_oracle(case):
+    x, state, taps, n_out = case
+    seed = PASeed(mode=PASeed.LFSR, lfsr_state=state, feedback_poly=taps)
+    diagonal = lfsr_expand_ref(state, taps, x.size + n_out - 1)
+    assert np.array_equal(toeplitz_hash(x, seed, n_out), toeplitz_hash_dense(x, diagonal, n_out))
+
+
+# SHA-256 of the packed output for a full batch, computed with the earlier
+# kernel that expanded the whole n_in + n_out - 1 bit diagonal
+@pytest.mark.parametrize("n_out, seed_int, digest", [
+    (99_035, 501, "40c208c5ec41e4ccc0bdcaa13d2458337ee5b4437ec3d0c64ceeb286e33b4b01"),
+    (77_138, 502, "6720106d440fc3057a017329c32ad7e19b5245fb1cb82d50760453364188dd72"),
+])
+def test_full_batch_lfsr_hash_digest_pinned(n_out, seed_int, digest):
+    rng = new_stream(EntropySeed.from_int(seed_int))
+    x = rng.draw_bits(N_SIFT_BLOCK)
+    seed = make_seed(rng, N_SIFT_BLOCK, n_out, mode=PASeed.LFSR)
+    out = toeplitz_hash(x, seed, n_out)
+    assert hashlib.sha256(np.packbits(out).tobytes()).hexdigest() == digest
 
 
 def test_lfsr_mode_equals_explicit_mode():

@@ -2,7 +2,10 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from oracles import draw_uniform_bits
 from cowkd.bitops import bits_to_int, int_to_bits, pack_bits, unpack_bits, xor_bytes
 from cowkd.randomness import CounterExhausted, EntropySeed, RandomStream, new_stream
 
@@ -110,3 +113,20 @@ def test_bitops_round_trips():
     assert xor_bytes(b"\x0f\xf0", b"\xff\x00") == b"\xf0\xf0"
     with pytest.raises(ValueError):
         xor_bytes(b"\x00", b"\x00\x00")
+
+
+@given(seed=st.integers(0, 2 ** 16),
+       ops=st.lists(st.tuples(st.sampled_from(["bits", "uniform", "bytes"]), st.integers(0, 300)),
+                    max_size=12))
+def test_interleaved_draws_match_bit_level_oracle(seed, ops):
+    fast = new_stream(EntropySeed.from_int(seed))
+    ref = new_stream(EntropySeed.from_int(seed))
+    for kind, n in ops:
+        if kind == "bits":
+            assert np.array_equal(fast.draw_bits(n), ref.draw_bits(n))
+        elif kind == "uniform":
+            assert np.array_equal(fast.draw_uniform(n), draw_uniform_bits(ref, n))
+        else:
+            assert fast.draw_bytes(n) == np.packbits(ref.draw_bits(8 * n)).tobytes()
+        assert fast.bits_emitted == ref.bits_emitted
+    assert np.array_equal(fast.draw_bits(131), ref.draw_bits(131))
