@@ -44,8 +44,12 @@ class PoolLedger:
         return self.produced - self.consumed_auth - self.delivered
 
 
+# auth pads the pool keeps carved ahead of use
+PAD_RESERVE_TARGET = 96
+
+
 class SecretKeyPool:
-    def __init__(self, psk: PreSharedKey, pad_reserve_target: int = 96):
+    def __init__(self, psk: PreSharedKey, pad_reserve_target: int = PAD_RESERVE_TARGET):
         self._psk_pads = list(psk.pads)
         self._pad_bits = np.zeros(0, dtype=np.uint8)  # reserved pad stream
         self._delivery = np.zeros(0, dtype=np.uint8)

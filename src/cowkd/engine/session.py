@@ -76,6 +76,11 @@ _UNIT_BYTES = UNIT_BITS // 8
 # syndrome and verify frames count a window's blocks, and tags index them,
 # in 16 bits; a larger window is sent as several
 MAX_WINDOW_BLOCKS = 0xFFFF
+# fixed protocol constants; the margin, the prior and the subsampling share
+# enter `SessionConfig.digest()`, so both parties must agree on them
+COMPRESSION_MARGIN = 0.85  # auto compression = margin * expected secret fraction
+CHANNEL_P_PRIOR = 0.02  # decoder prior until the first batch is measured
+SUBSAMPLE_ETA = 0.125  # share of kept bits disclosed in subsampling mode
 
 
 @dataclass
@@ -85,16 +90,12 @@ class SessionConfig:
     sift_bits: int = 14
     pe_mode: str = PEMode.KEY_COMPARISON
     compression: float | None = None  # None: derive from expected observables
-    compression_margin: float = 0.85
     n_batches: int = 3
     blocks_per_batch: int = 512
     chunk_qubits: int = 1 << 24
     alice_buffer_qubits: int = 1 << 24
     seed_hex: str | None = None
     psk: bytes = b""
-    channel_p_prior: float = 0.02
-    pad_reserve_target: int = 96
-    subsample_eta: float = 0.125
     # refuse to deliver when the measured secret fraction falls below the
     # applied compression; disable only for reduced-size plumbing tests
     enforce_compression_bound: bool = True
@@ -117,12 +118,12 @@ class SessionConfig:
             "sift_bits": self.sift_bits,
             "pe_mode": self.pe_mode,
             "compression": self.compression,
-            "margin": self.compression_margin,
+            "margin": COMPRESSION_MARGIN,
             "n_batches": self.n_batches,
             "blocks_per_batch": self.blocks_per_batch,
             "chunk_qubits": self.chunk_qubits,
-            "prior": self.channel_p_prior,
-            "subsample_eta": self.subsample_eta,
+            "prior": CHANNEL_P_PRIOR,
+            "subsample_eta": SUBSAMPLE_ETA,
         }, sort_keys=True).encode()
         return hashlib.sha256(blob).digest()
 
@@ -146,11 +147,11 @@ class SessionConfig:
             mu=self.params.mu, code_rate=float(ldpc.as_rate(self.code_rate)),
             n_sift=self.n_sift, p_decoy=self.params.p_decoy,
             t_bob=self.params.t_bob, pe_mode=self.pe_mode,
-            eta_pe=self.subsample_eta,
+            eta_pe=SUBSAMPLE_ETA,
         )
         obs.visibility_corrected = self.params.visibility_if
         f_sec = secret_fraction(obs, FiniteKeyBudget.reference())
-        return quantize_compression(f_sec * self.compression_margin)[0]
+        return quantize_compression(f_sec * COMPRESSION_MARGIN)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +185,7 @@ class _Endpoint:
     def _io(self, call, *args):
         try:
             return call(*args)
-        except (TransportClosed, TimeoutError) as exc:
+        except TransportClosed as exc:  # socket timeouts included
             raise SessionAborted(f"service channel failed: {exc}") from exc
 
     # -- send ----------------------------------------------------------------
@@ -312,7 +313,7 @@ class _PartyBase:
     def __init__(self, config: SessionConfig, transport, out_dir: int):
         self.config = config
         psk = parse_psk(config.psk)
-        self.pool = SecretKeyPool(psk, config.pad_reserve_target)
+        self.pool = SecretKeyPool(psk)
         self.ep = _Endpoint(transport, self.pool, psk.poly_key, out_dir)
         self.mode = SiftingMode(config.sift_bits)
         self.rate = ldpc.as_rate(config.code_rate)
@@ -328,7 +329,7 @@ class _PartyBase:
         self.total_sifted = 0
         self.total_raw = 0
         self.total_qubits = 0
-        self.channel_p = config.channel_p_prior
+        self.channel_p = CHANNEL_P_PRIOR
         self.alarms: list[str] = []
         self.subsample_errors = 0
         self.subsample_disclosed = 0
@@ -385,7 +386,7 @@ class _PartyBase:
             mu=self.config.params.mu, code_rate=float(self.rate),
             n_sift=self.config.n_sift, p_decoy=self.config.params.p_decoy,
             t_bob=self.config.params.t_bob, pe_mode=self.config.pe_mode,
-            eta_pe=self.config.subsample_eta,
+            eta_pe=SUBSAMPLE_ETA,
         )
         v_corr = (nb_sig - nd_sig) / (nb_sig + nd_sig) if nb_sig + nd_sig else 1.0
         obs.visibility_corrected = max(min(v_corr, 1.0), 0.0)
@@ -541,10 +542,9 @@ class BobParty(_PartyBase):
         self.key_bits = np.concatenate([self.key_bits, kept_bits])
 
     def _maybe_subsample(self, kept_bits: np.ndarray) -> np.ndarray:
-        cfg = self.config
-        if cfg.pe_mode != PEMode.SUBSAMPLING or kept_bits.size == 0:
+        if self.config.pe_mode != PEMode.SUBSAMPLING or kept_bits.size == 0:
             return kept_bits
-        mask = self.proto_rng.draw_uniform(kept_bits.size) < cfg.subsample_eta
+        mask = self.proto_rng.draw_uniform(kept_bits.size) < SUBSAMPLE_ETA
         disclosed = kept_bits[mask]
         self.ep.send(CH_CONTROL, frames.encode_subsample(mask, disclosed))
         self.subsample_disclosed += disclosed.size

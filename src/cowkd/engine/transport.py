@@ -1,69 +1,18 @@
-"""Reliable ordered byte-stream transports: in-process loopback and TCP."""
+"""The reliable ordered byte stream between the parties: one socket per side.
+
+`TcpTransport` wraps a connected stream socket. TCP serves two processes;
+`LoopbackTransport.pair` serves two parties in one process with the two ends
+of a `socket.socketpair()`, so both paths share one implementation. Every
+socket error, a read timeout included, raises `TransportClosed`.
+"""
 
 from __future__ import annotations
 
 import socket
-import threading
 
 
 class TransportClosed(ConnectionError):
     pass
-
-
-class _PipeEnd:
-    """One direction of an in-memory duplex pipe."""
-
-    def __init__(self):
-        self._buf = bytearray()
-        self._cond = threading.Condition()
-        self._closed = False
-
-    def write(self, data: bytes):
-        with self._cond:
-            if self._closed:
-                raise TransportClosed("pipe closed")
-            self._buf.extend(data)
-            self._cond.notify_all()
-
-    def read_exact(self, n: int, timeout: float | None) -> bytes:
-        with self._cond:
-            while len(self._buf) < n:
-                if self._closed:
-                    raise TransportClosed("pipe closed with pending read")
-                if not self._cond.wait(timeout):
-                    raise TimeoutError("loopback read timed out")
-            out = bytes(self._buf[:n])
-            del self._buf[:n]
-            return out
-
-    def close(self):
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-
-
-class LoopbackTransport:
-    """One party's endpoint of an in-process bidirectional stream."""
-
-    def __init__(self, rx: _PipeEnd, tx: _PipeEnd, timeout: float | None = 60.0):
-        self._rx = rx
-        self._tx = tx
-        self.timeout = timeout
-
-    @classmethod
-    def pair(cls, timeout: float | None = 60.0):
-        a_to_b, b_to_a = _PipeEnd(), _PipeEnd()
-        return cls(b_to_a, a_to_b, timeout), cls(a_to_b, b_to_a, timeout)
-
-    def send(self, data: bytes):
-        self._tx.write(data)
-
-    def recv_exact(self, n: int) -> bytes:
-        return self._rx.read_exact(n, self.timeout)
-
-    def close(self):
-        self._tx.close()
-        self._rx.close()
 
 
 class TcpTransport:
@@ -126,6 +75,17 @@ class TcpTransport:
         except OSError:
             pass
         self._sock.close()
+
+
+class LoopbackTransport(TcpTransport):
+    """An in-process stream: both ends of one socket pair."""
+
+    @classmethod
+    def pair(cls, timeout: float | None = 60.0) -> tuple["LoopbackTransport", "LoopbackTransport"]:
+        ends = socket.socketpair()
+        for sock in ends:
+            sock.settimeout(timeout)
+        return cls(ends[0]), cls(ends[1])
 
 
 def parse_endpoint(spec: str) -> tuple[str, int]:

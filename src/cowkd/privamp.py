@@ -76,22 +76,6 @@ def _product(spec_a: np.ndarray, spec_b: np.ndarray, size: int, lo: int, hi: int
     return _round_checked(np.fft.irfft(spec_a * spec_b, size)[lo:hi])
 
 
-def _conv_int(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact integer convolution of two 0/1 arrays."""
-    if a.size == 0 or b.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    if min(a.size, b.size) * max(a.size, b.size) <= _DIRECT_LIMIT ** 2:
-        return np.convolve(a.astype(np.int64), b.astype(np.int64))
-    n = a.size + b.size - 1
-    size = _fft_size(n)
-    return _product(_spectrum(a, size), _spectrum(b, size), size, 0, n)
-
-
-def gf2_conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Polynomial product over GF(2), coefficients as 0/1 arrays."""
-    return (_conv_int(np.asarray(a, dtype=np.uint8), np.asarray(b, dtype=np.uint8)) & 1).astype(np.uint8)
-
-
 def _gf2_series_inv(f: np.ndarray, precision: int) -> np.ndarray:
     """Inverse of f (f[0] must be 1) as a power series mod z^precision.
 

@@ -243,23 +243,13 @@ class AliceSiftView:
     sifted_count: int
 
 
-@dataclass
-class SiftResult:
-    """Both parties' aligned view (simulation/test convenience)."""
-
-    alice_key_bits: np.ndarray
-    bob_key_bits: np.ndarray
-    monitor_disclosures: list
-    raw_count: int
-    sifted_count: int
-
-
 def decode_and_sift(alice, payload: bytes, mode: SiftingMode, n_blocks: int) -> AliceSiftView:
     """Decode Bob's blocks and decide keep/discard per data detection.
 
-    `alice` is her prepared sequence or qubit source. Detections on decoy
-    qubits leave the key (they only feed the coherence statistics); monitor
-    disclosures are split out with their port bit.
+    `alice` is any object whose `at(indices)` returns the (basis, bit) arrays
+    of her prepared qubits at those indices, such as her `QubitSource`.
+    Detections on decoy qubits leave the key (they only feed the coherence
+    statistics); monitor disclosures are split out with their port bit.
     """
     qubits, control, _ = decode(payload, mode, n_blocks)
     is_data = control == CONTROL_DATA
@@ -275,22 +265,6 @@ def decode_and_sift(alice, payload: bytes, mode: SiftingMode, n_blocks: int) -> 
         monitor_destructive=control[mon] == CONTROL_MON_DEST,
         raw_count=int(dq.size),
         sifted_count=int(keep.sum()),
-    )
-
-
-def sift_pair(alice, events: ResolvedEvents, mode: SiftingMode) -> SiftResult:
-    """Run the full disclosure round trip for one chunk, both sides."""
-    payload, n_blocks = encode(events, mode)
-    view = decode_and_sift(alice, payload, mode, n_blocks)
-    data = events.data_mask()
-    bob_bits = events.bob_bit[data][view.keep_mask]
-    return SiftResult(
-        alice_key_bits=view.alice_key_bits,
-        bob_key_bits=bob_bits.astype(np.uint8),
-        monitor_disclosures=list(zip(view.monitor_qubits.tolist(),
-                                     view.monitor_destructive.tolist())),
-        raw_count=view.raw_count,
-        sifted_count=view.sifted_count,
     )
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitops import pack_bits
 from .errors import SessionAborted
 from .randomness import RandomStream
 
@@ -37,20 +36,6 @@ ProtocolAbort = SessionAborted  # former name of the malformed-exchange error
 # ---------------------------------------------------------------------------
 # field arithmetic
 # ---------------------------------------------------------------------------
-
-def gf48_mul(a: int, b: int) -> int:
-    """Scalar product in GF(2^48); reference path for the vector core."""
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
-    while r >> 48:
-        high = r >> 48
-        r = (r & TAG_MASK) ^ high ^ (high << 2) ^ (high << 3) ^ (high << 5)
-    return r
-
 
 def _fold48(v: np.ndarray) -> np.ndarray:
     high = v >> np.uint64(48)
@@ -80,26 +65,6 @@ def gf48_mul_vec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # hashing
 # ---------------------------------------------------------------------------
-
-def _limbs_from_bits(bits: np.ndarray) -> list[int]:
-    if bits.size != PADDED_BITS:
-        raise ValueError(f"message must be {PADDED_BITS} bits, got {bits.size}")
-    data = pack_bits(bits)
-    limbs = []
-    for i in range(N_LIMBS):
-        chunk = data[6 * i : 6 * i + 6]
-        limbs.append(int.from_bytes(chunk, "little"))
-    return limbs
-
-
-def poly_hash48(message_bits: np.ndarray, seed: int) -> int:
-    """48-bit polynomial hash of a 2048-bit message at evaluation point `seed`."""
-    limbs = _limbs_from_bits(np.asarray(message_bits, dtype=np.uint8))
-    acc = 0
-    for c in reversed(limbs):
-        acc = gf48_mul(acc, seed) ^ c
-    return gf48_mul(acc, seed)
-
 
 def _limb_matrix(blocks: np.ndarray) -> np.ndarray:
     """(n_blocks, 43) uint64 limb matrix for a (n_blocks, 1944) bit array."""
@@ -181,24 +146,6 @@ class BatchEstimate:
     mismatch_count: int
     qber_raw: float
     qber_effective: float
-
-
-def estimate_qber(alice_original: np.ndarray, alice_corrected: np.ndarray,
-                  drop_flags: np.ndarray) -> BatchEstimate:
-    """Exact error counting over passed blocks, worst-casing dropped ones.
-
-    `alice_original` holds the bits Alice prepared, `alice_corrected` the
-    blocks after syndrome decoding toward the received key; both are
-    (n_blocks, 1944). Dropped blocks enter the effective rate at 1/2.
-    """
-    orig = np.atleast_2d(np.asarray(alice_original, dtype=np.uint8))
-    corr = np.atleast_2d(np.asarray(alice_corrected, dtype=np.uint8))
-    passed = np.asarray(drop_flags, dtype=bool)
-    if orig.shape != corr.shape or orig.shape[0] != passed.size:
-        raise ValueError("misaligned estimation inputs")
-    n_passed = int(passed.sum())
-    return estimate_from_counts(int((orig[passed] ^ corr[passed]).sum()), n_passed,
-                                passed.size - n_passed)
 
 
 def estimate_from_counts(mismatches: int, n_passed: int, n_dropped: int) -> BatchEstimate:

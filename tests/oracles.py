@@ -4,17 +4,25 @@
 polynomial MAC; `resolve_collisions_isin` resolves collisions with
 `np.isin` membership tests; `lfsr_expand_ref` steps the LFSR one bit at a
 time and `toeplitz_hash_dense` multiplies by the dense Toeplitz matrix;
-`draw_uniform_bits` builds uniform floats from the stream's bits. They
-define what `cowkd.auth.poly_mac`, `cowkd.sifting.resolve_collisions`,
-`cowkd.privamp.lfsr_expand` / `toeplitz_hash` and
-`cowkd.randomness.RandomStream.draw_uniform` must return, bit for bit.
+`draw_uniform_bits` builds uniform floats from the stream's bits;
+`gf48_mul` / `poly_hash48` evaluate the verification hash one limb at a time.
+They define what `cowkd.auth.poly_mac`, `cowkd.sifting.resolve_collisions`,
+`cowkd.privamp.lfsr_expand` / `toeplitz_hash`,
+`cowkd.randomness.RandomStream.draw_uniform` and
+`cowkd.verification.gf48_mul_vec` / `hash_blocks` must return, bit for bit.
+`sift_pair` runs both sides of one disclosure round trip, and
+`estimate_qber` counts errors from the bits themselves, as
+`cowkd.verification.estimate_from_counts` does from the counts.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from cowkd.auth import LIMB_BITS, UNIT_BITS, mod_p
+from cowkd.bitops import pack_bits
 from cowkd.cowsim.channel import DetectionArrays, deadtime_mask
 from cowkd.randomness import RandomStream
 from cowkd.sifting import (
@@ -23,8 +31,12 @@ from cowkd.sifting import (
     CONTROL_MON_OTHER,
     ProtocolAbort,
     ResolvedEvents,
+    SiftingMode,
     _first_per_qubit,
+    decode_and_sift,
+    encode,
 )
+from cowkd.verification import N_LIMBS, PADDED_BITS, TAG_MASK, BatchEstimate, estimate_from_counts
 
 
 def limbs(message: bytes) -> list[int]:
@@ -132,3 +144,82 @@ def draw_uniform_bits(rng: RandomStream, n: int) -> np.ndarray:
     raw = rng.draw_bits(32 * n)
     words = np.packbits(raw).view(">u4").astype(np.uint64)
     return words.astype(np.float64) / float(1 << 32)
+
+
+def gf48_mul(a: int, b: int) -> int:
+    """Scalar product in GF(2^48); reference path for the vector core."""
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        b >>= 1
+        a <<= 1
+    while r >> 48:
+        high = r >> 48
+        r = (r & TAG_MASK) ^ high ^ (high << 2) ^ (high << 3) ^ (high << 5)
+    return r
+
+
+def _limbs_from_bits(bits: np.ndarray) -> list[int]:
+    if bits.size != PADDED_BITS:
+        raise ValueError(f"message must be {PADDED_BITS} bits, got {bits.size}")
+    data = pack_bits(bits)
+    limbs = []
+    for i in range(N_LIMBS):
+        chunk = data[6 * i : 6 * i + 6]
+        limbs.append(int.from_bytes(chunk, "little"))
+    return limbs
+
+
+def poly_hash48(message_bits: np.ndarray, seed: int) -> int:
+    """48-bit polynomial hash of a 2048-bit message at evaluation point `seed`."""
+    limbs = _limbs_from_bits(np.asarray(message_bits, dtype=np.uint8))
+    acc = 0
+    for c in reversed(limbs):
+        acc = gf48_mul(acc, seed) ^ c
+    return gf48_mul(acc, seed)
+
+
+def estimate_qber(alice_original: np.ndarray, alice_corrected: np.ndarray,
+                  drop_flags: np.ndarray) -> BatchEstimate:
+    """Exact error counting over passed blocks, worst-casing dropped ones.
+
+    `alice_original` holds the bits Alice prepared, `alice_corrected` the
+    blocks after syndrome decoding toward the received key; both are
+    (n_blocks, 1944). Dropped blocks enter the effective rate at 1/2.
+    """
+    orig = np.atleast_2d(np.asarray(alice_original, dtype=np.uint8))
+    corr = np.atleast_2d(np.asarray(alice_corrected, dtype=np.uint8))
+    passed = np.asarray(drop_flags, dtype=bool)
+    if orig.shape != corr.shape or orig.shape[0] != passed.size:
+        raise ValueError("misaligned estimation inputs")
+    n_passed = int(passed.sum())
+    return estimate_from_counts(int((orig[passed] ^ corr[passed]).sum()), n_passed,
+                                passed.size - n_passed)
+
+
+@dataclass
+class SiftResult:
+    """Both parties' aligned view of one sifted chunk."""
+
+    alice_key_bits: np.ndarray
+    bob_key_bits: np.ndarray
+    monitor_disclosures: list
+    raw_count: int
+    sifted_count: int
+
+
+def sift_pair(alice, events: ResolvedEvents, mode: SiftingMode) -> SiftResult:
+    """Run the full disclosure round trip for one chunk, both sides."""
+    payload, n_blocks = encode(events, mode)
+    view = decode_and_sift(alice, payload, mode, n_blocks)
+    data = events.data_mask()
+    bob_bits = events.bob_bit[data][view.keep_mask]
+    return SiftResult(
+        alice_key_bits=view.alice_key_bits,
+        bob_key_bits=bob_bits.astype(np.uint8),
+        monitor_disclosures=list(zip(view.monitor_qubits.tolist(),
+                                     view.monitor_destructive.tolist())),
+        raw_count=view.raw_count,
+        sifted_count=view.sifted_count,
+    )

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import fk_oracle
-from oracles import toeplitz_hash_dense
+from oracles import _limbs_from_bits, estimate_qber, toeplitz_hash_dense
 from cowkd import ldpc
 from cowkd.auth import P127, consumption_fraction, deception_bound, field_mul
 from cowkd.cowsim import QubitSource
@@ -51,14 +51,7 @@ from cowkd.sifting import (
     shannon_limit,
     sifting_cost,
 )
-from cowkd.verification import (
-    BLOCK_BITS,
-    N_LIMBS,
-    _limbs_from_bits,
-    eps_ver_bound,
-    estimate_qber,
-    gf48_mul_vec,
-)
+from cowkd.verification import BLOCK_BITS, N_LIMBS, eps_ver_bound, gf48_mul_vec
 
 SEED = "5e" * 32
 PSK = bytes(range(256)) * 64

@@ -3,19 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from cowkd.cowsim import (
-    BASIS_DATA,
-    BASIS_DECOY,
-    ChannelParams,
-    DetectionArrays,
-    QubitSource,
-    RunMismatch,
-    export_csv,
-    ground_truth_stats,
-    prepare_sequence,
-    sample_detections,
-    transmit_detect,
-)
+from refsim import QubitSource, RunMismatch, ground_truth_stats, prepare_sequence, transmit_detect
+
+from cowkd.cowsim import BASIS_DATA, BASIS_DECOY, ChannelParams, DetectionArrays, sample_detections
 from cowkd.presets import channel_params, measured_point
 from cowkd.randomness import EntropySeed, new_stream
 
@@ -210,14 +200,3 @@ def test_run_mismatch_detected():
     with pytest.raises(RunMismatch):
         ground_truth_stats(seq, data, mon)
 
-
-def test_csv_export(tmp_path):
-    p = channel_params(1.0)
-    seq = prepare_sequence(p, 50_000, stream(24))
-    data, mon = transmit_detect(p, seq, stream(25))
-    path = tmp_path / "detections.csv"
-    export_csv(path, data, mon)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "gate_index,detector,truth"
-    assert len(lines) == 1 + len(data) + len(mon)
-    assert any(",monitor," in ln for ln in lines[1:])

@@ -77,23 +77,27 @@ def test_loopback_transport_ordering():
     assert b.recv_exact(6) == b"abcdef"
     b.send(b"xy")
     assert a.recv_exact(2) == b"xy"
+    a.close()
+    b.close()
 
 
 def test_tcp_transport_roundtrip():
     import socket
 
-    srv_ready = threading.Event()
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
     got = {}
 
     def server():
-        t = TcpTransport.listen_accept("127.0.0.1", 0 or 39417, timeout=10)
+        t = TcpTransport.listen_accept("127.0.0.1", port, timeout=10)
         got["data"] = t.recv_exact(4)
         t.send(b"pong")
         t.close()
 
     th = threading.Thread(target=server, daemon=True)
     th.start()
-    client = TcpTransport.connect("127.0.0.1", 39417, timeout=10)
+    client = TcpTransport.connect("127.0.0.1", port, timeout=10)
     client.send(b"ping")
     assert client.recv_exact(4) == b"pong"
     client.close()
@@ -243,13 +247,29 @@ def test_frame_spanning_several_units_is_tagged_unit_by_unit():
     sender = session_mod._Endpoint(ta, make_pool(), parse_psk(PSK).poly_key, out_dir=1)
     receiver = session_mod._Endpoint(tb, make_pool(), parse_psk(PSK).poly_key, out_dir=0)
     big = bytes(range(256)) * 1200  # 307,200 bytes
+    received = []
+
+    def receive():  # the frame outgrows the socket buffer: read while it is sent
+        try:
+            received.append(receiver.recv())
+            received.append(receiver.recv())  # verifies the two full units
+            receiver.recv_final_tag()
+        except Exception as exc:
+            received.append(exc)
+
+    reader = threading.Thread(target=receive)
+    reader.start()
     sender.send(CH_SIFTING, big)
     sender.send(CH_ADMIN, b"end")
     sender.flush_final_tag()
-    assert receiver.recv() == (CH_SIFTING, big)
-    assert receiver.recv() == (CH_ADMIN, b"end")  # verifies the two full units
-    receiver.recv_final_tag()
+    reader.join(10)
+    assert not reader.is_alive()
+    assert received[0] == (CH_SIFTING, big)
+    assert received[1] == (CH_ADMIN, b"end")
+    assert received[2:] == []  # the final tag verified
     assert sender.units_tagged() == receiver.units_tagged() == 3
+    ta.close()
+    tb.close()
 
 
 def test_loopback_session_deterministic_across_runs():
@@ -445,6 +465,37 @@ def test_config_digest_mismatch_aborts():
                          BobParty(small_config(code_rate="2/3"), tb), 20)
     aborts = [e for e in errors.values() if isinstance(e, SessionAborted)]
     assert aborts and any(e.exit_code == EXIT_CONFIG for e in aborts)
+
+
+class _QuietPeer:
+    """A peer's end of the stream that sends nothing, or hangs up after its hello."""
+
+    def __init__(self, inner, hang_up: bool):
+        self._inner = inner
+        self._hang_up = hang_up
+
+    def send(self, data: bytes):
+        if self._hang_up:
+            self._inner.send(data)
+            self._inner.close()
+
+    def recv_exact(self, n):
+        return self._inner.recv_exact(n)
+
+    def close(self):
+        self._inner.close()
+
+
+@pytest.mark.parametrize("hang_up", [False, True], ids=["silent", "closes after hello"])
+def test_lost_or_silent_peer_aborts_with_exit_3(hang_up):
+    # a read timeout or a closed stream ends the session in SessionAborted
+    # (exit 3), never in a stray socket error
+    cfg = small_config(n_batches=1)
+    ta, tb = LoopbackTransport.pair(timeout=0.5)
+    errors = run_parties(AliceParty(cfg, _QuietPeer(ta, hang_up)), BobParty(cfg, tb), 10)
+    assert set(errors) == {"alice", "bob"}
+    for err in errors.values():
+        assert type(err) is SessionAborted and err.exit_code == EXIT_ABORT, repr(err)
 
 
 def test_config_validation():

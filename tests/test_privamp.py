@@ -17,7 +17,6 @@ from cowkd.privamp import (
     SeedReuseError,
     _division_sizes,
     amplify_batch,
-    gf2_conv,
     lfsr_expand,
     make_seed,
     toeplitz_hash,
@@ -303,8 +302,3 @@ def test_seed_wire_roundtrip():
         assert back.mode == seed.mode
         assert np.array_equal(back.expanded(200, 50), seed.expanded(200, 50))
 
-
-def test_gf2_conv_small():
-    # (1 + x)(1 + x) = 1 + x^2 over GF(2)
-    a = np.array([1, 1], dtype=np.uint8)
-    assert np.array_equal(gf2_conv(a, a), np.array([1, 0, 1], dtype=np.uint8))

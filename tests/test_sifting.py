@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from oracles import resolve_collisions_isin
+from oracles import resolve_collisions_isin, sift_pair
+from refsim import prepare_sequence
 
-from cowkd.cowsim import ChannelParams, DetectionArrays, QubitSource, prepare_sequence
+from cowkd.cowsim import ChannelParams, DetectionArrays
 from cowkd.randomness import EntropySeed, new_stream
 from cowkd.sifting import (
     CONTROL_DATA,
@@ -19,7 +20,6 @@ from cowkd.sifting import (
     encode,
     resolve_collisions,
     shannon_limit,
-    sift_pair,
     sifting_cost,
 )
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import estimate_qber, gf48_mul, poly_hash48
 
 from cowkd.engine.frames import decode_verification_tag, encode_verification_tag
 from cowkd.randomness import EntropySeed, new_stream
@@ -11,12 +12,9 @@ from cowkd.verification import (
     ProtocolAbort,
     VerificationTag,
     eps_ver_bound,
-    estimate_qber,
-    gf48_mul,
     gf48_mul_vec,
     hash_blocks,
     make_tags,
-    poly_hash48,
     verify_batch,
 )
 
