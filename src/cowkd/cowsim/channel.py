@@ -42,17 +42,16 @@ class QubitSource:
     session can share the view through the 256-bit key.
     """
 
-    def __init__(self, key: bytes, p_decoy: float, run_id: int = 0):
+    def __init__(self, key: bytes, p_decoy: float):
         if len(key) != 32:
             raise ValueError("qubit source key must be 32 bytes")
         self.key = key
         self.p_decoy = p_decoy
-        self.run_id = run_id
         self._cipher = Cipher(algorithms.AES(key), modes.ECB())
 
     @classmethod
-    def from_stream(cls, rng: RandomStream, p_decoy: float, run_id: int = 0) -> "QubitSource":
-        return cls(rng.draw_bytes(32), p_decoy, run_id)
+    def from_stream(cls, rng: RandomStream, p_decoy: float) -> "QubitSource":
+        return cls(rng.draw_bytes(32), p_decoy)
 
     def at(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(basis, bit) arrays for the given qubit indices."""
@@ -78,7 +77,6 @@ class DetectionArrays:
     gate: np.ndarray  # int64 gate indices
     truth: np.ndarray  # TRUTH_* codes
     destructive: np.ndarray | None = None  # monitor only
-    run_id: int = 0
 
     def __len__(self):
         return self.gate.size
@@ -161,7 +159,7 @@ def sample_detections(params: ChannelParams, source: QubitSource, n_qubits: int,
 
     dark_gates = _geometric_hits(rng, n_gates, params.p_dark_data)
     noise_gates = _geometric_hits(rng, n_gates, params.p_dwdm_noise)
-    data = _merge_truth(sig_gates, dark_gates, noise_gates, run_id=source.run_id)
+    data = _merge_truth(sig_gates, dark_gates, noise_gates)
 
     # monitor ports
     t_eta_mon = params.t_monitor_line * params.eta_det_mon
@@ -176,7 +174,7 @@ def sample_detections(params: ChannelParams, source: QubitSource, n_qubits: int,
         sig = cand[acc]
         dark = _geometric_hits(rng, n_gates, params.p_dark_mon)
         noise = _geometric_hits(rng, n_gates, params.p_noise_mon_port)
-        merged = _merge_truth(sig, dark, noise, run_id=source.run_id)
+        merged = _merge_truth(sig, dark, noise)
         live = deadtime_mask(merged.gate, params.deadtime_mon_gates)
         mon_streams.append((merged.gate[live], merged.truth[live], destructive))
 
@@ -184,7 +182,7 @@ def sample_detections(params: ChannelParams, source: QubitSource, n_qubits: int,
     mt = np.concatenate([t for _, t, _ in mon_streams])
     md = np.concatenate([np.full(g.size, d, dtype=bool) for g, _, d in mon_streams])
     order = np.argsort(mg, kind="stable")
-    monitor = DetectionArrays(mg[order], mt[order], md[order], run_id=source.run_id)
+    monitor = DetectionArrays(mg[order], mt[order], md[order])
     return data, monitor
 
 
@@ -210,8 +208,7 @@ def _slot_means_at(params: ChannelParams, source: QubitSource, slots: np.ndarray
     return _monitor_port_means(params, m_prev, m_here, nom_prev & nom_here)
 
 
-def _merge_truth(sig: np.ndarray, dark: np.ndarray, noise: np.ndarray,
-                 run_id: int) -> DetectionArrays:
+def _merge_truth(sig: np.ndarray, dark: np.ndarray, noise: np.ndarray) -> DetectionArrays:
     """Union of click sources at distinct gates, signal taking precedence."""
     gates = np.concatenate([sig, dark, noise])
     truth = np.concatenate([
@@ -223,7 +220,7 @@ def _merge_truth(sig: np.ndarray, dark: np.ndarray, noise: np.ndarray,
     gates, truth = gates[order], truth[order]
     first = np.ones(gates.size, dtype=bool)
     first[1:] = gates[1:] != gates[:-1]
-    return DetectionArrays(gates[first], truth[first], run_id=run_id)
+    return DetectionArrays(gates[first], truth[first])
 
 
 def interfering_slot_mask(lookup, gates: np.ndarray) -> np.ndarray:

@@ -4,8 +4,8 @@ This is the only module that knows a record's byte layout: the layouts below
 list each record's fields, big-endian. The session builds each payload with
 an `encode_*` function and reads it with the matching `decode_*`, which is
 strict: exact length (a bit field of n bits takes exactly ceil(n/8) bytes,
-padding bits zero), reserved fields zero, and counts and indices that agree
-with what the receiver holds. Anything else raises `SessionAborted` (exit 3).
+padding bits zero), and counts and indices that agree with what the
+receiver holds. Anything else raises `SessionAborted` (exit 3).
 
 Frames: 1-byte channel id, 3-byte big-endian length, payload. All channels
 except `admin` count toward authentication: their bytes (frame headers
@@ -114,24 +114,24 @@ def _check(ok: bool, message: str, exit_code: int = EXIT_ABORT):
 # Record layouts. bits[n]: n bits packed MSB first into ceil(n/8) bytes.
 # hello: "COWD1" | config digest | session seed
 _HELLO = _Layout("hello", "5s32s32s")
-# reserved 0 | chunk qubits | blocks n | the n sifting blocks (see `sifting`)
-_SIFT = _Layout("sifting disclosure", "IQI")
+# chunk qubits | blocks n | the n sifting blocks (see `sifting`)
+_SIFT = _Layout("sifting disclosure", "QI")
 # data detections n | keep flags bits[n]
 _SIFT_RESPONSE = _Layout("sifting response", "I")
 # kept bits n | disclosed d | mask bits[n] | disclosed bits[d]
 _SUBSAMPLE = _Layout("subsample disclosure", "II", b"SMP")
 # errors among the disclosed bits
 _SUBSAMPLE_ERRORS = _Layout("subsample error report", "Q", b"SME")
-# window | blocks n | 3 | rate "a/b" | syndromes bits[n * m]
-_SYNDROME = _Layout("syndrome frame", "IHB3s")
-# window | blocks n | n verification tag records
+# window | blocks n | syndromes bits[n * m], m from the configured code rate
+_SYNDROME = _Layout("syndrome frame", "IH")
+# window | blocks n | n verification tag records, in block order
 _TAGS = _Layout("verification tag frame", "IH")
-# block index | 48-bit seed | 48-bit tag
-_VERIFICATION_TAG = _Layout("verification tag record", "H6s6s")
+# 48-bit seed | 48-bit tag
+_VERIFICATION_TAG = _Layout("verification tag record", "6s6s")
 # window | blocks n | pass flags bits[n]
 _VERIFY_RESPONSE = _Layout("verify response", "IH")
-# batch | mismatches | reserved 0 | dropped blocks
-_ESTIMATE = _Layout("estimation report", "IQQQ", b"EST")
+# batch | mismatches | dropped blocks
+_ESTIMATE = _Layout("estimation report", "IQQ", b"EST")
 # batch | the 8 counters of `decode_audit`
 _AUDIT = _Layout("truth audit", "I8Q", b"AUD")
 # mode | batch | width w | LFSR (mode 1): state bits[w] | feedback taps bits[w];
@@ -155,12 +155,12 @@ def decode_hello(payload: bytes) -> tuple[bytes, bytes]:
 
 
 def encode_sift_disclosure(n_qubits: int, n_blocks: int, blocks: bytes) -> bytes:
-    return _SIFT.pack(0, n_qubits, n_blocks) + blocks
+    return _SIFT.pack(n_qubits, n_blocks) + blocks
 
 
 def decode_sift_disclosure(payload: bytes, max_qubits: int) -> tuple[int, int, memoryview]:
     """(qubits, blocks, the packed blocks as a view, not a copy)."""
-    _, n_qubits, n_blocks, blocks = _SIFT.unpack(payload, expect=(0,), rest=True)
+    n_qubits, n_blocks, blocks = _SIFT.unpack(payload, rest=True)
     _check(n_qubits <= max_qubits, "preparation buffer overflow")
     return n_qubits, n_blocks, blocks
 
@@ -196,31 +196,25 @@ def decode_subsample_errors(payload: bytes, n_disclosed: int) -> int:
 
 # -- error correction and verification ----------------------------------------------
 
-def _rate_code(rate: Fraction) -> bytes:
-    return f"{rate.numerator}/{rate.denominator}".encode()
-
-
-def encode_syndrome(window: int, rate: Fraction, syndromes: np.ndarray) -> bytes:
-    return _SYNDROME.pack(window, syndromes.shape[0], 3, _rate_code(rate), bits=[syndromes])
+def encode_syndrome(window: int, syndromes: np.ndarray) -> bytes:
+    return _SYNDROME.pack(window, syndromes.shape[0], bits=[syndromes])
 
 
 def decode_syndrome(payload: bytes, window: int, rate: Fraction, max_blocks: int) -> np.ndarray:
     """(blocks, syndrome length) syndromes of window `window`, at most `max_blocks`."""
     m = syndrome_length(rate)
-    _, n, _, _, syndromes = _SYNDROME.unpack(payload, (window, None, 3, _rate_code(rate)),
-                                             lambda w, n, r, c: [n * m])
+    _, n, syndromes = _SYNDROME.unpack(payload, (window,), lambda w, n: [n * m])
     _check(0 < n <= max_blocks, f"syndrome frame claims {n} blocks, {max_blocks} held")
     return syndromes.reshape(n, m)
 
 
 def encode_verification_tag(tag: VerificationTag) -> bytes:
-    return _VERIFICATION_TAG.pack(tag.block_index, tag.seed.to_bytes(6, "big"),
-                                  tag.tag.to_bytes(6, "big"))
+    return _VERIFICATION_TAG.pack(tag.seed.to_bytes(6, "big"), tag.tag.to_bytes(6, "big"))
 
 
 def decode_verification_tag(data: bytes) -> VerificationTag:
-    index, seed, tag = _VERIFICATION_TAG.unpack(data)
-    return VerificationTag(index, int.from_bytes(seed, "big"), int.from_bytes(tag, "big"))
+    seed, tag = _VERIFICATION_TAG.unpack(data)
+    return VerificationTag(int.from_bytes(seed, "big"), int.from_bytes(tag, "big"))
 
 
 def encode_tags(window: int, tags: list[VerificationTag]) -> bytes:
@@ -228,13 +222,11 @@ def encode_tags(window: int, tags: list[VerificationTag]) -> bytes:
 
 
 def decode_tags(payload: bytes, window: int, n_blocks: int) -> list[VerificationTag]:
-    """One tag per block of the window, indexed by position."""
+    """One tag per block of the window, in block order."""
     records = _TAGS.unpack(payload, (window, n_blocks), rest=True)[2]
     size = _VERIFICATION_TAG.head.size
     _check(len(records) == size * n_blocks, "verification tag frame has the wrong length")
-    tags = [decode_verification_tag(records[size * i : size * (i + 1)]) for i in range(n_blocks)]
-    _check(all(t.block_index == i for i, t in enumerate(tags)), "verification tags out of order")
-    return tags
+    return [decode_verification_tag(records[size * i : size * (i + 1)]) for i in range(n_blocks)]
 
 
 def encode_verify_response(window: int, flags: np.ndarray) -> bytes:
@@ -248,12 +240,12 @@ def decode_verify_response(payload: bytes, window: int, n_blocks: int) -> np.nda
 # -- estimation and amplification ---------------------------------------------------
 
 def encode_estimate(batch: int, mismatches: int, dropped: int) -> bytes:
-    return _ESTIMATE.pack(batch, mismatches, 0, dropped)
+    return _ESTIMATE.pack(batch, mismatches, dropped)
 
 
 def decode_estimate(payload: bytes, batch: int, dropped: int, max_mismatches: int) -> int:
     """Alice's mismatch count for `batch`; her drop count must equal ours."""
-    mismatches = _ESTIMATE.unpack(payload, (batch, None, 0, dropped))[1]
+    mismatches = _ESTIMATE.unpack(payload, (batch, None, dropped))[1]
     _check(mismatches <= max_mismatches, "estimation report exceeds the batch size")
     return mismatches
 

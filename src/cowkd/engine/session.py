@@ -2,18 +2,41 @@
 
 Bob owns the detectors, so he drives: he discloses detection times chunk by
 chunk, sends syndromes and verification tags for his sifted blocks, and
-announces the privacy-amplification seed per batch. Error correction runs in
-one window per batch: Bob queues full sifted blocks until they, with the
-passed blocks awaiting amplification, fill `blocks_per_batch`, then sends
-all queued blocks as one syndrome frame and one verify frame (several
-pairs past `MAX_WINDOW_BLOCKS`, the frames' 16-bit block count). When dropped
-blocks leave the batch short, the next chunk that makes up the shortfall
-triggers a small top-up window. Alice sifts, decodes
+announces the privacy-amplification seed per batch. Alice sifts, decodes
 toward Bob's key, verifies, counts the exact error rate against her original
-bits, and mirrors the pool operations. All quantum-side randomness lives in
-one seed-derived substream held by Bob; protocol randomness (verification
-seeds, PA seeds) comes from his party substream. Given the same session
-seed and configuration, transcripts and pools are bit-identical run to run.
+bits, and mirrors the pool operations. She answers every request in the
+order it arrives, so her loop is driven by Bob's frames alone.
+
+Bob does not wait on each answer before he sends on:
+
+- Reply FIFO. Bob keeps one queue of requests whose reply he has not read
+  (sifting disclosures, EC sub-windows, subsample records) and reads
+  Alice's replies strictly in that order. Every decision that changes what
+  he sends uses only replies already read, so each direction's transcript
+  is a function of the seed and the configuration alone. The unread
+  replies (one sifting response plus the verdicts of the windows sent since
+  his last read) take a few KB, far below any socket buffer.
+- One chunk ahead. Bob sends chunk k+1's disclosure before he reads the
+  verdict on chunk k when chunk k cannot close the batch even if Alice
+  keeps all of its data bits; the batch then needs chunk k+1 whatever she
+  answers, so the frames and the quantum stream's draws are those of strict
+  alternation. In subsampling mode chunk k's subsample record, which
+  depends on her verdict, comes first, so Bob never discloses ahead there.
+- Streamed error correction. Bob sends every `SUB_WINDOW_BLOCKS` queued
+  full blocks as their own syndrome and verify frames and reads the verdict
+  later, while Alice decodes and he samples the next chunks. The window
+  closes on the chunk whose queued, in-flight and passed blocks fill
+  `blocks_per_batch`, counting in-flight blocks as passed: Bob sends the
+  rest of the queue and reads every verdict before he tops up or amplifies.
+  When dropped blocks leave the batch short, later chunks top it up the
+  same way. Rows decode independently under the batch's decoder prior and
+  tag seeds are drawn in block order, so keys and drop counts do not depend
+  on where windows split.
+
+All quantum-side randomness lives in one seed-derived substream held by
+Bob; protocol randomness (verification seeds, PA seeds, subsample masks)
+comes from his party substream. Given the same session seed and
+configuration, transcripts and pools are bit-identical run to run.
 
 Per-direction authentication: every non-admin frame byte enters a 2^20-bit
 unit stream; each filled unit is tagged (pad index = 2*unit + direction) and
@@ -29,6 +52,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -46,10 +70,11 @@ from ..finitekey import (
     quantize_compression,
     secret_fraction,
 )
+from ..ldpc.codec import DECODE_SLICE
 from ..ldpc.fer import fer_estimate
 from ..privamp import CompressionSetting, DistillationBatch, PASeed, SeedLedger, amplify_batch, make_seed
 from ..randomness import EntropySeed, RandomStream
-from ..sifting import SiftingMode, decode_and_sift, encode, resolve_collisions
+from ..sifting import ResolvedEvents, SiftingMode, decode_and_sift, encode, resolve_collisions
 from ..verification import BLOCK_BITS, BatchEstimate, estimate_from_counts, make_tags, verify_batch
 from . import frames
 from .frames import (
@@ -73,9 +98,9 @@ DOM_QUANTUM = 1
 DOM_BOB = 3
 
 _UNIT_BYTES = UNIT_BITS // 8
-# syndrome and verify frames count a window's blocks, and tags index them,
-# in 16 bits; a larger window is sent as several
-MAX_WINDOW_BLOCKS = 0xFFFF
+# Bob sends error correction in sub-windows of at most this many blocks, the
+# decoder's slice; syndrome and verify frames count them in 16 bits
+SUB_WINDOW_BLOCKS = DECODE_SLICE
 # fixed protocol constants; the margin, the prior and the subsampling share
 # enter `SessionConfig.digest()`, so both parties must agree on them
 COMPRESSION_MARGIN = 0.85  # auto compression = margin * expected secret fraction
@@ -478,6 +503,16 @@ class _PartyBase:
 # Bob: detector side, drives the pipeline
 # ---------------------------------------------------------------------------
 
+@dataclass
+class _Chunk:
+    """A disclosed sifting chunk whose verdict Bob has not read yet."""
+
+    events: ResolvedEvents
+    dmask: np.ndarray  # data events
+    n_data: int
+    q0: int  # first qubit
+
+
 class BobParty(_PartyBase):
     role = "bob"
 
@@ -486,13 +521,20 @@ class BobParty(_PartyBase):
         self.rng: RandomStream | None = None
         self.source: QubitSource | None = None
         self.pa_buffer = np.zeros(0, dtype=np.uint8)  # verified key bits
+        # requests whose reply is unread, oldest first, as (reader, request);
+        # Alice answers in the order she receives them
+        self._pending: deque = deque()
+        self._in_flight = 0  # blocks sent for correction whose verdict is unread
 
     def _run(self):
         cfg = self.config
         self._handshake()
         batch = 0
+        ahead = None
         while batch < cfg.n_batches:
-            self._chunk_round()
+            chunk = ahead or self._disclose()
+            ahead = self._disclose() if self._batch_needs_next(chunk) else None
+            self._read_replies(until=chunk)
             self._ec_window()
             while self.pa_buffer.size >= cfg.n_sift and batch < cfg.n_batches:
                 self._pa_round(batch)
@@ -516,8 +558,16 @@ class BobParty(_PartyBase):
         self.proto_rng = RandomStream(qseed, DOM_BOB)
         self.source = QubitSource(self.rng.draw_bytes(32), cfg.params.p_decoy)
 
-    # one sifting chunk: simulate, disclose, apply Alice's verdicts
-    def _chunk_round(self):
+    def _read_replies(self, until=None):
+        """Read Alice's replies in request order, through `until` or all of them."""
+        while self._pending:
+            read, request = self._pending.popleft()
+            read(request)
+            if request is until:
+                return
+
+    # one sifting chunk: simulate and disclose; Alice's verdict is read later
+    def _disclose(self) -> _Chunk:
         cfg = self.config
         n_q = cfg.chunk_qubits
         q0 = self.total_qubits
@@ -530,14 +580,32 @@ class BobParty(_PartyBase):
         self.total_qubits += n_q
         payload, n_blocks = encode(events, self.mode)
         self.ep.send(CH_SIFTING, frames.encode_sift_disclosure(n_q, n_blocks, payload))
-
         dmask = events.data_mask()
-        n_data = int(dmask.sum())
-        keep = frames.decode_sift_response(self.ep.expect(CH_SIFTING), n_data)
+        chunk = _Chunk(events, dmask, int(dmask.sum()), q0)
+        self._pending.append((self._read_sift_verdict, chunk))
+        return chunk
+
+    def _batch_needs_next(self, chunk: _Chunk) -> bool:
+        """Whether the batch needs the next chunk whatever Alice keeps of this one.
+
+        It does when all of `chunk`'s data bits would still leave the queued,
+        in-flight and passed blocks short of the batch. In subsampling mode
+        the chunk's subsample record, which depends on her verdict, comes
+        first, so Bob never discloses ahead there.
+        """
+        if self.config.pe_mode == PEMode.SUBSAMPLING:
+            return False
+        blocks = ((self.key_bits.size + chunk.n_data) // BLOCK_BITS + self._in_flight
+                  + self.pa_buffer.size // BLOCK_BITS)
+        return blocks < self.config.blocks_per_batch
+
+    def _read_sift_verdict(self, chunk: _Chunk):
+        events, dmask = chunk.events, chunk.dmask
+        keep = frames.decode_sift_response(self.ep.expect(CH_SIFTING), chunk.n_data)
         kept_bits = events.bob_bit[dmask][keep].astype(np.uint8)
-        self.total_raw += n_data
+        self.total_raw += chunk.n_data
         self.total_sifted += kept_bits.size
-        self._audit_errors(events, dmask, keep, q0)
+        self._audit_errors(events, dmask, keep, chunk.q0)
         kept_bits = self._maybe_subsample(kept_bits)
         self.key_bits = np.concatenate([self.key_bits, kept_bits])
 
@@ -548,32 +616,43 @@ class BobParty(_PartyBase):
         disclosed = kept_bits[mask]
         self.ep.send(CH_CONTROL, frames.encode_subsample(mask, disclosed))
         self.subsample_disclosed += disclosed.size
-        self.subsample_errors += frames.decode_subsample_errors(
-            self.ep.expect(CH_CONTROL), disclosed.size)
+        self._pending.append((self._read_subsample_errors, disclosed.size))
         return kept_bits[~mask]
 
-    # EC + verification over every queued full block, once they complete the
-    # batch together with the passed blocks awaiting amplification
-    def _ec_window(self):
-        while True:
-            queued = self.key_bits.size // BLOCK_BITS
-            n_passed = self.pa_buffer.size // BLOCK_BITS
-            if queued == 0 or queued + n_passed < self.config.blocks_per_batch:
-                return
-            self._ec_round(min(queued, MAX_WINDOW_BLOCKS))
+    def _read_subsample_errors(self, n_disclosed: int):
+        self.subsample_errors += frames.decode_subsample_errors(
+            self.ep.expect(CH_CONTROL), n_disclosed)
 
-    def _ec_round(self, n_blocks: int):
+    # EC + verification in sub-windows; a closing window sends the whole
+    # queue and reads every outstanding verdict (see the module docstring)
+    def _ec_window(self):
+        queued = self.key_bits.size // BLOCK_BITS
+        closing = (queued + self._in_flight + self.pa_buffer.size // BLOCK_BITS
+                   >= self.config.blocks_per_batch)
+        while queued >= SUB_WINDOW_BLOCKS or (closing and queued):
+            n_blocks = min(queued, SUB_WINDOW_BLOCKS)
+            self._send_window(n_blocks)
+            queued -= n_blocks
+        if closing:
+            self._read_replies()
+
+    def _send_window(self, n_blocks: int):
         blocks = self._take_key_bits(n_blocks * BLOCK_BITS).reshape(n_blocks, BLOCK_BITS)
         synd = ldpc.syndrome_batch(blocks, self.rate)
-        self.ep.send(CH_SYNDROME, frames.encode_syndrome(self.window, self.rate, synd))
+        self.ep.send(CH_SYNDROME, frames.encode_syndrome(self.window, synd))
         tags = make_tags(blocks, self.proto_rng)
         self.ep.send(CH_VERIFY, frames.encode_tags(self.window, tags))
-
-        flags = frames.decode_verify_response(self.ep.expect(CH_VERIFY), self.window, n_blocks)
-        passed = blocks[flags].reshape(-1)
-        self.pa_buffer = np.concatenate([self.pa_buffer, passed])
-        self._dropped_blocks += int(n_blocks - flags.sum())
+        self._pending.append((self._read_ec_verdict, (self.window, blocks)))
+        self._in_flight += n_blocks
         self.window += 1
+
+    def _read_ec_verdict(self, window_blocks: tuple[int, np.ndarray]):
+        window, blocks = window_blocks
+        n_blocks = blocks.shape[0]
+        flags = frames.decode_verify_response(self.ep.expect(CH_VERIFY), window, n_blocks)
+        self.pa_buffer = np.concatenate([self.pa_buffer, blocks[flags].reshape(-1)])
+        self._dropped_blocks += int(n_blocks - flags.sum())
+        self._in_flight -= n_blocks
 
     def _pa_round(self, batch_index: int):
         cfg = self.config
@@ -742,7 +821,6 @@ class _OffsetSource:
     def __init__(self, source: QubitSource, offset: int):
         self._source = source
         self._offset = offset
-        self.run_id = source.run_id
 
     def at(self, indices):
         return self._source.at(np.asarray(indices, dtype=np.int64) + self._offset)

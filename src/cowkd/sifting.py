@@ -34,9 +34,6 @@ CONTROL_MON_OTHER = 0b11
 _VALID_WIDTHS = (6, 14)
 
 
-ProtocolAbort = SessionAborted  # former name of the malformed-stream error
-
-
 @dataclass(frozen=True)
 class SiftingMode:
     time_field_bits: int = 14
@@ -78,7 +75,6 @@ class ResolvedEvents:
     bob_bit: np.ndarray  # measured bit for data events, 0 otherwise
     truth: np.ndarray
     raw_count: int = 0  # data-detector clicks before resolution
-    run_id: int = 0
 
     def __len__(self):
         return self.qubit.size
@@ -102,7 +98,7 @@ def resolve_collisions(data: DetectionArrays, monitor: DetectionArrays,
     it: it is a binary search into a sorted array.
     """
     if np.any(np.diff(data.gate) < 0) or np.any(np.diff(monitor.gate) < 0):
-        raise ProtocolAbort("detection streams must be gate-sorted")
+        raise SessionAborted("detection streams must be gate-sorted")
     dkeep = deadtime_mask(data.gate, deadtime_gates)
     dg, dt = data.gate[dkeep], data.truth[dkeep]
     raw_count = dg.size
@@ -144,7 +140,7 @@ def resolve_collisions(data: DetectionArrays, monitor: DetectionArrays,
     truth = np.concatenate([dtruth, mt])
     order = np.argsort(q, kind="stable")
     return ResolvedEvents(q[order], ctrl[order], bob_bit[order], truth[order],
-                          raw_count=raw_count, run_id=data.run_id)
+                          raw_count=raw_count)
 
 
 def _in_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -178,7 +174,7 @@ def encode(events: ResolvedEvents, mode: SiftingMode,
     base = np.concatenate([[0], q[:-1] + 1])
     delta = q - base
     if np.any(delta < 0):
-        raise ProtocolAbort("events out of order")
+        raise SessionAborted("events out of order")
     over = delta // m
     resid = delta - over * m
     n_blocks = int(q.size + over.sum())
@@ -217,9 +213,9 @@ def decode(payload: bytes, mode: SiftingMode, n_blocks: int) -> tuple[np.ndarray
     m = mode.overflow_marker
     is_empty = control == CONTROL_EMPTY
     if np.any(values[is_empty] != m):
-        raise ProtocolAbort("empty block with non-maximal time delta")
+        raise SessionAborted("empty block with non-maximal time delta")
     if np.any(values[~is_empty] > mode.max_delta):
-        raise ProtocolAbort("reserved overflow marker on a detection block")
+        raise SessionAborted("reserved overflow marker on a detection block")
     advance = np.where(is_empty, m, values + 1)
     ends = np.cumsum(advance)
     qubits = ends - 1

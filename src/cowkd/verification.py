@@ -30,9 +30,6 @@ REDUCTION_TAIL = 0x2D  # x^48 == x^5 + x^3 + x^2 + 1
 FIELD_POLY = (1 << 48) | REDUCTION_TAIL
 
 
-ProtocolAbort = SessionAborted  # former name of the malformed-exchange error
-
-
 # ---------------------------------------------------------------------------
 # field arithmetic
 # ---------------------------------------------------------------------------
@@ -104,25 +101,31 @@ def hash_blocks(blocks: np.ndarray, seeds: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class VerificationTag:
-    block_index: int
+    """One block's tag; a window's tags travel in block order."""
+
     seed: int  # 48 bits
     tag: int  # 48 bits
 
 
 def make_tags(blocks: np.ndarray, rng: RandomStream) -> list[VerificationTag]:
-    """Hash every block under a fresh 48-bit seed drawn from `rng`."""
+    """Hash every block under a fresh 48-bit seed drawn from `rng`.
+
+    Block i's seed is the i-th 48 bits of one draw, read big-endian.
+    """
     blocks = np.atleast_2d(np.asarray(blocks, dtype=np.uint8))
-    seeds = np.array([rng.draw_int(48) for _ in range(blocks.shape[0])], dtype=np.uint64)
+    n = blocks.shape[0]
+    raw = np.zeros((n, 8), dtype=np.uint8)
+    raw[:, 2:] = np.frombuffer(rng.draw_bytes(6 * n), dtype=np.uint8).reshape(n, 6)
+    seeds = raw.view(">u8").ravel().astype(np.uint64)
     tags = hash_blocks(blocks, seeds)
-    return [VerificationTag(i, int(seeds[i]), int(tags[i]))
-            for i in range(blocks.shape[0])]
+    return [VerificationTag(s, t) for s, t in zip(seeds.tolist(), tags.tolist())]
 
 
 def verify_batch(blocks: np.ndarray, tags: list[VerificationTag]) -> np.ndarray:
     """Recompute tags on local blocks; True where the received tag matches."""
     blocks = np.atleast_2d(np.asarray(blocks, dtype=np.uint8))
     if blocks.shape[0] != len(tags):
-        raise ProtocolAbort(
+        raise SessionAborted(
             f"tag count mismatch: {len(tags)} tags for {blocks.shape[0]} blocks")
     seeds = np.array([t.seed for t in tags], dtype=np.uint64)
     local = hash_blocks(blocks, seeds)

@@ -5,11 +5,13 @@ polynomial MAC; `resolve_collisions_isin` resolves collisions with
 `np.isin` membership tests; `lfsr_expand_ref` steps the LFSR one bit at a
 time and `toeplitz_hash_dense` multiplies by the dense Toeplitz matrix;
 `draw_uniform_bits` builds uniform floats from the stream's bits;
-`gf48_mul` / `poly_hash48` evaluate the verification hash one limb at a time.
+`gf48_mul` / `poly_hash48` evaluate the verification hash one limb at a time,
+and `make_tags_per_block` draws one tag seed per block.
 They define what `cowkd.auth.poly_mac`, `cowkd.sifting.resolve_collisions`,
 `cowkd.privamp.lfsr_expand` / `toeplitz_hash`,
 `cowkd.randomness.RandomStream.draw_uniform` and
-`cowkd.verification.gf48_mul_vec` / `hash_blocks` must return, bit for bit.
+`cowkd.verification.gf48_mul_vec` / `hash_blocks` / `make_tags` must return,
+bit for bit.
 `sift_pair` runs both sides of one disclosure round trip, and
 `estimate_qber` counts errors from the bits themselves, as
 `cowkd.verification.estimate_from_counts` does from the counts.
@@ -24,19 +26,27 @@ import numpy as np
 from cowkd.auth import LIMB_BITS, UNIT_BITS, mod_p
 from cowkd.bitops import pack_bits
 from cowkd.cowsim.channel import DetectionArrays, deadtime_mask
+from cowkd.errors import SessionAborted
 from cowkd.randomness import RandomStream
 from cowkd.sifting import (
     CONTROL_DATA,
     CONTROL_MON_DEST,
     CONTROL_MON_OTHER,
-    ProtocolAbort,
     ResolvedEvents,
     SiftingMode,
     _first_per_qubit,
     decode_and_sift,
     encode,
 )
-from cowkd.verification import N_LIMBS, PADDED_BITS, TAG_MASK, BatchEstimate, estimate_from_counts
+from cowkd.verification import (
+    N_LIMBS,
+    PADDED_BITS,
+    TAG_MASK,
+    BatchEstimate,
+    VerificationTag,
+    estimate_from_counts,
+    hash_blocks,
+)
 
 
 def limbs(message: bytes) -> list[int]:
@@ -70,7 +80,7 @@ def resolve_collisions_isin(data: DetectionArrays, monitor: DetectionArrays,
                             deadtime_gates: int, rng: RandomStream) -> ResolvedEvents:
     """Collision resolution with hash-based `np.isin` membership tests."""
     if np.any(np.diff(data.gate) < 0) or np.any(np.diff(monitor.gate) < 0):
-        raise ProtocolAbort("detection streams must be gate-sorted")
+        raise SessionAborted("detection streams must be gate-sorted")
     dkeep = deadtime_mask(data.gate, deadtime_gates)
     dg, dt = data.gate[dkeep], data.truth[dkeep]
     raw_count = dg.size
@@ -108,7 +118,7 @@ def resolve_collisions_isin(data: DetectionArrays, monitor: DetectionArrays,
     truth = np.concatenate([dtruth, mt])
     order = np.argsort(q, kind="stable")
     return ResolvedEvents(q[order], ctrl[order], bob_bit[order], truth[order],
-                          raw_count=raw_count, run_id=data.run_id)
+                          raw_count=raw_count)
 
 
 def lfsr_expand_ref(lfsr_state, feedback_poly, length: int) -> np.ndarray:
@@ -178,6 +188,14 @@ def poly_hash48(message_bits: np.ndarray, seed: int) -> int:
     for c in reversed(limbs):
         acc = gf48_mul(acc, seed) ^ c
     return gf48_mul(acc, seed)
+
+
+def make_tags_per_block(blocks: np.ndarray, rng: RandomStream) -> list[VerificationTag]:
+    """Verification tags with one 48-bit `draw_int` per block, in block order."""
+    blocks = np.atleast_2d(np.asarray(blocks, dtype=np.uint8))
+    seeds = np.array([rng.draw_int(48) for _ in range(blocks.shape[0])], dtype=np.uint64)
+    tags = hash_blocks(blocks, seeds)
+    return [VerificationTag(int(s), int(t)) for s, t in zip(seeds, tags)]
 
 
 def estimate_qber(alice_original: np.ndarray, alice_corrected: np.ndarray,

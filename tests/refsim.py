@@ -5,8 +5,10 @@ the reference that `cowkd.cowsim.sample_detections` (candidate clicks drawn
 at an upper-bound rate, then thinned) must match in distribution.
 `ground_truth_stats` audits detections against the prepared sequence: the
 true QBER and the raw and signal-only monitor visibility. `QubitSource` here
-is the engine's qubit source plus `sequence`, which materializes a prefix of
-the prepared qubits.
+is the engine's qubit source plus a run id and `sequence`, which
+materializes a prefix of the prepared qubits; `DetectionArrays` carries the
+run id of the sequence it was drawn from, so the audit can refuse streams of
+another run.
 """
 
 from __future__ import annotations
@@ -23,11 +25,11 @@ from cowkd.cowsim.channel import (
     TRUTH_DARK,
     TRUTH_NOISE,
     TRUTH_SIGNAL,
-    DetectionArrays,
     _monitor_port_means,
     deadtime_mask,
     interfering_slot_mask,
 )
+from cowkd.cowsim.channel import DetectionArrays as _DetectionArrays
 from cowkd.randomness import RandomStream
 
 
@@ -36,9 +38,24 @@ class RunMismatch(ValueError):
 
 
 class QubitSource(_QubitSource):
+    def __init__(self, key: bytes, p_decoy: float, run_id: int = 0):
+        super().__init__(key, p_decoy)
+        self.run_id = run_id
+
+    @classmethod
+    def from_stream(cls, rng: RandomStream, p_decoy: float, run_id: int = 0) -> "QubitSource":
+        return cls(rng.draw_bytes(32), p_decoy, run_id)
+
     def sequence(self, n_qubits: int) -> "PreparedSequence":
         basis, bit = self.at(np.arange(n_qubits))
         return PreparedSequence(basis, bit, run_id=self.run_id, source=self)
+
+
+@dataclass
+class DetectionArrays(_DetectionArrays):
+    """A detection stream tagged with the run that produced it."""
+
+    run_id: int = 0
 
 
 @dataclass
@@ -155,7 +172,8 @@ def ground_truth_stats(seq_or_source, data: DetectionArrays,
     """
     run_id = seq_or_source.run_id
     lookup = seq_or_source.at
-    if data.run_id != run_id or monitor.run_id != run_id:
+    # streams of the engine's sampler carry no run id; they count as run 0
+    if any(getattr(s, "run_id", 0) != run_id for s in (data, monitor)):
         raise RunMismatch("detection streams do not belong to this preparation")
 
     qubit = data.gate >> 1

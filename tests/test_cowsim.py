@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from refsim import QubitSource, RunMismatch, ground_truth_stats, prepare_sequence, transmit_detect
+from refsim import (DetectionArrays, QubitSource, RunMismatch, ground_truth_stats, prepare_sequence,
+                    transmit_detect)
 
-from cowkd.cowsim import BASIS_DATA, BASIS_DECOY, ChannelParams, DetectionArrays, sample_detections
+from cowkd.cowsim import BASIS_DATA, BASIS_DECOY, ChannelParams, sample_detections
 from cowkd.presets import channel_params, measured_point
 from cowkd.randomness import EntropySeed, new_stream
 

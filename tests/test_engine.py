@@ -1,3 +1,4 @@
+import socket
 import threading
 
 import numpy as np
@@ -21,18 +22,27 @@ from cowkd.engine import (
     encode_frame,
     run_session,
 )
-from cowkd.engine.frames import CH_ADMIN, CH_SIFTING, CH_VERIFY, HEADER_BYTES, FrameError
+from cowkd.engine import frames
 from cowkd.engine import session as session_mod
+from cowkd.engine.frames import (
+    CH_ADMIN,
+    CH_PA_SEED,
+    CH_SIFTING,
+    CH_VERIFY,
+    HEADER_BYTES,
+    FrameError,
+)
 from cowkd.engine.session import AliceParty, BobParty
 from cowkd.presets import channel_params
+from cowkd.verification import BLOCK_BITS
 
 PSK = bytes(range(256)) * 32  # 8 KiB deterministic test PSK
 SEED = "ab" * 32
 # pool and per-direction transcript digests of small_config(): a refactor
 # must not change the keys or the wire
 SMALL_CONFIG_POOL_DIGEST = "3882e8f3cc148771962b6a34f8cdc888c8ebdc2d3babfa4d73bad7b2c84b4744"
-SMALL_CONFIG_ALICE_TO_BOB = "476b9f7d6105bad8ae6e79a24b4ecbdf81e9e29fb3fbeeac27fc96e889363d2d"
-SMALL_CONFIG_BOB_TO_ALICE = "0e0804a2740592ab85f5fe4a958a64bcdfe5806caf25e83506cc08b1371cc214"
+SMALL_CONFIG_ALICE_TO_BOB = "233a6f677e48932a9e7ad29904829717dc7ed00251a2dac7a6210debe58ba9a9"
+SMALL_CONFIG_BOB_TO_ALICE = "b894ab3bb6ea0990be32929315d03ac366cf1bc154b96e3de8f7be0b70010254"
 
 
 def small_config(**kw):
@@ -309,17 +319,120 @@ def test_session_with_heavy_drops_still_agrees():
     assert ra["qber_effective"] > ra["qber_raw"]
 
 
-def test_window_past_block_count_field_is_split(monkeypatch):
-    # frames count a window's blocks in 16 bits; a larger window goes out as
-    # several, and since rows decode independently the keys do not change
-    monkeypatch.setattr(session_mod, "MAX_WINDOW_BLOCKS", 3)
-    cfg = small_config()
+@pytest.mark.parametrize("cfg, pool_digest", [
+    (small_config(), SMALL_CONFIG_POOL_DIGEST),
+    # rate 5/6 drops most blocks: 22 of 26 and 13 of 17
+    (small_config(code_rate="5/6", n_batches=2, blocks_per_batch=4),
+     "907abe8b86ee3c4e308e79c41bd1208061aaedd8651897adc6c36be4a7c2cd91"),
+], ids=["small", "heavy drops"])
+def test_sub_windows_keep_keys_and_drops(monkeypatch, cfg, pool_digest):
+    # Bob streams each batch's error correction in sub-windows. Rows decode
+    # independently under the batch's prior and tag seeds are drawn in block
+    # order, so where the windows split changes neither keys nor drop counts
+    ra, _ = run_session(cfg)
+    monkeypatch.setattr(session_mod, "SUB_WINDOW_BLOCKS", 2)
     ta, tb = LoopbackTransport.pair(timeout=20)
     alice, bob = AliceParty(cfg, ta), BobParty(cfg, tb)
     assert run_parties(alice, bob, 30) == {}
-    assert bob.window >= 3 * cfg.n_batches  # at least ceil(8 / 3) per batch
+    assert bob.window >= cfg.n_batches * cfg.blocks_per_batch // 2
+    patched = alice.report()
+    assert patched["pool_digest"] == bob.report()["pool_digest"] == ra["pool_digest"] == pool_digest
+    assert patched["per_batch"] == ra["per_batch"]  # attempted and dropped blocks included
+
+
+class _RecordingTransport:
+    """Logs each frame in the order its side sends or reads it."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.log = []  # ("send" | "recv", channel id, payload)
+        self._reading = None  # channel of a header whose payload comes next
+
+    def send(self, data: bytes):
+        self.log.append(("send", decode_header(data[:HEADER_BYTES])[0], data[HEADER_BYTES:]))
+        self._inner.send(data)
+
+    def recv_exact(self, n):
+        data = self._inner.recv_exact(n)
+        if self._reading is None:
+            channel_id, length = decode_header(data)
+            if length:
+                self._reading = channel_id
+            else:
+                self.log.append(("recv", channel_id, b""))
+        else:
+            self.log.append(("recv", self._reading, bytes(data)))
+            self._reading = None
+        return data
+
+    def close(self):
+        self._inner.close()
+
+
+def test_bob_discloses_one_chunk_ahead_only_while_the_batch_needs_it(monkeypatch):
+    n_data = []  # data detections of each disclosed chunk, in order
+    encode = session_mod.encode
+
+    def counting_encode(events, mode):
+        n_data.append(int(events.data_mask().sum()))
+        return encode(events, mode)
+
+    monkeypatch.setattr(session_mod, "encode", counting_encode)
+    cfg = small_config()
+    ta, tb = LoopbackTransport.pair(timeout=20)
+    recorder = _RecordingTransport(tb)
+    alice, bob = AliceParty(cfg, ta), BobParty(cfg, recorder)
+    assert run_parties(alice, bob, 30) == {}
+    assert bob.report()["pool_digest"] == SMALL_CONFIG_POOL_DIGEST
+
+    # replay Bob's view: the bits he holds toward the batch and does not know
+    # to be dropped, whether queued, in flight or passed
+    held = disclosed = read = ahead = 0
+    for kind, channel_id, payload in recorder.log:
+        if (kind, channel_id) == ("send", CH_SIFTING):
+            if disclosed > read:  # sent before the verdict on chunk `read`
+                ahead += 1
+                assert disclosed == read + 1
+                # even keeping every data bit of that chunk, the batch needed this one
+                assert (held + n_data[read]) // BLOCK_BITS < cfg.blocks_per_batch
+            disclosed += 1
+        elif (kind, channel_id) == ("recv", CH_SIFTING):
+            held += int(frames.decode_sift_response(payload, n_data[read]).sum())
+            read += 1
+        elif (kind, channel_id) == ("recv", CH_VERIFY):
+            window, n = int.from_bytes(payload[:4], "big"), int.from_bytes(payload[4:6], "big")
+            held -= BLOCK_BITS * int(n - frames.decode_verify_response(payload, window, n).sum())
+        elif (kind, channel_id) == ("send", CH_PA_SEED):
+            assert disclosed == read  # nothing disclosed past the batch's last chunk
+            held -= cfg.n_sift
+    assert ahead > 0
+    assert disclosed == read == len(n_data)
+
+
+def test_session_over_small_socket_buffers_completes(monkeypatch):
+    # Bob reads Alice's replies late; the unread ones must fit the socket
+    # buffers, or both parties would block in sendall until the read timeout
+    monkeypatch.setattr(session_mod, "SUB_WINDOW_BLOCKS", 2)
+    ends = socket.socketpair()
+    for sock in ends:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 8192)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 8192)
+        sock.settimeout(20)
+    cfg = small_config()
+    alice, bob = AliceParty(cfg, TcpTransport(ends[0])), BobParty(cfg, TcpTransport(ends[1]))
+    assert run_parties(alice, bob, 60) == {}
     assert alice.report()["pool_digest"] == bob.report()["pool_digest"] \
         == SMALL_CONFIG_POOL_DIGEST
+
+
+def test_subsample_mode_with_sub_windows_agrees(monkeypatch):
+    # subsample records and their replies share Bob's reply queue with the
+    # sub-windows' verdicts
+    monkeypatch.setattr(session_mod, "SUB_WINDOW_BLOCKS", 2)
+    ra, rb = run_session(small_config(pe_mode="subsampling"))
+    assert ra["pool_digest"] == rb["pool_digest"]
+    assert ra["secret_bits"] > 0 and ra["batches"] == 2
+    assert ra["transcript"] == {"out": rb["transcript"]["in"], "in": rb["transcript"]["out"]}
 
 
 def test_subsample_mode_runs_and_costs_more_traffic():
@@ -446,9 +559,9 @@ def test_bob_rejects_malformed_verify_response(rewrite, match):
     assert match in str(err)
 
 
-@pytest.mark.parametrize("rewrite", [lambda p: p[:-1], lambda p: p + bytes(14)])
+@pytest.mark.parametrize("rewrite", [lambda p: p[:-1], lambda p: p + bytes(12)])
 def test_alice_rejects_wrong_size_tag_frame(rewrite):
-    # the tag frame must hold exactly 14 bytes per block of the syndrome frame
+    # the tag frame must hold exactly 12 bytes per block of the syndrome frame
     cfg = small_config(n_batches=1)
     ta, tb = LoopbackTransport.pair(timeout=20)
     evil = _RewriteTransport(tb, CH_VERIFY, rewrite)

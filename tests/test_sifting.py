@@ -6,13 +6,13 @@ from oracles import resolve_collisions_isin, sift_pair
 from refsim import prepare_sequence
 
 from cowkd.cowsim import ChannelParams, DetectionArrays
+from cowkd.errors import SessionAborted
 from cowkd.randomness import EntropySeed, new_stream
 from cowkd.sifting import (
     CONTROL_DATA,
     CONTROL_MON_DEST,
     CONTROL_MON_OTHER,
     AliceSiftView,
-    ProtocolAbort,
     ResolvedEvents,
     SiftingMode,
     decode,
@@ -91,15 +91,15 @@ def test_round_trip_random_streams_both_modes():
 def test_decode_rejects_malformed_streams():
     mode = SiftingMode(6)
     payload, n = encode(events_from([5]), mode)
-    with pytest.raises(ProtocolAbort):
+    with pytest.raises(SessionAborted):
         decode(payload, mode, n + 1)  # claims more blocks than bytes carry
     # a detection block carrying the reserved overflow marker
     bad = np.packbits(np.concatenate([np.ones(6, dtype=np.uint8), [0, 1]])).tobytes()
-    with pytest.raises(ProtocolAbort):
+    with pytest.raises(SessionAborted):
         decode(bad, mode, 1)
     # an empty block with a non-maximal delta
     bad = np.packbits(np.array([0, 0, 0, 1, 1, 0, 0, 0], dtype=np.uint8)).tobytes()
-    with pytest.raises(ProtocolAbort):
+    with pytest.raises(SessionAborted):
         decode(bad, mode, 1)
 
 
@@ -152,7 +152,7 @@ def test_monitor_collapses_to_one_event_per_qubit():
 
 
 def test_unsorted_input_rejected():
-    with pytest.raises(ProtocolAbort):
+    with pytest.raises(SessionAborted):
         resolve_collisions(detarrays([5, 3]), detarrays([], []), 0, stream(5))
 
 

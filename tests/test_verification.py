@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
-from oracles import estimate_qber, gf48_mul, poly_hash48
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import estimate_qber, gf48_mul, make_tags_per_block, poly_hash48
 
 from cowkd.engine.frames import decode_verification_tag, encode_verification_tag
+from cowkd.errors import SessionAborted
 from cowkd.randomness import EntropySeed, new_stream
 from cowkd.verification import (
     BLOCK_BITS,
     FIELD_POLY,
     N_LIMBS,
     PADDED_BITS,
-    ProtocolAbort,
     VerificationTag,
     eps_ver_bound,
     gf48_mul_vec,
@@ -133,9 +135,9 @@ def test_verification_epsilon_bound():
 
 
 def test_tag_wire_roundtrip():
-    t = VerificationTag(block_index=513, seed=0xABCDEF012345, tag=0x123456789ABC)
+    t = VerificationTag(seed=0xABCDEF012345, tag=0x123456789ABC)
     assert decode_verification_tag(encode_verification_tag(t)) == t
-    with pytest.raises(ProtocolAbort):
+    with pytest.raises(SessionAborted):
         decode_verification_tag(b"short")
 
 
@@ -161,8 +163,22 @@ def test_tag_count_mismatch_aborts():
     rng = stream(8)
     blocks = rng.draw_bits(4 * BLOCK_BITS).reshape(4, BLOCK_BITS)
     tags = make_tags(blocks, stream(11))
-    with pytest.raises(ProtocolAbort):
+    with pytest.raises(SessionAborted):
         verify_batch(blocks[:3], tags)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.sampled_from([0, 1, 2, 63, 64, 65, 512]), skip=st.integers(0, 47),
+       seed=st.integers(0, 1 << 32))
+def test_make_tags_matches_per_block_draws(n, skip, seed):
+    # one draw for all seeds gives each block the seed a draw per block would,
+    # from any bit offset, and leaves the stream at the same place
+    blocks = np.random.default_rng(seed).integers(0, 2, (n, BLOCK_BITS), dtype=np.uint8)
+    fast, ref = stream(seed), stream(seed)
+    fast.draw_bits(skip)
+    ref.draw_bits(skip)
+    assert make_tags(blocks, fast) == make_tags_per_block(blocks, ref)
+    assert np.array_equal(fast.draw_bits(64), ref.draw_bits(64))
 
 
 def test_seeds_are_fresh_per_block():
