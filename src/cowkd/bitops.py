@@ -38,15 +38,3 @@ def bits_to_int(bits: np.ndarray) -> int:
         value = (value << 1) | int(b)
     return value
 
-
-def int_to_bits(value: int, width: int) -> np.ndarray:
-    """Big-endian bit array of `value`, exactly `width` bits."""
-    if value < 0 or value >> width:
-        raise ValueError(f"{value} does not fit in {width} bits")
-    return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.uint8)
-
-
-def xor_bytes(a: bytes, b: bytes) -> bytes:
-    if len(a) != len(b):
-        raise ValueError("length mismatch")
-    return (np.frombuffer(a, dtype=np.uint8) ^ np.frombuffer(b, dtype=np.uint8)).tobytes()

@@ -53,18 +53,18 @@ def _psk_from_seed(seed_hex: str, n_bytes: int = 16384) -> bytes:
     return bytes(out[:n_bytes])
 
 
-def _apply_config_file(args, argv: list[str]):
-    """Merge a JSON settings file into the parsed args; flags given in `argv` win."""
-    if not getattr(args, "config", None):
-        return args
+def _read_config_file(args) -> dict:
+    """The JSON settings file named by `--config`, keyed by argument name."""
     data = json.loads(Path(args.config).read_text())
+    if not isinstance(data, dict):
+        raise ValueError("a config file holds one JSON object")
+    settings = {}
     for key, value in data.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr in ("command", "func") or not hasattr(args, attr):  # not flags
             raise ValueError(f"unknown config key {key!r}")
-        if f"--{key}" not in argv and f"--{attr}" not in argv:
-            setattr(args, attr, value)
-    return args
+        settings[attr] = value
+    return settings
 
 
 def _build_config(args) -> SessionConfig:
@@ -136,7 +136,7 @@ def _print_summary(report: dict):
 def cmd_run(args) -> int:
     try:
         config = _build_config(args)
-    except (SessionAborted, KeyError, ValueError) as exc:
+    except (SessionAborted, KeyError, ValueError, OSError) as exc:  # OSError: unreadable file
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     out_dir = Path(args.out)
@@ -358,11 +358,16 @@ def main(argv=None) -> int:
 
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    try:
-        args = _apply_config_file(args, argv)
-    except (OSError, ValueError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    if getattr(args, "config", None):
+        try:
+            settings = _read_config_file(args)
+        except (OSError, ValueError) as exc:
+            print(f"configuration error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        # the file's values become the defaults, so every flag argparse
+        # parses from argv wins, however it is spelled
+        sub.choices[args.command].set_defaults(**settings)
+        args = parser.parse_args(argv)
     return args.func(args)
 
 

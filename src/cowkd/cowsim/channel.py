@@ -49,10 +49,6 @@ class QubitSource:
         self.p_decoy = p_decoy
         self._cipher = Cipher(algorithms.AES(key), modes.ECB())
 
-    @classmethod
-    def from_stream(cls, rng: RandomStream, p_decoy: float) -> "QubitSource":
-        return cls(rng.draw_bytes(32), p_decoy)
-
     def at(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(basis, bit) arrays for the given qubit indices."""
         idx = np.asarray(indices, dtype=np.uint64)

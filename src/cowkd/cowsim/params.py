@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 DEFAULT_INSERTION_LOSSES_DB = {
     "fbg_filter": 1.4,
@@ -157,7 +157,13 @@ class ChannelParams:
 
     @classmethod
     def from_json(cls, text: str) -> "ChannelParams":
-        return cls(**json.loads(text))
+        data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("channel parameters are one JSON object")
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown channel parameters {unknown}")
+        return cls(**data)
 
     @classmethod
     def load(cls, path) -> "ChannelParams":

@@ -8,7 +8,6 @@ from .frames import (
     CH_SYNDROME,
     CH_VERIFY,
     CHANNEL_NAMES,
-    FrameError,
     decode_header,
     encode_frame,
 )
@@ -20,7 +19,7 @@ __all__ = [
     "AliceParty", "AuthAlarm", "BobParty", "CH_ADMIN", "CH_AUTH_TAG",
     "CH_CONTROL", "CH_PA_SEED", "CH_SIFTING", "CH_SYNDROME", "CH_VERIFY",
     "CHANNEL_NAMES", "DeliveryFrozen", "EXIT_ABORT", "EXIT_AUTH_ALARM",
-    "EXIT_CONFIG", "EXIT_OK", "FrameError", "InsufficientKey",
+    "EXIT_CONFIG", "EXIT_OK", "InsufficientKey",
     "LoopbackTransport", "PadsExhausted", "SecretKeyPool", "SessionAborted",
     "SessionConfig", "TcpTransport", "TransportClosed", "decode_header",
     "encode_frame", "parse_endpoint", "run_session",

@@ -48,8 +48,6 @@ CHANNEL_NAMES = {
 MAX_PAYLOAD = (1 << 24) - 1
 HEADER_BYTES = 4
 
-FrameError = SessionAborted  # former name of the malformed-frame error
-
 PROTOCOL_MAGIC = b"COWD1"
 END = b"END"  # closes each direction, before its final auth tag
 
@@ -114,7 +112,8 @@ def _check(ok: bool, message: str, exit_code: int = EXIT_ABORT):
 # Record layouts. bits[n]: n bits packed MSB first into ceil(n/8) bytes.
 # hello: "COWD1" | config digest | session seed
 _HELLO = _Layout("hello", "5s32s32s")
-# chunk qubits | blocks n | the n sifting blocks (see `sifting`)
+# chunk qubits (exactly the configured chunk) | blocks n | the n sifting
+# blocks (see `sifting`)
 _SIFT = _Layout("sifting disclosure", "QI")
 # data detections n | keep flags bits[n]
 _SIFT_RESPONSE = _Layout("sifting response", "I")
@@ -158,11 +157,10 @@ def encode_sift_disclosure(n_qubits: int, n_blocks: int, blocks: bytes) -> bytes
     return _SIFT.pack(n_qubits, n_blocks) + blocks
 
 
-def decode_sift_disclosure(payload: bytes, max_qubits: int) -> tuple[int, int, memoryview]:
-    """(qubits, blocks, the packed blocks as a view, not a copy)."""
-    n_qubits, n_blocks, blocks = _SIFT.unpack(payload, rest=True)
-    _check(n_qubits <= max_qubits, "preparation buffer overflow")
-    return n_qubits, n_blocks, blocks
+def decode_sift_disclosure(payload: bytes, chunk_qubits: int) -> tuple[int, int, memoryview]:
+    """(qubits, blocks, the packed blocks as a view, not a copy); a
+    disclosure covers exactly `chunk_qubits` qubits."""
+    return _SIFT.unpack(payload, (chunk_qubits,), rest=True)
 
 
 def encode_sift_response(keep: np.ndarray) -> bytes:

@@ -98,7 +98,7 @@ class SecretKeyPool:
     def deliverable_bits(self) -> int:
         return self._delivery.size - self._delivery_cursor
 
-    def deliver(self, n_bits: int, consumer_id: str) -> bytes:
+    def deliver(self, n_bits: int) -> bytes:
         """Hand out fresh key bytes; zeroizes the source region."""
         if self.frozen:
             raise DeliveryFrozen("authentication alarm active")
@@ -118,13 +118,13 @@ class SecretKeyPool:
     def freeze(self):
         self.frozen = True
 
-    def otp_encrypt(self, message: bytes, consumer_id: str = "otp") -> bytes:
+    def otp_encrypt(self, message: bytes) -> bytes:
         """Demonstration one-time-pad application: XOR with fresh pool key.
 
         Consumes exactly len(message) bytes of key; decryption is the same
         call on the peer's pool (both pools hold identical bits).
         """
-        key = self.deliver(8 * len(message), consumer_id)
+        key = self.deliver(8 * len(message))
         return bytes(m ^ k for m, k in zip(message, key))
 
     # -- audit ----------------------------------------------------------------

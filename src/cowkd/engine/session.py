@@ -33,10 +33,11 @@ Bob does not wait on each answer before he sends on:
   tag seeds are drawn in block order, so keys and drop counts do not depend
   on where windows split.
 
-All quantum-side randomness lives in one seed-derived substream held by
-Bob; protocol randomness (verification seeds, PA seeds, subsample masks)
-comes from his party substream. Given the same session seed and
-configuration, transcripts and pools are bit-identical run to run.
+All quantum-side randomness lives in one seed-derived stream held by Bob;
+protocol randomness (verification seeds, PA seeds, subsample masks) comes
+from his party stream, another domain of the same seed. Given the same
+session seed and configuration, transcripts and pools are bit-identical run
+to run.
 
 Per-direction authentication: every non-admin frame byte enters a 2^20-bit
 unit stream; each filled unit is tagged (pad index = 2*unit + direction) and
@@ -72,7 +73,7 @@ from ..finitekey import (
 )
 from ..ldpc.codec import DECODE_SLICE
 from ..ldpc.fer import fer_estimate
-from ..privamp import CompressionSetting, DistillationBatch, PASeed, SeedLedger, amplify_batch, make_seed
+from ..privamp import PASeed, SeedLedger, amplify_batch, make_seed
 from ..randomness import EntropySeed, RandomStream
 from ..sifting import ResolvedEvents, SiftingMode, decode_and_sift, encode, resolve_collisions
 from ..verification import BLOCK_BITS, BatchEstimate, estimate_from_counts, make_tags, verify_batch
@@ -93,7 +94,7 @@ from .frames import (
 from .keypool import SecretKeyPool
 from .transport import TransportClosed
 
-# substream labels off the session seed
+# domain labels of the session seed's streams
 DOM_QUANTUM = 1
 DOM_BOB = 3
 
@@ -106,6 +107,8 @@ SUB_WINDOW_BLOCKS = DECODE_SLICE
 COMPRESSION_MARGIN = 0.85  # auto compression = margin * expected secret fraction
 CHANNEL_P_PRIOR = 0.02  # decoder prior until the first batch is measured
 SUBSAMPLE_ETA = 0.125  # share of kept bits disclosed in subsampling mode
+# qubits Alice holds prepared for one sifting disclosure; a chunk must fit
+ALICE_BUFFER_QUBITS = 1 << 24
 
 
 @dataclass
@@ -118,7 +121,6 @@ class SessionConfig:
     n_batches: int = 3
     blocks_per_batch: int = 512
     chunk_qubits: int = 1 << 24
-    alice_buffer_qubits: int = 1 << 24
     seed_hex: str | None = None
     psk: bytes = b""
     # refuse to deliver when the measured secret fraction falls below the
@@ -126,7 +128,7 @@ class SessionConfig:
     enforce_compression_bound: bool = True
 
     def __post_init__(self):
-        if self.chunk_qubits > self.alice_buffer_qubits:
+        if self.chunk_qubits > ALICE_BUFFER_QUBITS:
             raise SessionAborted(
                 "sifting chunk exceeds Alice's preparation buffer", EXIT_CONFIG)
         if not self.psk:
@@ -343,7 +345,7 @@ class _PartyBase:
         self.mode = SiftingMode(config.sift_bits)
         self.rate = ldpc.as_rate(config.code_rate)
         self.compression = config.auto_compression()
-        self.n_out = CompressionSetting(self.compression, config.n_sift).n_out
+        self.n_out = round(self.compression * config.n_sift)
         if self.n_out == 0:
             raise SessionAborted(
                 "configured compression extracts no key at this block size",
@@ -389,14 +391,6 @@ class _PartyBase:
                         / (est.n_blocks * BLOCK_BITS), 0.5)
             est = replace(est, qber_raw=q_raw, qber_effective=q_eff)
         return est
-
-    def _amplify(self, batch_index: int, bits: np.ndarray, est: BatchEstimate,
-                 seed: PASeed) -> np.ndarray:
-        n_sift = self.config.n_sift
-        batch = DistillationBatch(batch_index, bits, blocks_attempted=est.n_blocks,
-                                  blocks_dropped=est.n_dropped, n_in=n_sift)
-        return amplify_batch(batch, CompressionSetting(self.compression, n_sift),
-                             seed, self.seed_ledger)
 
     def _batch_observables(self, est: BatchEstimate, audit: np.ndarray):
         (n_kept, err_total, err_dark, err_noise,
@@ -553,7 +547,7 @@ class BobParty(_PartyBase):
         if peer_digest != cfg.digest():
             raise SessionAborted("configuration mismatch between parties", EXIT_CONFIG)
         self.ep.send(CH_CONTROL, frames.encode_hello(cfg.digest(), quantum_seed))
-        qseed = EntropySeed(quantum_seed, "fixed")
+        qseed = EntropySeed(quantum_seed)
         self.rng = RandomStream(qseed, DOM_QUANTUM)
         self.proto_rng = RandomStream(qseed, DOM_BOB)
         self.source = QubitSource(self.rng.draw_bytes(32), cfg.params.p_decoy)
@@ -575,7 +569,7 @@ class BobParty(_PartyBase):
         # gates and qubits stay chunk-local; collision resolution does not
         # depend on where the chunk starts
         data, monitor = sample_detections(cfg.params, chunk_view, n_q, self.rng)
-        events = resolve_collisions(data, monitor, 0, self.rng)
+        events = resolve_collisions(data, monitor, self.rng)
         self._accumulate_audit(monitor, q0)
         self.total_qubits += n_q
         payload, n_blocks = encode(events, self.mode)
@@ -671,7 +665,7 @@ class BobParty(_PartyBase):
 
         est = self._estimate_and_reset(mism)
         self._finish_batch(batch_index, est, audit,
-                           self._amplify(batch_index, batch_bits, est, seed))
+                           amplify_batch(batch_bits, seed, self.n_out, self.seed_ledger))
 
     # truth-channel audit accumulators (simulation only)
     def _accumulate_audit(self, monitor, q0: int):
@@ -750,13 +744,13 @@ class AliceParty(_PartyBase):
         # Bob echoes only a hello that matched his configuration
         if frames.decode_hello(self.ep.expect(CH_CONTROL)) != (cfg.digest(), session_seed):
             raise SessionAborted("peer echoed a different hello")
-        qseed = EntropySeed(session_seed, "fixed")
+        qseed = EntropySeed(session_seed)
         rng = RandomStream(qseed, DOM_QUANTUM)
         self.source = QubitSource(rng.draw_bytes(32), cfg.params.p_decoy)
 
     def _sift_round(self, payload: bytes):
         cfg = self.config
-        n_q, n_blocks, blocks = frames.decode_sift_disclosure(payload, cfg.alice_buffer_qubits)
+        n_q, n_blocks, blocks = frames.decode_sift_disclosure(payload, cfg.chunk_qubits)
         view = decode_and_sift(_OffsetSource(self.source, self.qubits_seen),
                                blocks, self.mode, n_blocks)
         if any(q[-1] >= n_q for q in (view.data_qubits, view.monitor_qubits) if q.size):
@@ -812,7 +806,7 @@ class AliceParty(_PartyBase):
                          dtype=np.int64)
         est = self._estimate_and_reset(mism)
         self._finish_batch(batch_index, est, audit,
-                           self._amplify(batch_index, batch_bits, est, seed))
+                           amplify_batch(batch_bits, seed, self.n_out, self.seed_ledger))
 
 
 class _OffsetSource:

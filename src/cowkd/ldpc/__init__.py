@@ -1,24 +1,7 @@
-from .codec import (
-    CodeBlock,
-    DEFAULT_ITERS,
-    DEFAULT_PROFILE,
-    PROFILE_HARDWARE,
-    PROFILE_REFERENCE,
-    STATUS_DECODED,
-    STATUS_PARITY_FAIL,
-    STATUS_PENDING,
-    decode,
-    decode_batch,
-    leak_fraction,
-    syndrome,
-    syndrome_batch,
-)
+from .codec import decode_batch, syndrome_batch
 from .matrices import BLOCK_LENGTH, RATES, Z, ParityMatrix, as_rate, parity_matrix, syndrome_length
 
 __all__ = [
-    "BLOCK_LENGTH", "CodeBlock", "DEFAULT_ITERS", "DEFAULT_PROFILE",
-    "PROFILE_HARDWARE", "PROFILE_REFERENCE", "ParityMatrix", "RATES",
-    "STATUS_DECODED", "STATUS_PARITY_FAIL", "STATUS_PENDING", "Z", "as_rate",
-    "decode", "decode_batch", "leak_fraction", "parity_matrix", "syndrome",
-    "syndrome_batch", "syndrome_length",
+    "BLOCK_LENGTH", "ParityMatrix", "RATES", "Z", "as_rate", "decode_batch",
+    "parity_matrix", "syndrome_batch", "syndrome_length",
 ]

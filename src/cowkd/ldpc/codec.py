@@ -1,30 +1,29 @@
 """Syndrome coding on 1944-bit blocks: one-way forward reconciliation.
 
-The sender transmits H.x for each key block; the receiver runs layered
-normalized min-sum decoding (ten iterations by default; the min-sum scale is
-set by the profile below) steered toward the received syndrome by flipping
-check-node signs, which is message-for-message equivalent to translating the
-problem to an error pattern and decoding toward the zero syndrome.
+The sender transmits H.x for each key block; the receiver runs ten
+iterations of layered normalized min-sum decoding (scale 15/16, below)
+steered toward the received syndrome by flipping check-node signs, which is
+message-for-message equivalent to translating the problem to an error
+pattern and decoding toward the zero syndrome.
 
-All hot paths operate on batches of blocks at once; the scalar entry points
-wrap the batch ones. The syndrome and the decoder share one set of tap
-indices per block row (`ParityMatrix.taps`), used to gather and scatter
-whole rows of column-stacked blocks. A block is frozen, and leaves the
-working arrays, at the first iteration whose hard decision meets its
-syndrome, so its result never depends on the blocks decoded beside it. The
-session hands the decoder a whole distillation batch at once; it works
-through it DECODE_SLICE blocks at a time to keep memory flat.
+Both entry points take a batch of blocks. The syndrome and the decoder
+share one set of tap indices per block row (`ParityMatrix.taps`), used to
+gather and scatter whole rows of column-stacked blocks. A block is frozen,
+and leaves the working arrays, at the first iteration whose hard decision
+meets its syndrome, so its result never depends on the blocks decoded beside
+it. The session hands the decoder a whole distillation batch at once; it
+works through it DECODE_SLICE blocks at a time to keep memory flat.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
 import numpy as np
 
 from .matrices import BLOCK_LENGTH, Z, as_rate, parity_matrix, syndrome_length
 
-DEFAULT_ITERS = 10
+ITERATIONS = 10  # decoder iterations per block
 # Rows decoded side by side. Rows never interact, so this only bounds the
 # working arrays (a few MB) and sets the vector width; results do not depend
 # on it.
@@ -33,36 +32,10 @@ DECODE_SLICE = 64
 # any message magnitude.
 _MASKED = np.float32(1e30)
 
-# Min-sum normalization profiles. "reference" uses the textbook 0.75
-# scaling; "hardware" uses the shift-add friendly 15/16, which reproduces
-# the measured frame-failure operating point of the original fixed-point
-# pipeline (about 3 % failures at a 1.91 % channel for rate 3/4). The
-# engine and the embedded failure-rate table use the hardware profile.
-PROFILE_REFERENCE = "reference"
-PROFILE_HARDWARE = "hardware"
-DEFAULT_PROFILE = PROFILE_HARDWARE
-MIN_SUM_SCALES = {PROFILE_REFERENCE: 0.75, PROFILE_HARDWARE: 15 / 16}
-
-STATUS_PENDING = "pending"
-STATUS_DECODED = "decoded"
-STATUS_PARITY_FAIL = "parity_fail"
-
-
-@dataclass
-class CodeBlock:
-    bits: np.ndarray
-    status: str = STATUS_PENDING
-    iterations: int = 0
-
-    def __post_init__(self):
-        self.bits = np.asarray(self.bits, dtype=np.uint8)
-        if self.bits.size != BLOCK_LENGTH:
-            raise ValueError(f"code blocks carry {BLOCK_LENGTH} bits")
-
-
-def leak_fraction(rate) -> float:
-    """Fraction of the block disclosed by its syndrome."""
-    return float(1 - as_rate(rate))
+# Min-sum normalization: the shift-add friendly 15/16 reproduces the measured
+# frame-failure operating point of the original fixed-point pipeline (about
+# 3 % failures at a 1.91 % channel for rate 3/4).
+MIN_SUM_SCALE = np.float32(15 / 16)
 
 
 def _syndrome_cols(bits_t: np.ndarray, taps) -> np.ndarray:
@@ -80,13 +53,8 @@ def syndrome_batch(blocks: np.ndarray, rate) -> np.ndarray:
     return np.ascontiguousarray(synd.T)
 
 
-def syndrome(block: np.ndarray, rate) -> np.ndarray:
-    return syndrome_batch(block, rate)[0]
-
-
 def decode_batch(noisy: np.ndarray, target_syndromes: np.ndarray, rate,
-                 max_iters: int = DEFAULT_ITERS, channel_p: float = 0.02,
-                 profile: str = DEFAULT_PROFILE) -> tuple[np.ndarray, np.ndarray, int]:
+                 channel_p: float = 0.02) -> tuple[np.ndarray, np.ndarray, int]:
     """Decode each row toward its target syndrome.
 
     Returns (bits, converged mask, iterations run). A True mask entry
@@ -97,9 +65,6 @@ def decode_batch(noisy: np.ndarray, target_syndromes: np.ndarray, rate,
     """
     if not 0.0 < channel_p < 0.5:
         raise ValueError("channel_p must be in (0, 0.5)")
-    if profile not in MIN_SUM_SCALES:
-        raise ValueError(f"unknown decoder profile {profile!r}")
-    scale = np.float32(MIN_SUM_SCALES[profile])
     rate = as_rate(rate)
     taps = parity_matrix(rate).taps
     noisy = np.atleast_2d(np.asarray(noisy, dtype=np.uint8))
@@ -114,12 +79,11 @@ def decode_batch(noisy: np.ndarray, target_syndromes: np.ndarray, rate,
     iters = 0
     for lo in range(0, b, DECODE_SLICE):
         part = slice(lo, lo + DECODE_SLICE)
-        iters = max(iters, _decode_slice(bits[part], targets[part], ok[part], taps,
-                                         llr, scale, max_iters))
+        iters = max(iters, _decode_slice(bits[part], targets[part], ok[part], taps, llr))
     return bits, ok, iters
 
 
-def _decode_slice(bits, targets, ok, taps, llr, scale, max_iters) -> int:
+def _decode_slice(bits, targets, ok, taps, llr) -> int:
     """Layered min-sum on a few rows, in place on `bits` and `ok`.
 
     Column-stacked: row p of `lam` holds bit p's posterior LLR for every
@@ -135,7 +99,7 @@ def _decode_slice(bits, targets, ok, taps, llr, scale, max_iters) -> int:
     tgt = tgt[:, live]
     flip = tgt.reshape(len(taps), Z, -1).astype(bool)  # target bit 1 flips the check
     msgs = [np.zeros(t.shape + (live.size,), dtype=np.float32) for t in taps]
-    for it in range(1, max_iters + 1):
+    for it in range(1, ITERATIONS + 1):
         for i, t in enumerate(taps):
             q = np.take(lam, t, axis=0)
             q -= msgs[i]
@@ -147,7 +111,7 @@ def _decode_slice(bits, targets, ok, taps, llr, scale, max_iters) -> int:
             at_min &= np.add.reduce(at_min.view(np.uint8), axis=0) == 1
             at = at_min.astype(np.float32)
             min2 = (mag + at * _MASKED).min(axis=0)
-            new = np.maximum(at * (scale * min2), scale * min1)
+            new = np.maximum(at * (MIN_SUM_SCALE * min2), MIN_SUM_SCALE * min1)
             # sign: product of the other taps' signs, flipped by the target bit
             odd = np.logical_xor.reduce(q < 0, axis=0) ^ flip[i]
             new = np.copysign(new, q)
@@ -166,14 +130,4 @@ def _decode_slice(bits, targets, ok, taps, llr, scale, max_iters) -> int:
             if live.size == 0:
                 return it
     bits[live] = (lam < 0).T
-    return max_iters
-
-
-def decode(noisy: np.ndarray, target_syndrome: np.ndarray, rate,
-           max_iters: int = DEFAULT_ITERS, channel_p: float = 0.02,
-           profile: str = DEFAULT_PROFILE) -> CodeBlock:
-    """Single-block decode; failure is reported in the status field."""
-    bits, ok, iters = decode_batch(noisy, target_syndrome, rate, max_iters,
-                                   channel_p, profile)
-    status = STATUS_DECODED if ok[0] else STATUS_PARITY_FAIL
-    return CodeBlock(bits[0], status, iters)
+    return ITERATIONS

@@ -1,7 +1,7 @@
 """Measured frame-failure rates of the shipped decoder, with interpolation.
 
 The table below was produced by `python -m cowkd.ldpc.fer` on this
-implementation (hardware profile, ten iterations) over a binary symmetric
+implementation (15/16 min-sum, ten iterations) over a binary symmetric
 channel and is consumed by the parameter optimizer to predict
 verification-drop rates. Regenerate after any decoder change.
 """
@@ -17,7 +17,7 @@ from .codec import decode_batch, syndrome_batch
 from .matrices import BLOCK_LENGTH, as_rate
 
 # crossover probability -> measured frame failure rate, per code rate
-# (hardware profile, 4096 blocks per point, seed 2024)
+# (4096 blocks per point, seed 2024)
 FER_TABLE = {
     "1/2": [[0.02, 0.00024], [0.04, 0.00049], [0.06, 0.02319], [0.07, 0.22681],
             [0.08, 0.74023], [0.09, 0.98218], [0.1, 1.0]],
@@ -50,11 +50,8 @@ def fer_estimate(rate, qber: float) -> float:
 
 
 def measure_point(rate, crossover: float, n_blocks: int, seed: int = 2024,
-                  batch: int = 512, profile: str = None) -> float:
+                  batch: int = 512) -> float:
     """Monte-Carlo frame failure rate on a BSC at the given crossover."""
-    from .codec import DEFAULT_PROFILE
-
-    profile = profile or DEFAULT_PROFILE
     rng = new_stream(EntropySeed.from_int(seed))
     failures = 0
     done = 0
@@ -64,8 +61,7 @@ def measure_point(rate, crossover: float, n_blocks: int, seed: int = 2024,
         synd = syndrome_batch(true, rate)
         flips = (rng.draw_uniform(b * BLOCK_LENGTH).reshape(b, BLOCK_LENGTH)
                  < crossover).astype(np.uint8)
-        _, ok, _ = decode_batch(true ^ flips, synd, rate, channel_p=crossover,
-                                profile=profile)
+        _, ok, _ = decode_batch(true ^ flips, synd, rate, channel_p=crossover)
         failures += int(b - ok.sum())
         done += b
     return failures / n_blocks

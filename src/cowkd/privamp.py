@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finitekey import N_SIFT_BLOCK, quantize_compression
 from .randomness import RandomStream
 
 _DIRECT_LIMIT = 1 << 11  # below this work product, use exact integer convolve
@@ -194,7 +193,7 @@ def lfsr_expand(lfsr_state: np.ndarray, feedback_poly: np.ndarray, length: int) 
 
 
 # ---------------------------------------------------------------------------
-# seeds and settings
+# seeds
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -243,41 +242,6 @@ def make_seed(rng: RandomStream, n_in: int, n_out: int, mode: str = PASeed.LFSR)
     while n_out and not poly.any():
         poly = rng.draw_bits(n_out)
     return PASeed(mode=PASeed.LFSR, lfsr_state=state, feedback_poly=poly)
-
-
-@dataclass(frozen=True)
-class CompressionSetting:
-    """Requested output/input ratio, quantized to the 0.05 % grid."""
-
-    ratio: float
-    n_in: int = N_SIFT_BLOCK
-
-    @property
-    def quantized(self) -> float:
-        return quantize_compression(self.ratio)[0]
-
-    @property
-    def n_out(self) -> int:
-        if self.n_in == N_SIFT_BLOCK:
-            return quantize_compression(self.ratio)[1]
-        steps = quantize_compression(self.ratio)[0]
-        return int(round(steps * self.n_in))
-
-
-@dataclass
-class DistillationBatch:
-    """Verified key bits assembled from passed blocks, ready for hashing."""
-
-    batch_id: int
-    bits: np.ndarray
-    blocks_attempted: int = 512
-    blocks_dropped: int = 0
-    n_in: int = N_SIFT_BLOCK
-
-    def __post_init__(self):
-        self.bits = np.asarray(self.bits, dtype=np.uint8)
-        if self.bits.size != self.n_in:
-            raise ValueError(f"batch must carry {self.n_in} bits")
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +323,8 @@ class SeedLedger:
         self._seen.add(fp)
 
 
-def amplify_batch(batch: DistillationBatch, setting: CompressionSetting,
-                  seed: PASeed, ledger: SeedLedger | None = None) -> np.ndarray:
-    """Compress one verified batch into its secret key bits."""
-    if ledger is not None:
-        ledger.register(seed)
-    return toeplitz_hash(batch.bits, seed, setting.n_out)
+def amplify_batch(bits: np.ndarray, seed: PASeed, n_out: int, ledger: SeedLedger) -> np.ndarray:
+    """Compress one verified batch into its n_out secret key bits, refusing
+    a seed `ledger` has seen before."""
+    ledger.register(seed)
+    return toeplitz_hash(bits, seed, n_out)

@@ -1,7 +1,7 @@
 """Random bit supply: a 256-bit entropy seed expanded by a counter-mode DRBG.
 
 A true-entropy seed (OS entropy, or a fixed value for reproducible runs) keys
-an AES-256 counter-mode generator. Independent sub-streams for different
+an AES-256 counter-mode generator. Independent streams for different
 protocol purposes are separated by a 32-bit domain label occupying the top
 bits of the 128-bit block counter, so their counter ranges can never overlap.
 """
@@ -17,6 +17,7 @@ SEED_BITS = 256
 _BLOCK_BYTES = 16
 # Blocks available to one domain: counter bits below the 32-bit label.
 _DOMAIN_SPACE = 1 << 96
+_ZERO_BYTE = np.zeros(1, dtype=np.uint8)
 
 
 class CounterExhausted(RuntimeError):
@@ -25,32 +26,25 @@ class CounterExhausted(RuntimeError):
 
 @dataclass(frozen=True)
 class EntropySeed:
-    """256-bit DRBG seed with a label recording where it came from."""
+    """256-bit DRBG seed."""
 
     bits: bytes
-    source: str  # "os" | "fixed"
 
     def __post_init__(self):
         if len(self.bits) != SEED_BITS // 8:
             raise ValueError(f"seed must be {SEED_BITS} bits")
 
     @classmethod
-    def from_os(cls) -> "EntropySeed":
-        import os
-
-        return cls(os.urandom(SEED_BITS // 8), "os")
-
-    @classmethod
     def from_hex(cls, hex256: str) -> "EntropySeed":
         raw = bytes.fromhex(hex256)
         if len(raw) != SEED_BITS // 8:
             raise ValueError("seed must be 64 hex characters (256 bits)")
-        return cls(raw, "fixed")
+        return cls(raw)
 
     @classmethod
     def from_int(cls, value: int) -> "EntropySeed":
         """Convenience for tests: expand a small integer to a fixed seed."""
-        return cls(value.to_bytes(SEED_BITS // 8, "big"), "fixed")
+        return cls(value.to_bytes(SEED_BITS // 8, "big"))
 
 
 class RandomStream:
@@ -71,7 +65,6 @@ class RandomStream:
         self._buf = b""
         self._buf_bits = 0  # unread bits remaining in _buf (from its tail)
         self.bits_emitted = 0
-        self._children: set[int] = set()
 
     # -- raw block generation -------------------------------------------------
 
@@ -97,56 +90,39 @@ class RandomStream:
 
     # -- public draws ----------------------------------------------------------
 
-    def draw_bytes(self, n: int) -> bytes:
-        """Draw n bytes. Byte draws are aligned to the bit stream."""
-        return self._draw_packed(n).tobytes()
-
     def draw_bits(self, n: int) -> np.ndarray:
         """Draw n bits as a uint8 0/1 array, advancing the stream."""
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        if n == 0:
-            return np.zeros(0, dtype=np.uint8)
-        out = np.empty(n, dtype=np.uint8)
-        filled = 0
-        if self._buf_bits:
-            take = min(n, self._buf_bits)
-            all_bits = np.unpackbits(np.frombuffer(self._buf, dtype=np.uint8))
-            start = all_bits.size - self._buf_bits
-            out[:take] = all_bits[start : start + take]
-            self._buf_bits -= take
-            filled = take
-        remaining = n - filled
-        if remaining:
-            n_blocks = (remaining + 127) // 128
-            raw = self._raw_blocks(n_blocks)
-            bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
-            out[filled:] = bits[:remaining]
-            leftover = bits.size - remaining
-            if leftover:
-                self._buf = raw[-_BLOCK_BYTES:]
-                self._buf_bits = leftover
-            else:
-                self._buf = b""
-                self._buf_bits = 0
-        self.bits_emitted += n
-        return out
+        return np.unpackbits(self._draw_packed(n), count=n)
 
-    def _draw_packed(self, n_bytes: int) -> np.ndarray:
-        """The next 8 * n_bytes stream bits, packed most significant first.
+    def draw_bytes(self, n: int) -> bytes:
+        """Draw n bytes. Byte draws are aligned to the bit stream."""
+        return self._draw_packed(8 * n).tobytes()
+
+    def draw_uniform(self, n: int) -> np.ndarray:
+        """n floats uniform on [0, 1) with 32-bit resolution.
+
+        Each float is the next 32 stream bits read as a big-endian word.
+        """
+        words = self._draw_packed(32 * n).view(">u4")
+        return words.astype(np.float64) / float(1 << 32)
+
+    def _draw_packed(self, n_bits: int) -> np.ndarray:
+        """The next n_bits stream bits, packed most significant first into
+        ceil(n_bits / 8) bytes. Bits past n_bits in the last byte are filler,
+        not drawn.
 
         Unread bits are the last `_buf_bits` bits of `_buf` (one AES block);
         when the stream sits off a byte boundary, each output byte joins the
-        tail of one source byte with the head of the next.
+        tail of one source byte with the head of the next (a zero byte after
+        the source is the last byte's filler).
         """
-        if n_bytes < 0:
+        if n_bits < 0:
             raise ValueError("n must be >= 0")
-        n_bits = 8 * n_bytes
         have = self._buf_bits
         n_blocks = -(-(n_bits - have) // 128) if n_bits > have else 0
         raw = self._raw_blocks(n_blocks) if n_blocks else b""
         head = np.frombuffer(self._buf, dtype=np.uint8)[len(self._buf) - (have + 7) // 8 :]
-        src = np.concatenate([head, np.frombuffer(raw, dtype=np.uint8)])
+        src = np.concatenate([head, np.frombuffer(raw, dtype=np.uint8), _ZERO_BYTE])
         read = (-have) % 8  # bits of head[0] drawn already
         if read:
             src = (src[:-1] << read) | (src[1:] >> (8 - read))
@@ -154,33 +130,7 @@ class RandomStream:
             self._buf = raw[-_BLOCK_BYTES:]
         self._buf_bits = have + 128 * n_blocks - n_bits
         self.bits_emitted += n_bits
-        return src[:n_bytes]
-
-    def draw_uniform(self, n: int) -> np.ndarray:
-        """n floats uniform on [0, 1) with 32-bit resolution.
-
-        Each float is the next 32 stream bits read as a big-endian word.
-        """
-        words = self._draw_packed(4 * n).view(">u4")
-        return words.astype(np.float64) / float(1 << 32)
-
-    def draw_int(self, bits: int) -> int:
-        from .bitops import bits_to_int
-
-        return bits_to_int(self.draw_bits(bits))
-
-    def substream(self, label: int) -> "RandomStream":
-        """Independent stream over a disjoint counter range.
-
-        Labels must be nonzero, unique per parent, and distinct from the
-        parent's own domain.
-        """
-        if label == 0 or label == self.domain:
-            raise ValueError("substream label must be nonzero and != parent domain")
-        if label in self._children:
-            raise ValueError(f"substream label {label} already issued")
-        self._children.add(label)
-        return RandomStream(self.seed, domain=label)
+        return src[: (n_bits + 7) // 8]
 
 
 def new_stream(seed: EntropySeed) -> RandomStream:

@@ -9,9 +9,9 @@ each advancing 2^w - 1 qubit periods (the delta value 2^w - 1 is reserved as
 the overflow marker).
 
 Wire layout per block, most significant bit first: w delta bits, then the
-two control bits (then one optional sampling flag when enabled). Blocks are
-packed back to back with no per-block framing; e.g. in 6-bit mode a data
-detection three qubits after the previous one serializes as 000011 01.
+two control bits. Blocks are packed back to back with no per-block framing;
+e.g. in 6-bit mode a data detection three qubits after the previous one
+serializes as 000011 01.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitops import unpack_bits
-from .cowsim.channel import BASIS_DATA, DetectionArrays, deadtime_mask
+from .cowsim.channel import BASIS_DATA, DetectionArrays
 from .errors import SessionAborted
 from .randomness import RandomStream
 
@@ -37,7 +37,6 @@ _VALID_WIDTHS = (6, 14)
 @dataclass(frozen=True)
 class SiftingMode:
     time_field_bits: int = 14
-    sample_flag: bool = False  # optional third control bit (off by default)
 
     def __post_init__(self):
         if self.time_field_bits not in _VALID_WIDTHS:
@@ -45,7 +44,7 @@ class SiftingMode:
 
     @property
     def block_bits(self) -> int:
-        return self.time_field_bits + 2 + (1 if self.sample_flag else 0)
+        return self.time_field_bits + 2
 
     @property
     def overflow_marker(self) -> int:
@@ -54,12 +53,6 @@ class SiftingMode:
     @property
     def max_delta(self) -> int:
         return (1 << self.time_field_bits) - 2
-
-    @classmethod
-    def for_detection_probability(cls, p_detect: float) -> "SiftingMode":
-        """Cheaper of the two widths at this per-qubit detection probability."""
-        costs = {w: sifting_cost(p_detect, cls(w)) for w in _VALID_WIDTHS}
-        return cls(min(costs, key=costs.get))
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +67,6 @@ class ResolvedEvents:
     control: np.ndarray  # CONTROL_DATA / CONTROL_MON_*
     bob_bit: np.ndarray  # measured bit for data events, 0 otherwise
     truth: np.ndarray
-    raw_count: int = 0  # data-detector clicks before resolution
 
     def __len__(self):
         return self.qubit.size
@@ -84,12 +76,11 @@ class ResolvedEvents:
 
 
 def resolve_collisions(data: DetectionArrays, monitor: DetectionArrays,
-                       deadtime_gates: int, rng: RandomStream) -> ResolvedEvents:
-    """Apply double-click policy and logical deadtime to raw detections.
+                       rng: RandomStream) -> ResolvedEvents:
+    """Apply the double-click policy to raw detections.
 
     Same-gate clicks in both detectors keep the data record; clicks in both
-    bins of one qubit collapse to a uniformly random bit; a detector is
-    blind for `deadtime_gates` after each accepted click. Where a data and a
+    bins of one qubit collapse to a uniformly random bit. Where a data and a
     monitor event survive within one qubit period, the data event wins (one
     disclosure per qubit period).
 
@@ -99,15 +90,11 @@ def resolve_collisions(data: DetectionArrays, monitor: DetectionArrays,
     """
     if np.any(np.diff(data.gate) < 0) or np.any(np.diff(monitor.gate) < 0):
         raise SessionAborted("detection streams must be gate-sorted")
-    dkeep = deadtime_mask(data.gate, deadtime_gates)
-    dg, dt = data.gate[dkeep], data.truth[dkeep]
-    raw_count = dg.size
+    dg = data.gate
 
     # same-gate cross-detector: drop the monitor record; then one event per
     # qubit period (the channel emits the destructive port first on ties)
     keep_mon = ~_in_sorted(monitor.gate, dg)
-    live = np.flatnonzero(keep_mon)
-    keep_mon[live] = deadtime_mask(monitor.gate[live], deadtime_gates)
     mg = monitor.gate[keep_mon]
     mt = monitor.truth[keep_mon]
     mdest = monitor.destructive[keep_mon]
@@ -124,7 +111,7 @@ def resolve_collisions(data: DetectionArrays, monitor: DetectionArrays,
         bits[np.flatnonzero(dup) - 1] = coin  # overwrite the kept (first) record
     dq_k = dq[first]
     dbits = bits[first]
-    dtruth = dt[first]
+    dtruth = data.truth[first]
 
     # merge: data beats monitor within a qubit period
     mq = mg >> 1
@@ -139,8 +126,7 @@ def resolve_collisions(data: DetectionArrays, monitor: DetectionArrays,
     bob_bit = np.concatenate([dbits, np.zeros(mq.size, dtype=np.uint8)])
     truth = np.concatenate([dtruth, mt])
     order = np.argsort(q, kind="stable")
-    return ResolvedEvents(q[order], ctrl[order], bob_bit[order], truth[order],
-                          raw_count=raw_count)
+    return ResolvedEvents(q[order], ctrl[order], bob_bit[order], truth[order])
 
 
 def _in_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -164,8 +150,7 @@ def _first_per_qubit(gates: np.ndarray) -> np.ndarray:
 # block encoding
 # ---------------------------------------------------------------------------
 
-def encode(events: ResolvedEvents, mode: SiftingMode,
-           sample_mask: np.ndarray | None = None) -> tuple[bytes, int]:
+def encode(events: ResolvedEvents, mode: SiftingMode) -> tuple[bytes, int]:
     """Serialize events to packed sifting blocks; returns (payload, n_blocks)."""
     q = events.qubit
     if q.size == 0:
@@ -184,31 +169,23 @@ def encode(events: ResolvedEvents, mode: SiftingMode,
     pos = np.cumsum(over + 1) - 1
     values[pos] = resid.astype(np.uint16)
     control[pos] = events.control
-    flags = None
-    if mode.sample_flag:
-        flags = np.zeros(n_blocks, dtype=np.uint8)
-        if sample_mask is not None:
-            flags[pos] = np.asarray(sample_mask, dtype=np.uint8)
 
     w = mode.time_field_bits
     cols = [((values >> (w - 1 - i)) & 1).astype(np.uint8) for i in range(w)]
     cols.append((control >> 1) & 1)
     cols.append(control & 1)
-    if flags is not None:
-        cols.append(flags)
     bits = np.stack(cols, axis=1).reshape(-1)
     return np.packbits(bits).tobytes(), n_blocks
 
 
-def decode(payload: bytes, mode: SiftingMode, n_blocks: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inverse of encode: (qubit indices, control codes, sample flags)."""
+def decode(payload: bytes, mode: SiftingMode, n_blocks: int) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of encode: (qubit indices, control codes)."""
     bb = mode.block_bits
     rows = unpack_bits(payload, n_blocks * bb).reshape(n_blocks, bb)
     w = mode.time_field_bits
     weights = (1 << np.arange(w - 1, -1, -1)).astype(np.int64)
     values = rows[:, :w].astype(np.int64) @ weights
     control = (rows[:, w] << 1) | rows[:, w + 1]
-    flags = rows[:, w + 2].astype(bool) if mode.sample_flag else np.zeros(n_blocks, dtype=bool)
 
     m = mode.overflow_marker
     is_empty = control == CONTROL_EMPTY
@@ -219,7 +196,7 @@ def decode(payload: bytes, mode: SiftingMode, n_blocks: int) -> tuple[np.ndarray
     advance = np.where(is_empty, m, values + 1)
     ends = np.cumsum(advance)
     qubits = ends - 1
-    return qubits[~is_empty], control[~is_empty].astype(np.uint8), flags[~is_empty]
+    return qubits[~is_empty], control[~is_empty].astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +224,7 @@ def decode_and_sift(alice, payload: bytes, mode: SiftingMode, n_blocks: int) -> 
     Detections on decoy qubits leave the key (they only feed the coherence
     statistics); monitor disclosures are split out with their port bit.
     """
-    qubits, control, _ = decode(payload, mode, n_blocks)
+    qubits, control = decode(payload, mode, n_blocks)
     is_data = control == CONTROL_DATA
     dq = qubits[is_data]
     basis, bits = alice.at(dq)

@@ -64,18 +64,17 @@ def gf48_mul_vec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _limb_matrix(blocks: np.ndarray) -> np.ndarray:
-    """(n_blocks, 43) uint64 limb matrix for a (n_blocks, 1944) bit array."""
+    """(n_blocks, 43) uint64 limb matrix for a (n_blocks, 1944) bit array.
+
+    A limb is six little-endian bytes, so each zero-padded to eight bytes
+    reads as one little-endian word.
+    """
     n = blocks.shape[0]
-    packed = np.zeros((n, PADDED_BITS // 8), dtype=np.uint8)
+    packed = np.zeros((n, N_LIMBS * 6), dtype=np.uint8)
     packed[:, : BLOCK_BITS // 8] = np.packbits(blocks, axis=1)
-    limbs = np.zeros((n, N_LIMBS), dtype=np.uint64)
-    for i in range(N_LIMBS):
-        chunk = packed[:, 6 * i : 6 * i + 6]
-        value = np.zeros(n, dtype=np.uint64)
-        for j in range(chunk.shape[1]):
-            value |= chunk[:, j].astype(np.uint64) << np.uint64(8 * j)
-        limbs[:, i] = value
-    return limbs
+    words = np.zeros((n, N_LIMBS, 8), dtype=np.uint8)
+    words[:, :, :6] = packed.reshape(n, N_LIMBS, 6)
+    return words.view("<u8")[:, :, 0]
 
 
 def hash_blocks(blocks: np.ndarray, seeds: np.ndarray) -> np.ndarray:

@@ -4,12 +4,13 @@
 polynomial MAC; `resolve_collisions_isin` resolves collisions with
 `np.isin` membership tests; `lfsr_expand_ref` steps the LFSR one bit at a
 time and `toeplitz_hash_dense` multiplies by the dense Toeplitz matrix;
-`draw_uniform_bits` builds uniform floats from the stream's bits;
+`aes_ctr_bits` computes a stream's bits straight from AES-256 of its
+counters and `uniform_from_bits` reads them as uniform floats;
 `gf48_mul` / `poly_hash48` evaluate the verification hash one limb at a time,
 and `make_tags_per_block` draws one tag seed per block.
 They define what `cowkd.auth.poly_mac`, `cowkd.sifting.resolve_collisions`,
 `cowkd.privamp.lfsr_expand` / `toeplitz_hash`,
-`cowkd.randomness.RandomStream.draw_uniform` and
+`cowkd.randomness.RandomStream` draws and
 `cowkd.verification.gf48_mul_vec` / `hash_blocks` / `make_tags` must return,
 bit for bit.
 `sift_pair` runs both sides of one disclosure round trip, and
@@ -22,12 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from cowkd.auth import LIMB_BITS, UNIT_BITS, mod_p
-from cowkd.bitops import pack_bits
-from cowkd.cowsim.channel import DetectionArrays, deadtime_mask
+from cowkd.bitops import bits_to_int, pack_bits
+from cowkd.cowsim.channel import DetectionArrays
 from cowkd.errors import SessionAborted
-from cowkd.randomness import RandomStream
+from cowkd.randomness import EntropySeed, RandomStream
 from cowkd.sifting import (
     CONTROL_DATA,
     CONTROL_MON_DEST,
@@ -77,17 +79,13 @@ def poly_mac_horner(message: bytes, poly_key: int) -> int:
 
 
 def resolve_collisions_isin(data: DetectionArrays, monitor: DetectionArrays,
-                            deadtime_gates: int, rng: RandomStream) -> ResolvedEvents:
+                            rng: RandomStream) -> ResolvedEvents:
     """Collision resolution with hash-based `np.isin` membership tests."""
     if np.any(np.diff(data.gate) < 0) or np.any(np.diff(monitor.gate) < 0):
         raise SessionAborted("detection streams must be gate-sorted")
-    dkeep = deadtime_mask(data.gate, deadtime_gates)
-    dg, dt = data.gate[dkeep], data.truth[dkeep]
-    raw_count = dg.size
+    dg, dt = data.gate, data.truth
 
     keep_mon = ~np.isin(monitor.gate, dg)
-    live = np.flatnonzero(keep_mon)
-    keep_mon[live] = deadtime_mask(monitor.gate[live], deadtime_gates)
     mg = monitor.gate[keep_mon]
     mt = monitor.truth[keep_mon]
     mdest = monitor.destructive[keep_mon]
@@ -117,8 +115,7 @@ def resolve_collisions_isin(data: DetectionArrays, monitor: DetectionArrays,
     bob_bit = np.concatenate([dbits, np.zeros(mq.size, dtype=np.uint8)])
     truth = np.concatenate([dtruth, mt])
     order = np.argsort(q, kind="stable")
-    return ResolvedEvents(q[order], ctrl[order], bob_bit[order], truth[order],
-                          raw_count=raw_count)
+    return ResolvedEvents(q[order], ctrl[order], bob_bit[order], truth[order])
 
 
 def lfsr_expand_ref(lfsr_state, feedback_poly, length: int) -> np.ndarray:
@@ -149,10 +146,19 @@ def toeplitz_hash_dense(input_bits: np.ndarray, diagonal: np.ndarray, n_out: int
     return ((t @ x) & 1).astype(np.uint8)
 
 
-def draw_uniform_bits(rng: RandomStream, n: int) -> np.ndarray:
-    """n floats uniform on [0, 1): 32 stream bits per float, big-endian."""
-    raw = rng.draw_bits(32 * n)
-    words = np.packbits(raw).view(">u4").astype(np.uint64)
+def aes_ctr_bits(seed: EntropySeed, domain: int, n_bits: int) -> np.ndarray:
+    """The first n_bits of a domain's stream: AES-256-ECB of the big-endian
+    128-bit counters (domain << 96) + 0, 1, 2, ..., unpacked MSB first."""
+    counters = b"".join(((domain << 96) + i).to_bytes(16, "big")
+                        for i in range(-(-n_bits // 128)))
+    enc = Cipher(algorithms.AES(seed.bits), modes.ECB()).encryptor()
+    raw = enc.update(counters) + enc.finalize()
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:n_bits]
+
+
+def uniform_from_bits(bits: np.ndarray) -> np.ndarray:
+    """Floats on [0, 1): each 32 bits read as a big-endian word over 2^32."""
+    words = np.packbits(bits).view(">u4")
     return words.astype(np.float64) / float(1 << 32)
 
 
@@ -191,9 +197,10 @@ def poly_hash48(message_bits: np.ndarray, seed: int) -> int:
 
 
 def make_tags_per_block(blocks: np.ndarray, rng: RandomStream) -> list[VerificationTag]:
-    """Verification tags with one 48-bit `draw_int` per block, in block order."""
+    """Verification tags with one 48-bit seed draw per block, in block order."""
     blocks = np.atleast_2d(np.asarray(blocks, dtype=np.uint8))
-    seeds = np.array([rng.draw_int(48) for _ in range(blocks.shape[0])], dtype=np.uint64)
+    seeds = np.array([bits_to_int(rng.draw_bits(48)) for _ in range(blocks.shape[0])],
+                     dtype=np.uint64)
     tags = hash_blocks(blocks, seeds)
     return [VerificationTag(int(s), int(t)) for s, t in zip(seeds, tags)]
 

@@ -19,6 +19,7 @@ import fk_oracle
 from oracles import _limbs_from_bits, estimate_qber, toeplitz_hash_dense
 from cowkd import ldpc
 from cowkd.auth import P127, consumption_fraction, deception_bound, field_mul
+from cowkd.bitops import bits_to_int
 from cowkd.cowsim import QubitSource
 from cowkd.engine import SessionConfig, run_session
 from cowkd.finitekey import (
@@ -28,14 +29,14 @@ from cowkd.finitekey import (
     delta_q,
     delta_v,
     finite_penalties,
+    quantize_compression,
     secret_fraction,
 )
 from cowkd.ldpc.fer import measure_point
 from cowkd.presets import MEASURED, channel_params
 from cowkd.privamp import (
-    CompressionSetting,
-    DistillationBatch,
     PASeed,
+    SeedLedger,
     amplify_batch,
     lfsr_expand,
     make_seed,
@@ -69,7 +70,7 @@ def _events(qubits):
     q = np.asarray(qubits, dtype=np.int64)
     return ResolvedEvents(q, np.full(q.size, CONTROL_DATA, dtype=np.uint8),
                           np.zeros(q.size, dtype=np.uint8),
-                          np.zeros(q.size, dtype=np.uint8), raw_count=q.size)
+                          np.zeros(q.size, dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +98,7 @@ def test_criterion_01_pipeline_identity():
 def test_criterion_02_sifted_fraction():
     rng = stream(2)
     params = channel_params(1.0)
-    src = QubitSource.from_stream(rng, params.p_decoy)
+    src = QubitSource(rng.draw_bytes(32), params.p_decoy)
     n = 5_000_000
     basis, _ = src.at(np.arange(n))
     hit = rng.draw_uniform(n) < np.where(basis == 1, 0.5, 0.25)
@@ -144,9 +145,9 @@ def test_criterion_04_ldpc_operating_point():
     h = ldpc.parity_matrix("3/4").dense()
     x = rng.draw_bits(1944)
     y = rng.draw_bits(1944)
-    assert np.array_equal(ldpc.syndrome(x, "3/4"), (h @ x % 2).astype(np.uint8))
-    assert np.array_equal(ldpc.syndrome(x, "3/4") ^ ldpc.syndrome(y, "3/4"),
-                          ldpc.syndrome(x ^ y, "3/4"))
+    sx, sy, sxy = ldpc.syndrome_batch(np.stack([x, y, x ^ y]), "3/4")
+    assert np.array_equal(sx, (h @ x % 2).astype(np.uint8))
+    assert np.array_equal(sx ^ sy, sxy)
     _report(4, f"rate-3/4 failure rate {100 * fer_op:.2f} % at 1.91 % "
                f"(window [1.03, 9.3] %); {100 * fer_low:.3f} % < 0.1 % at 1 %; "
                "syndromes exact")
@@ -186,7 +187,7 @@ def test_criterion_06_verification_bound_and_false_accepts():
     limbs_b = _limbs_from_bits(flipped)
     n = 100_000
     seed_rng = stream(61)
-    seeds = np.array([seed_rng.draw_int(48) for _ in range(n)], dtype=np.uint64)
+    seeds = np.array([bits_to_int(seed_rng.draw_bits(48)) for _ in range(n)], dtype=np.uint64)
     tag_a = np.zeros(n, dtype=np.uint64)
     tag_b = np.zeros(n, dtype=np.uint64)
     for ca, cb in zip(reversed(limbs_a), reversed(limbs_b)):
@@ -219,11 +220,11 @@ def test_criterion_07_privacy_amplification():
     assert np.array_equal(toeplitz_hash(x, lseed, n_out),
                           toeplitz_hash(x, expl, n_out))
     # throughput on a full batch
-    batch = DistillationBatch(0, rng.draw_bits(N_SIFT_BLOCK))
-    setting = CompressionSetting(0.115)
-    seed = make_seed(rng, N_SIFT_BLOCK, setting.n_out, mode=PASeed.LFSR)
+    bits = rng.draw_bits(N_SIFT_BLOCK)
+    n_out = quantize_compression(0.115)[1]
+    seed = make_seed(rng, N_SIFT_BLOCK, n_out, mode=PASeed.LFSR)
     t0 = time.time()
-    out = amplify_batch(batch, setting, seed)
+    out = amplify_batch(bits, seed, n_out, SeedLedger())
     rate = N_SIFT_BLOCK / (time.time() - t0)
     assert out.size == 114_463
     assert rate > 1e6, rate

@@ -159,6 +159,57 @@ def test_run_flags_win_over_config_file(tmp_path, capsys):
     assert report["batches"] == 2
 
 
+@pytest.mark.parametrize("spelling", [["--batches", "2"], ["--batches=2"], ["--batch", "2"]],
+                         ids=["separate value", "equals sign", "unique prefix"])
+def test_run_flag_wins_over_config_file_however_spelled(spelling, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"batches": 7}))
+    args = run_args(tmp_path / "o")
+    at = args.index("--batches")
+    del args[at : at + 2]
+    assert main([*args, *spelling, "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "o/report_bob.json").read_text())
+    assert report["batches"] == 2
+
+
+def _channel_json_with_unknown_key(tmp_path):
+    from cowkd.presets import channel_params
+
+    data = json.loads(channel_params(1.0).to_json())
+    data["no_such_parameter"] = 1
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def _channel_json_list(tmp_path):
+    path = tmp_path / "channel.json"
+    path.write_text("[1]")
+    return path
+
+
+def _run_config_naming_the_handler(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"func": 1}))
+    return path
+
+
+@pytest.mark.parametrize("flag, make_file", [
+    ("--psk", lambda tmp_path: tmp_path / "missing.psk"),
+    ("--channel-config", lambda tmp_path: tmp_path / "missing.json"),
+    ("--channel-config", _channel_json_with_unknown_key),
+    ("--channel-config", _channel_json_list),
+    ("--config", _run_config_naming_the_handler),
+], ids=["missing psk file", "missing channel file", "unknown channel key", "channel list",
+        "non-flag config key"])
+def test_bad_input_file_is_one_line_config_error(flag, make_file, tmp_path, capsys):
+    code = main(run_args(tmp_path / "o", flag, str(make_file(tmp_path))))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("configuration error: ") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("role", ["alice", "bob"])
 def test_tcp_run_without_peer_exits_3_with_one_line(role, tmp_path, capsys):
     # alice finds no listener; bob's accept times out

@@ -30,7 +30,6 @@ from cowkd.engine.frames import (
     CH_SIFTING,
     CH_VERIFY,
     HEADER_BYTES,
-    FrameError,
 )
 from cowkd.engine.session import AliceParty, BobParty
 from cowkd.presets import channel_params
@@ -72,11 +71,11 @@ def test_frame_roundtrip():
 
 
 def test_frame_rejects_bad_channel_and_size():
-    with pytest.raises(FrameError):
+    with pytest.raises(SessionAborted):
         encode_frame(99, b"")
-    with pytest.raises(FrameError):
+    with pytest.raises(SessionAborted):
         encode_frame(CH_SIFTING, b"x" * (1 << 24))
-    with pytest.raises(FrameError):
+    with pytest.raises(SessionAborted):
         decode_header(bytes([99, 0, 0, 0]))
 
 
@@ -209,13 +208,13 @@ def test_pool_delivery_disjoint_and_zeroized():
     pool = make_pool(pad_reserve_target=0)
     rng = np.random.default_rng(5)
     pool.append(rng.integers(0, 2, size=4096).astype(np.uint8))
-    k1 = pool.deliver(128, "app")
-    k2 = pool.deliver(128, "app")
+    k1 = pool.deliver(128)
+    k2 = pool.deliver(128)
     assert k1 != k2
     assert pool.ledger.delivered == 256
     # a second pool fed the same key and asked later must not see k1 again
     with pytest.raises(InsufficientKey):
-        pool.deliver(1 << 20, "greedy")
+        pool.deliver(1 << 20)
     assert pool.ledger.remaining == 4096 - 256
 
 
@@ -225,7 +224,7 @@ def test_pool_delivery_cadence_identity():
     rng = np.random.default_rng(6)
     pool.append(rng.integers(0, 2, size=3840).astype(np.uint8))
     for _ in range(30):
-        pool.deliver(128, "encryptor")
+        pool.deliver(128)
     assert pool.deliverable_bits == 0
     assert 30 * 128 == 3840
 
@@ -235,7 +234,7 @@ def test_pool_freeze_blocks_delivery():
     pool.append(np.ones(512, dtype=np.uint8))
     pool.freeze()
     with pytest.raises(DeliveryFrozen):
-        pool.deliver(128, "app")
+        pool.deliver(128)
 
 
 # ---------------------------------------------------------------------------
@@ -466,16 +465,6 @@ def run_parties(alice, bob, timeout: float) -> dict:
     return errors
 
 
-def test_alice_buffer_overflow_aborts():
-    cfg_small_buffer = small_config(chunk_qubits=1 << 21, alice_buffer_qubits=1 << 21)
-    # Bob announces chunks larger than Alice's buffer: alice sees the
-    # violation at the first sifting frame
-    cfg_big_chunks = small_config(chunk_qubits=1 << 22, alice_buffer_qubits=1 << 22)
-    ta, tb = LoopbackTransport.pair(timeout=20)
-    errors = run_parties(AliceParty(cfg_small_buffer, ta), BobParty(cfg_big_chunks, tb), 30)
-    assert any(isinstance(e, SessionAborted) for e in errors.values())
-
-
 class _TamperTransport:
     """Flips one byte in the nth sent frame payload."""
 
@@ -536,6 +525,22 @@ class _RewriteTransport:
 
     def close(self):
         self._inner.close()
+
+
+def test_sifting_disclosure_of_another_length_aborts_alice():
+    # a disclosure covers exactly chunk_qubits qubits; one qubit short ends
+    # Alice with exit 3 at the first sifting frame
+    cfg = small_config(n_batches=1)
+    ta, tb = LoopbackTransport.pair(timeout=20)
+    short = (cfg.chunk_qubits - 1).to_bytes(8, "big")
+    evil = _RewriteTransport(tb, CH_SIFTING, lambda p: short + p[8:])
+    alice = AliceParty(cfg, ta)
+    errors = run_parties(alice, BobParty(cfg, evil), 30)
+    assert evil.rewritten
+    err = errors["alice"]
+    assert type(err) is SessionAborted and err.exit_code == EXIT_ABORT, repr(err)
+    assert "sifting disclosure out of step" in str(err)
+    assert alice.qubits_seen == 0
 
 
 def _bump_window(payload: bytes) -> bytes:
@@ -615,7 +620,7 @@ def test_config_validation():
     with pytest.raises(SessionAborted):
         SessionConfig(psk=b"")  # missing pre-shared key
     with pytest.raises(SessionAborted):
-        small_config(chunk_qubits=1 << 25, alice_buffer_qubits=1 << 24)
+        small_config(chunk_qubits=session_mod.ALICE_BUFFER_QUBITS + 1)
 
 
 def test_pool_otp_utility_round_trip():
@@ -629,7 +634,7 @@ def test_pool_otp_utility_round_trip():
     ct = a.otp_encrypt(msg)
     assert ct != msg
     # peer decrypts with the same pool consumption
-    key = b.deliver(8 * len(msg), "otp")
+    key = b.deliver(8 * len(msg))
     pt = bytes(c ^ k for c, k in zip(ct, key))
     assert pt == msg
     assert a.ledger.delivered == 8 * len(msg)

@@ -20,13 +20,7 @@ def test_syndrome_lengths():
     expected = {"1/2": 972, "2/3": 648, "3/4": 486, "5/6": 324}
     for r, n in expected.items():
         assert ldpc.syndrome_length(ldpc.as_rate(r)) == n
-        assert ldpc.syndrome(np.zeros(1944, dtype=np.uint8), r).size == n
-
-
-def test_leak_fraction():
-    assert ldpc.leak_fraction("3/4") == 0.25
-    assert ldpc.leak_fraction("5/6") == pytest.approx(1 / 6)
-    assert ldpc.leak_fraction("1/2") == 0.5
+        assert ldpc.syndrome_batch(np.zeros(1944, dtype=np.uint8), r).shape == (1, n)
 
 
 def test_as_rate_accepts_floats_and_strings():
@@ -44,7 +38,7 @@ def test_data_file_checksum_guard(monkeypatch):
 
 def test_zero_block_zero_syndrome():
     for r in ALL_RATES:
-        assert not ldpc.syndrome(np.zeros(1944, dtype=np.uint8), r).any()
+        assert not ldpc.syndrome_batch(np.zeros(1944, dtype=np.uint8), r).any()
 
 
 def test_syndrome_linearity():
@@ -52,9 +46,9 @@ def test_syndrome_linearity():
     for r in ALL_RATES:
         x = rng.draw_bits(1944)
         y = rng.draw_bits(1944)
-        sx = ldpc.syndrome(x, r)
-        sy = ldpc.syndrome(y, r)
-        assert np.array_equal(sx ^ sy, ldpc.syndrome(x ^ y, r))
+        sx = ldpc.syndrome_batch(x, r)
+        sy = ldpc.syndrome_batch(y, r)
+        assert np.array_equal(sx ^ sy, ldpc.syndrome_batch(x ^ y, r))
 
 
 def test_syndrome_matches_dense_oracle():
@@ -64,7 +58,7 @@ def test_syndrome_matches_dense_oracle():
         x = rng.draw_bits(5 * 1944).reshape(5, 1944)
         want = (x @ h.T % 2).astype(np.uint8)
         assert np.array_equal(ldpc.syndrome_batch(x, r), want)
-        assert np.array_equal(ldpc.syndrome(x[0], r), want[0])
+        assert np.array_equal(ldpc.syndrome_batch(x[0], r), want[:1])
 
 
 def test_expanded_weights_match_prototype():
@@ -84,10 +78,10 @@ def test_circulant_shift_consistency():
     # rolling every 81-bit column block rolls each syndrome block in step
     rng = stream(3)
     x = rng.draw_bits(1944)
-    s = ldpc.syndrome(x, "3/4")
+    s = ldpc.syndrome_batch(x, "3/4")
     for delta in (1, 17, 80):
         xs = np.roll(x.reshape(24, 81), delta, axis=1).reshape(-1)
-        ss = ldpc.syndrome(xs, "3/4")
+        ss = ldpc.syndrome_batch(xs, "3/4")
         assert np.array_equal(ss.reshape(-1, 81),
                               np.roll(s.reshape(-1, 81), delta, axis=1))
 
@@ -95,22 +89,23 @@ def test_circulant_shift_consistency():
 def test_decode_zero_errors_returns_input():
     rng = stream(4)
     x = rng.draw_bits(1944)
-    blk = ldpc.decode(x, ldpc.syndrome(x, "3/4"), "3/4", channel_p=0.02)
-    assert blk.status == ldpc.STATUS_DECODED
-    assert blk.iterations == 0
-    assert np.array_equal(blk.bits, x)
+    bits, ok, iters = ldpc.decode_batch(x, ldpc.syndrome_batch(x, "3/4"), "3/4",
+                                        channel_p=0.02)
+    assert ok.tolist() == [True]
+    assert iters == 0
+    assert np.array_equal(bits[0], x)
 
 
 def test_decode_corrects_sparse_errors():
     rng = stream(5)
     x = rng.draw_bits(1944)
-    synd = ldpc.syndrome(x, "3/4")
+    synd = ldpc.syndrome_batch(x, "3/4")
     noisy = x.copy()
     for pos in (7, 400, 1200, 1900):
         noisy[pos] ^= 1
-    blk = ldpc.decode(noisy, synd, "3/4", channel_p=0.01)
-    assert blk.status == ldpc.STATUS_DECODED
-    assert np.array_equal(blk.bits, x)
+    bits, ok, _ = ldpc.decode_batch(noisy, synd, "3/4", channel_p=0.01)
+    assert ok.tolist() == [True]
+    assert np.array_equal(bits[0], x)
 
 
 def test_decoder_soundness_on_status():
@@ -168,11 +163,11 @@ def test_decode_validates_inputs():
     x = np.zeros(1944, dtype=np.uint8)
     s = np.zeros(486, dtype=np.uint8)
     with pytest.raises(ValueError):
-        ldpc.decode(x, s, "3/4", channel_p=0.0)
+        ldpc.decode_batch(x, s, "3/4", channel_p=0.0)
     with pytest.raises(ValueError):
-        ldpc.decode(x, np.zeros(487, dtype=np.uint8), "3/4", channel_p=0.01)
+        ldpc.decode_batch(x, np.zeros(487, dtype=np.uint8), "3/4", channel_p=0.01)
     with pytest.raises(ValueError):
-        ldpc.decode(x[:100], s, "3/4", channel_p=0.01)
+        ldpc.decode_batch(x[:100], s, "3/4", channel_p=0.01)
 
 
 def test_fer_interpolation_behaviour():

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from oracles import lfsr_expand_ref, toeplitz_hash_dense
 from cowkd.engine.frames import decode_seed, encode_seed
-from cowkd.finitekey import N_SIFT_BLOCK
+from cowkd.finitekey import N_SIFT_BLOCK, quantize_compression
 from cowkd.privamp import (
-    CompressionSetting,
-    DistillationBatch,
     PASeed,
     SeedLedger,
     SeedReuseError,
@@ -245,12 +243,6 @@ def test_lfsr_mode_equals_explicit_mode():
 # batch amplification
 # ---------------------------------------------------------------------------
 
-def test_compression_setting_reference_point():
-    s = CompressionSetting(0.115)
-    assert s.n_out == 114_463
-    assert CompressionSetting(0.0).n_out == 0
-
-
 def test_table1_rate_identity():
     # sifted rate x compression ~ secret rate at the shortest fibre
     assert 1.26e6 * 0.115 == pytest.approx(1.45e5, rel=0.01)
@@ -258,35 +250,29 @@ def test_table1_rate_identity():
 
 def test_amplify_batch_and_seed_freshness():
     rng = stream(8)
-    batch = DistillationBatch(0, rng.draw_bits(N_SIFT_BLOCK))
-    setting = CompressionSetting(0.01)
-    seed = make_seed(rng, N_SIFT_BLOCK, setting.n_out, mode=PASeed.LFSR)
+    bits = rng.draw_bits(N_SIFT_BLOCK)
+    n_out = quantize_compression(0.01)[1]
+    seed = make_seed(rng, N_SIFT_BLOCK, n_out, mode=PASeed.LFSR)
     ledger = SeedLedger()
-    out = amplify_batch(batch, setting, seed, ledger)
-    assert out.size == setting.n_out
+    out = amplify_batch(bits, seed, n_out, ledger)
+    assert out.size == n_out
     with pytest.raises(SeedReuseError):
-        amplify_batch(batch, setting, seed, ledger)
+        amplify_batch(bits, seed, n_out, ledger)
 
 
 def test_amplify_ratio_zero_gives_empty_key():
     rng = stream(9)
-    batch = DistillationBatch(0, rng.draw_bits(N_SIFT_BLOCK))
     seed = make_seed(rng, N_SIFT_BLOCK, 0)
-    assert amplify_batch(batch, CompressionSetting(0.0), seed).size == 0
-
-
-def test_batch_length_enforced():
-    with pytest.raises(ValueError):
-        DistillationBatch(0, np.zeros(100, dtype=np.uint8))
+    assert amplify_batch(rng.draw_bits(N_SIFT_BLOCK), seed, 0, SeedLedger()).size == 0
 
 
 def test_full_batch_throughput_floor():
     rng = stream(10)
-    batch = DistillationBatch(0, rng.draw_bits(N_SIFT_BLOCK))
-    setting = CompressionSetting(0.115)
-    seed = make_seed(rng, N_SIFT_BLOCK, setting.n_out, mode=PASeed.LFSR)
+    bits = rng.draw_bits(N_SIFT_BLOCK)
+    n_out = quantize_compression(0.115)[1]
+    seed = make_seed(rng, N_SIFT_BLOCK, n_out, mode=PASeed.LFSR)
     t0 = time.time()
-    out = amplify_batch(batch, setting, seed)
+    out = amplify_batch(bits, seed, n_out, SeedLedger())
     elapsed = time.time() - t0
     assert out.size == 114_463
     assert N_SIFT_BLOCK / elapsed > 1e6, f"only {N_SIFT_BLOCK / elapsed:.0f} bits/s"

@@ -5,19 +5,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import draw_uniform_bits
-from cowkd.bitops import bits_to_int, int_to_bits, pack_bits, unpack_bits, xor_bytes
+from oracles import aes_ctr_bits, uniform_from_bits
+from cowkd.bitops import bits_to_int, pack_bits, unpack_bits
 from cowkd.randomness import CounterExhausted, EntropySeed, RandomStream, new_stream
 
 
 def test_seed_validation():
     with pytest.raises(ValueError):
-        EntropySeed(b"short", "fixed")
+        EntropySeed(b"short")
     with pytest.raises(ValueError):
         EntropySeed.from_hex("ab")
-    seed = EntropySeed.from_hex("ab" * 32)
-    assert seed.source == "fixed"
-    assert EntropySeed.from_os().source == "os"
+    assert EntropySeed.from_hex("ab" * 32).bits == b"\xab" * 32
 
 
 def test_same_seed_same_output():
@@ -73,18 +71,17 @@ def test_zero_draw_leaves_state():
 
 
 def test_substreams_are_disjoint_and_labels_unique():
-    r = new_stream(EntropySeed.from_int(16))
-    sub_a = r.substream(10)
-    sub_b = r.substream(11)
-    a = sub_a.draw_bits(2048)
-    b = sub_b.draw_bits(2048)
-    c = r.draw_bits(2048)
+    # domain-separated streams of one seed: distinct labels, distinct bits
+    s = EntropySeed.from_int(16)
+    a = RandomStream(s, 10).draw_bits(2048)
+    b = RandomStream(s, 11).draw_bits(2048)
+    c = new_stream(s).draw_bits(2048)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
     with pytest.raises(ValueError):
-        r.substream(10)  # label reuse
+        RandomStream(s, 1 << 32)  # the label must fit its 32 counter bits
     with pytest.raises(ValueError):
-        r.substream(0)  # reserved for the root
+        RandomStream(s, -1)
 
 
 def test_counter_exhaustion_is_explicit():
@@ -98,35 +95,40 @@ def test_draw_helpers():
     r = new_stream(EntropySeed.from_int(18))
     u = r.draw_uniform(1000)
     assert ((0 <= u) & (u < 1)).all()
-    v = r.draw_int(48)
-    assert 0 <= v < 1 << 48
     assert len(r.draw_bytes(6)) == 6
+    with pytest.raises(ValueError):
+        r.draw_bits(-1)
 
 
 def test_bitops_round_trips():
     bits = new_stream(EntropySeed.from_int(19)).draw_bits(64)
     assert np.array_equal(unpack_bits(pack_bits(bits), 64), bits)
-    n = bits_to_int(bits)
-    assert np.array_equal(int_to_bits(n, 64), bits)
-    with pytest.raises(ValueError):
-        int_to_bits(256, 8)
-    assert xor_bytes(b"\x0f\xf0", b"\xff\x00") == b"\xf0\xf0"
-    with pytest.raises(ValueError):
-        xor_bytes(b"\x00", b"\x00\x00")
+    assert bits_to_int(bits) == int.from_bytes(pack_bits(bits), "big")
 
 
-@given(seed=st.integers(0, 2 ** 16),
+_BITS_PER = {"bits": 1, "bytes": 8, "uniform": 32}
+
+
+@given(seed=st.integers(0, 2 ** 16), domain=st.sampled_from([0, 1, 3]),
        ops=st.lists(st.tuples(st.sampled_from(["bits", "uniform", "bytes"]), st.integers(0, 300)),
                     max_size=12))
-def test_interleaved_draws_match_bit_level_oracle(seed, ops):
-    fast = new_stream(EntropySeed.from_int(seed))
-    ref = new_stream(EntropySeed.from_int(seed))
+def test_interleaved_draws_match_bit_level_oracle(seed, domain, ops):
+    # every draw is the next slice of the AES counter stream, whatever kind
+    # of draw came before it
+    s = EntropySeed.from_int(seed)
+    r = RandomStream(s, domain)
+    ops = ops + [("bits", 131)]
+    ref = aes_ctr_bits(s, domain, sum(_BITS_PER[kind] * n for kind, n in ops))
+    pos = 0
     for kind, n in ops:
+        want = ref[pos : pos + _BITS_PER[kind] * n]
+        pos += want.size
         if kind == "bits":
-            assert np.array_equal(fast.draw_bits(n), ref.draw_bits(n))
+            got = r.draw_bits(n)
+            assert got.dtype == np.uint8 and np.array_equal(got, want)
         elif kind == "uniform":
-            assert np.array_equal(fast.draw_uniform(n), draw_uniform_bits(ref, n))
+            assert np.array_equal(r.draw_uniform(n), uniform_from_bits(want))
         else:
-            assert fast.draw_bytes(n) == np.packbits(ref.draw_bits(8 * n)).tobytes()
-        assert fast.bits_emitted == ref.bits_emitted
-    assert np.array_equal(fast.draw_bits(131), ref.draw_bits(131))
+            assert r.draw_bytes(n) == np.packbits(want).tobytes()
+        assert r.bits_emitted == pos
+        assert r._block == -(-pos // 128)
