@@ -50,19 +50,18 @@ class QubitSource:
         self._cipher = Cipher(algorithms.AES(key), modes.ECB())
 
     def at(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(basis, bit) arrays for the given qubit indices."""
-        idx = np.asarray(indices, dtype=np.uint64)
-        blocks = np.zeros((idx.size, 16), dtype=np.uint8)
-        blocks[:, 8:16] = idx[:, None].view(np.uint8).reshape(idx.size, 8)[:, ::-1]
-        enc = self._cipher.encryptor()
-        out = np.frombuffer(enc.update(blocks.tobytes()) + enc.finalize(),
-                            dtype=np.uint8).reshape(idx.size, 16)
-        u32 = (out[:, 0].astype(np.uint64) << np.uint64(24)) \
-            | (out[:, 1].astype(np.uint64) << np.uint64(16)) \
-            | (out[:, 2].astype(np.uint64) << np.uint64(8)) \
-            | out[:, 3].astype(np.uint64)
-        basis = (u32 < int(self.p_decoy * (1 << 32))).astype(np.uint8)
-        bit = out[:, 4] & 1
+        """(basis, bit) arrays for the given qubit indices.
+
+        Qubit i encrypts the big-endian 128-bit counter i. Its basis is decoy
+        when the ciphertext's first 32-bit word, big-endian, falls below
+        p_decoy * 2^32; its bit is the low bit of the fifth byte.
+        """
+        counters = np.zeros((np.size(indices), 2), dtype=">u8")
+        counters[:, 1] = np.asarray(indices, dtype=np.uint64)
+        ciphertext = self._cipher.encryptor().update(counters.view(np.uint8))
+        words = np.frombuffer(ciphertext, dtype=">u4").reshape(-1, 4)
+        basis = (words[:, 0] < int(self.p_decoy * (1 << 32))).astype(np.uint8)
+        bit = ((words[:, 1] >> 24) & 1).astype(np.uint8)
         return basis, bit
 
 

@@ -4,6 +4,11 @@ A true-entropy seed (OS entropy, or a fixed value for reproducible runs) keys
 an AES-256 counter-mode generator. Independent streams for different
 protocol purposes are separated by a 32-bit domain label occupying the top
 bits of the 128-bit block counter, so their counter ranges can never overlap.
+
+A domain's stream is the AES-CTR keystream started at counter block
+domain * 2^96: block i encrypts the big-endian integer domain * 2^96 + i,
+for every i below 2^96, the 96-bit per-domain space. A draw that would
+need block 2^96 raises `CounterExhausted` instead of reaching the label.
 """
 
 from __future__ import annotations
@@ -60,7 +65,6 @@ class RandomStream:
             raise ValueError("domain label must fit in 32 bits")
         self.seed = seed
         self.domain = domain
-        self._cipher = Cipher(algorithms.AES(seed.bits), modes.ECB())
         self._block = 0  # next 128-bit block index within this domain
         self._buf = b""
         self._buf_bits = 0  # unread bits remaining in _buf (from its tail)
@@ -69,24 +73,16 @@ class RandomStream:
     # -- raw block generation -------------------------------------------------
 
     def _raw_blocks(self, n_blocks: int) -> bytes:
+        """The next n_blocks keystream blocks: AES-CTR from counter
+        (domain << 96) + block, whose carries stay below the domain label."""
         if self._block + n_blocks > _DOMAIN_SPACE:
             raise CounterExhausted(
                 f"domain {self.domain} exhausted after {self._block} blocks"
             )
-        counters = np.zeros((n_blocks, _BLOCK_BYTES), dtype=np.uint8)
-        idx = np.arange(self._block, self._block + n_blocks, dtype=np.uint64)
-        counters[:, 0:4] = np.frombuffer(
-            np.uint32(self.domain).byteswap().tobytes(), dtype=np.uint8
-        )
-        # low 64 bits of the counter, big-endian; blocks beyond 2**64 spill
-        # into bytes 4..8, which desk-scale runs never reach
-        high = (idx >> np.uint64(32)).astype(np.uint32)
-        low = (idx & np.uint64(0xFFFFFFFF)).astype(np.uint32)
-        counters[:, 8:12] = high.byteswap().view(np.uint8).reshape(-1, 4)
-        counters[:, 12:16] = low.byteswap().view(np.uint8).reshape(-1, 4)
+        start = (self.domain << 96) | self._block
         self._block += n_blocks
-        enc = self._cipher.encryptor()
-        return enc.update(counters.tobytes()) + enc.finalize()
+        enc = Cipher(algorithms.AES(self.seed.bits), modes.CTR(start.to_bytes(_BLOCK_BYTES, "big")))
+        return enc.encryptor().update(bytes(_BLOCK_BYTES * n_blocks))
 
     # -- public draws ----------------------------------------------------------
 

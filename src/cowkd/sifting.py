@@ -9,7 +9,8 @@ each advancing 2^w - 1 qubit periods (the delta value 2^w - 1 is reserved as
 the overflow marker).
 
 Wire layout per block, most significant bit first: w delta bits, then the
-two control bits. Blocks are packed back to back with no per-block framing;
+two control bits. Blocks are packed back to back with no per-block framing,
+so each is one big-endian 8-bit (6-bit mode) or 16-bit (14-bit mode) word;
 e.g. in 6-bit mode a data detection three qubits after the previous one
 serializes as 000011 01.
 """
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitops import unpack_bits
 from .cowsim.channel import BASIS_DATA, DetectionArrays
 from .errors import SessionAborted
 from .randomness import RandomStream
@@ -45,6 +45,11 @@ class SiftingMode:
     @property
     def block_bits(self) -> int:
         return self.time_field_bits + 2
+
+    @property
+    def word_dtype(self) -> np.dtype:
+        """A block is exactly one big-endian 8- or 16-bit word."""
+        return np.dtype(f">u{self.block_bits // 8}")
 
     @property
     def overflow_marker(self) -> int:
@@ -164,28 +169,19 @@ def encode(events: ResolvedEvents, mode: SiftingMode) -> tuple[bytes, int]:
     resid = delta - over * m
     n_blocks = int(q.size + over.sum())
 
-    values = np.full(n_blocks, m, dtype=np.uint16)
-    control = np.zeros(n_blocks, dtype=np.uint8)
+    words = np.full(n_blocks, m << 2, dtype=mode.word_dtype)
     pos = np.cumsum(over + 1) - 1
-    values[pos] = resid.astype(np.uint16)
-    control[pos] = events.control
-
-    w = mode.time_field_bits
-    cols = [((values >> (w - 1 - i)) & 1).astype(np.uint8) for i in range(w)]
-    cols.append((control >> 1) & 1)
-    cols.append(control & 1)
-    bits = np.stack(cols, axis=1).reshape(-1)
-    return np.packbits(bits).tobytes(), n_blocks
+    words[pos] = (resid << 2) | events.control
+    return words.tobytes(), n_blocks
 
 
 def decode(payload: bytes, mode: SiftingMode, n_blocks: int) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of encode: (qubit indices, control codes)."""
-    bb = mode.block_bits
-    rows = unpack_bits(payload, n_blocks * bb).reshape(n_blocks, bb)
-    w = mode.time_field_bits
-    weights = (1 << np.arange(w - 1, -1, -1)).astype(np.int64)
-    values = rows[:, :w].astype(np.int64) @ weights
-    control = (rows[:, w] << 1) | rows[:, w + 1]
+    if len(payload) != n_blocks * mode.word_dtype.itemsize:
+        raise SessionAborted(f"{n_blocks} sifting blocks in {len(payload)} bytes")
+    words = np.frombuffer(payload, dtype=mode.word_dtype)
+    values = (words >> 2).astype(np.int64)
+    control = (words & 3).astype(np.uint8)
 
     m = mode.overflow_marker
     is_empty = control == CONTROL_EMPTY
@@ -196,7 +192,7 @@ def decode(payload: bytes, mode: SiftingMode, n_blocks: int) -> tuple[np.ndarray
     advance = np.where(is_empty, m, values + 1)
     ends = np.cumsum(advance)
     qubits = ends - 1
-    return qubits[~is_empty], control[~is_empty].astype(np.uint8)
+    return qubits[~is_empty], control[~is_empty]
 
 
 # ---------------------------------------------------------------------------

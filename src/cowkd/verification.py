@@ -41,22 +41,36 @@ def _fold48(v: np.ndarray) -> np.ndarray:
 
 
 def gf48_mul_vec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise GF(2^48) product of uint64 arrays (values < 2^48)."""
-    a = np.asarray(a, dtype=np.uint64)
-    b = np.asarray(b, dtype=np.uint64)
-    lo = np.zeros(np.broadcast(a, b).shape, dtype=np.uint64)
+    """Elementwise GF(2^48) product of uint64 arrays (values < 2^48).
+
+    The carry-less product runs four bits of b at a time: a table holds
+    a * j for the 16 polynomials j of degree < 4 (51 bits each), and each
+    of b's 12 nibbles gathers one entry, shifted into place across a lo and
+    a hi word.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=np.uint64), np.asarray(b, dtype=np.uint64))
+    shape = a.shape
+    a, b = a.ravel(), b.ravel()
+    table = np.zeros((16, a.size), dtype=np.uint64)
+    table[1] = a
+    for j in range(2, 16, 2):
+        table[j] = table[j >> 1] << np.uint64(1)
+        table[j + 1] = table[j] ^ a
+    table = table.ravel()
+    col = np.arange(a.size, dtype=np.uint64)
+    lo = np.zeros(a.size, dtype=np.uint64)
     hi = np.zeros_like(lo)
-    for k in range(48):
-        mask = np.where((b >> np.uint64(k)) & np.uint64(1), ~np.uint64(0), np.uint64(0))
-        lo ^= (a << np.uint64(k)) & mask
+    for k in range(0, 48, 4):
+        part = table[((b >> np.uint64(k)) & np.uint64(15)) * np.uint64(a.size) + col]
+        lo ^= part << np.uint64(k)
         if k:
-            hi ^= (a >> np.uint64(64 - k)) & mask
+            hi ^= part >> np.uint64(64 - k)
     # degree <= 94: bits 48..63 of lo plus all of hi form the overflow part
     over = (lo >> np.uint64(48)) | (hi << np.uint64(16))
     r = (lo & np.uint64(TAG_MASK)) ^ over ^ (over << np.uint64(2)) \
         ^ (over << np.uint64(3)) ^ (over << np.uint64(5))
     r = _fold48(r)
-    return _fold48(r)
+    return _fold48(r).reshape(shape)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,16 @@ polynomial MAC; `resolve_collisions_isin` resolves collisions with
 `np.isin` membership tests; `lfsr_expand_ref` steps the LFSR one bit at a
 time and `toeplitz_hash_dense` multiplies by the dense Toeplitz matrix;
 `aes_ctr_bits` computes a stream's bits straight from AES-256 of its
-counters and `uniform_from_bits` reads them as uniform floats;
+counters and `uniform_from_bits` reads them as uniform floats; `qubit_at`
+evaluates one prepared qubit from one AES block;
+`encode_bit_columns` / `decode_bit_columns` serialize sifting blocks one
+bit column at a time;
 `gf48_mul` / `poly_hash48` evaluate the verification hash one limb at a time,
 and `make_tags_per_block` draws one tag seed per block.
 They define what `cowkd.auth.poly_mac`, `cowkd.sifting.resolve_collisions`,
 `cowkd.privamp.lfsr_expand` / `toeplitz_hash`,
-`cowkd.randomness.RandomStream` draws and
+`cowkd.randomness.RandomStream` draws, `cowkd.cowsim.QubitSource.at`,
+`cowkd.sifting.encode` / `decode` and
 `cowkd.verification.gf48_mul_vec` / `hash_blocks` / `make_tags` must return,
 bit for bit.
 `sift_pair` runs both sides of one disclosure round trip, and
@@ -26,12 +30,13 @@ import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from cowkd.auth import LIMB_BITS, UNIT_BITS, mod_p
-from cowkd.bitops import bits_to_int, pack_bits
+from cowkd.bitops import bits_to_int, pack_bits, unpack_bits
 from cowkd.cowsim.channel import DetectionArrays
 from cowkd.errors import SessionAborted
 from cowkd.randomness import EntropySeed, RandomStream
 from cowkd.sifting import (
     CONTROL_DATA,
+    CONTROL_EMPTY,
     CONTROL_MON_DEST,
     CONTROL_MON_OTHER,
     ResolvedEvents,
@@ -119,21 +124,18 @@ def resolve_collisions_isin(data: DetectionArrays, monitor: DetectionArrays,
 
 
 def lfsr_expand_ref(lfsr_state, feedback_poly, length: int) -> np.ndarray:
-    """Bit-at-a-time LFSR expansion."""
-    state = list(np.asarray(lfsr_state, dtype=np.uint8))
-    taps = np.asarray(feedback_poly, dtype=np.uint8)
+    """Bit-at-a-time LFSR expansion: d[t] = sum_j c_j d[t-j] mod 2."""
+    state = np.asarray(lfsr_state, dtype=np.int64)
+    taps = np.asarray(feedback_poly, dtype=np.int64)
     if not taps.any():
         raise ValueError("feedback polynomial must be nonzero")
-    w = len(state)
-    out = list(state)
-    while len(out) < length:
-        t = len(out)
-        bit = 0
-        for j in range(1, w + 1):
-            if taps[j - 1]:
-                bit ^= out[t - j]
-        out.append(bit)
-    return np.array(out[:length], dtype=np.uint8)
+    w = state.size
+    out = np.zeros(max(length, w), dtype=np.int64)
+    out[:w] = state
+    window_taps = taps[::-1]  # c_w .. c_1, against d[t-w] .. d[t-1]
+    for t in range(w, length):
+        out[t] = (out[t - w : t] @ window_taps) & 1
+    return out[:length].astype(np.uint8)
 
 
 def toeplitz_hash_dense(input_bits: np.ndarray, diagonal: np.ndarray, n_out: int) -> np.ndarray:
@@ -146,14 +148,75 @@ def toeplitz_hash_dense(input_bits: np.ndarray, diagonal: np.ndarray, n_out: int
     return ((t @ x) & 1).astype(np.uint8)
 
 
-def aes_ctr_bits(seed: EntropySeed, domain: int, n_bits: int) -> np.ndarray:
-    """The first n_bits of a domain's stream: AES-256-ECB of the big-endian
-    128-bit counters (domain << 96) + 0, 1, 2, ..., unpacked MSB first."""
-    counters = b"".join(((domain << 96) + i).to_bytes(16, "big")
+def aes_ctr_bits(seed: EntropySeed, domain: int, n_bits: int, start: int = 0) -> np.ndarray:
+    """n_bits of a domain's stream from block `start` on: AES-256-ECB of the
+    big-endian 128-bit counters (domain << 96) + start, start + 1, ...,
+    unpacked MSB first."""
+    counters = b"".join(((domain << 96) + start + i).to_bytes(16, "big")
                         for i in range(-(-n_bits // 128)))
     enc = Cipher(algorithms.AES(seed.bits), modes.ECB()).encryptor()
     raw = enc.update(counters) + enc.finalize()
     return np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:n_bits]
+
+
+def qubit_at(key: bytes, p_decoy: float, index: int) -> tuple[int, int]:
+    """(basis, bit) of one prepared qubit: one AES-256-ECB block of the
+    big-endian 128-bit counter `index`. Bytes 0-3, read big-endian, below
+    p_decoy * 2^32 make a decoy; the bit is byte 4's low bit."""
+    block = Cipher(algorithms.AES(key), modes.ECB()).encryptor().update(index.to_bytes(16, "big"))
+    basis = int(int.from_bytes(block[:4], "big") < int(p_decoy * 2 ** 32))
+    return basis, block[4] & 1
+
+
+def encode_bit_columns(events: ResolvedEvents, mode: SiftingMode) -> tuple[bytes, int]:
+    """Sifting blocks as w delta bit columns plus two control bit columns,
+    stacked per block and packed MSB first; returns (payload, n_blocks)."""
+    q = events.qubit
+    if q.size == 0:
+        return b"", 0
+    m = mode.overflow_marker
+    base = np.concatenate([[0], q[:-1] + 1])
+    delta = q - base
+    if np.any(delta < 0):
+        raise SessionAborted("events out of order")
+    over = delta // m
+    resid = delta - over * m
+    n_blocks = int(q.size + over.sum())
+
+    values = np.full(n_blocks, m, dtype=np.uint16)
+    control = np.zeros(n_blocks, dtype=np.uint8)
+    pos = np.cumsum(over + 1) - 1
+    values[pos] = resid.astype(np.uint16)
+    control[pos] = events.control
+
+    w = mode.time_field_bits
+    cols = [((values >> (w - 1 - i)) & 1).astype(np.uint8) for i in range(w)]
+    cols.append((control >> 1) & 1)
+    cols.append(control & 1)
+    bits = np.stack(cols, axis=1).reshape(-1)
+    return np.packbits(bits).tobytes(), n_blocks
+
+
+def decode_bit_columns(payload: bytes, mode: SiftingMode,
+                       n_blocks: int) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of `encode_bit_columns`: (qubit indices, control codes)."""
+    bb = mode.block_bits
+    rows = unpack_bits(payload, n_blocks * bb).reshape(n_blocks, bb)
+    w = mode.time_field_bits
+    weights = (1 << np.arange(w - 1, -1, -1)).astype(np.int64)
+    values = rows[:, :w].astype(np.int64) @ weights
+    control = (rows[:, w] << 1) | rows[:, w + 1]
+
+    m = mode.overflow_marker
+    is_empty = control == CONTROL_EMPTY
+    if np.any(values[is_empty] != m):
+        raise SessionAborted("empty block with non-maximal time delta")
+    if np.any(values[~is_empty] > mode.max_delta):
+        raise SessionAborted("reserved overflow marker on a detection block")
+    advance = np.where(is_empty, m, values + 1)
+    ends = np.cumsum(advance)
+    qubits = ends - 1
+    return qubits[~is_empty], control[~is_empty].astype(np.uint8)
 
 
 def uniform_from_bits(bits: np.ndarray) -> np.ndarray:

@@ -6,11 +6,9 @@ takes a few minutes; everything else finishes within seconds to a minute.
 """
 
 import json
-import math
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,7 +36,6 @@ from cowkd.privamp import (
     PASeed,
     SeedLedger,
     amplify_batch,
-    lfsr_expand,
     make_seed,
     toeplitz_hash,
 )

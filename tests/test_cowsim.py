@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from oracles import qubit_at
 from refsim import (DetectionArrays, QubitSource, RunMismatch, ground_truth_stats, prepare_sequence,
                     transmit_detect)
 
-from cowkd.cowsim import BASIS_DATA, BASIS_DECOY, ChannelParams, sample_detections
+from cowkd.cowsim import BASIS_DATA, BASIS_DECOY, ChannelParams, channel, sample_detections
 from cowkd.presets import channel_params, measured_point
 from cowkd.randomness import EntropySeed, new_stream
 
@@ -85,6 +88,22 @@ def test_qubit_source_is_random_access_consistent():
     basis, bit = src.at(idx)
     assert np.array_equal(basis, seq.basis[idx])
     assert np.array_equal(bit, seq.bit[idx])
+
+
+_index = st.integers(0, (1 << 32) + 5) | st.integers(0, (1 << 63) - 1)
+
+
+@given(key=st.binary(min_size=32, max_size=32), p_decoy=st.sampled_from([0.0, 0.155, 0.5]),
+       indices=st.lists(_index, max_size=40) | st.lists(_index, min_size=1, max_size=3).map(
+           lambda xs: xs * 3))
+@example(key=bytes(32), p_decoy=0.155, indices=[])
+@example(key=bytes(32), p_decoy=0.155, indices=[(1 << 32) - 1, 1 << 32, 7, 7, 0])
+def test_qubit_lookup_matches_scalar_aes_oracle(key, p_decoy, indices):
+    # empty, single, unsorted and repeated index sets, indices past 2^32 included
+    basis, bit = channel.QubitSource(key, p_decoy).at(np.array(indices, dtype=np.int64))
+    want = [qubit_at(key, p_decoy, i) for i in indices]
+    assert basis.dtype == bit.dtype == np.uint8
+    assert [(int(a), int(b)) for a, b in zip(basis, bit)] == want
 
 
 # ---------------------------------------------------------------------------

@@ -239,6 +239,31 @@ def test_lfsr_mode_equals_explicit_mode():
     assert np.array_equal(out_lfsr, out_explicit)
 
 
+@pytest.mark.parametrize("w, size", [
+    (512, 1 << 10),  # 2^k
+    (700, 3 << 9),  # 3 * 2^k
+    (1550, 5 ** 5),  # 5^5 * 2^k, here with k = 0: an odd transform length
+])
+def test_lfsr_hash_matches_dense_oracle_in_each_transform_size_family(w, size):
+    # n_in spans two division blocks, the second one partial
+    assert _division_sizes(w) == (size, size // 2)
+    x, state, taps, n_out = _lfsr_case(w, size // 2 + 7, w, False)
+    seed = PASeed(mode=PASeed.LFSR, lfsr_state=state, feedback_poly=taps)
+    diagonal = lfsr_expand_ref(state, taps, x.size + n_out - 1)
+    assert np.array_equal(toeplitz_hash(x, seed, n_out), toeplitz_hash_dense(x, diagonal, n_out))
+
+
+def test_full_size_lfsr_hash_equals_expanded_explicit_diagonal():
+    # the production shape: 9 division blocks of 100,000 bits at 200,000 points
+    n_in, n_out = N_SIFT_BLOCK, 99_035
+    assert (n_in, _division_sizes(n_out)) == (995_328, (200_000, 100_000))
+    rng = stream(14)
+    x = rng.draw_bits(n_in)
+    seed = make_seed(rng, n_in, n_out, mode=PASeed.LFSR)
+    expl = explicit_seed(seed.expanded(n_in, n_out))
+    assert np.array_equal(toeplitz_hash(x, seed, n_out), toeplitz_hash(x, expl, n_out))
+
+
 # ---------------------------------------------------------------------------
 # batch amplification
 # ---------------------------------------------------------------------------

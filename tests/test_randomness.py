@@ -91,6 +91,21 @@ def test_counter_exhaustion_is_explicit():
         r.draw_bits(256)
 
 
+def test_stream_crosses_block_2_64_and_ends_at_2_96():
+    # the per-domain counter is 96 bits wide: block 2^64 follows 2^64 - 1,
+    # and the domain's last block 2^96 - 1 is drawn before it is exhausted
+    s = EntropySeed.from_int(20)
+    r = RandomStream(s, 5)
+    r._block = (1 << 64) - 1
+    assert np.array_equal(r.draw_bits(300), aes_ctr_bits(s, 5, 300, start=(1 << 64) - 1))
+    assert r._block == (1 << 64) + 2
+    r = RandomStream(s, 5)
+    r._block = (1 << 96) - 1
+    assert np.array_equal(r.draw_bits(128), aes_ctr_bits(s, 5, 128, start=(1 << 96) - 1))
+    with pytest.raises(CounterExhausted):
+        r.draw_bits(1)
+
+
 def test_draw_helpers():
     r = new_stream(EntropySeed.from_int(18))
     u = r.draw_uniform(1000)

@@ -2,17 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from oracles import resolve_collisions_isin, sift_pair
+from oracles import decode_bit_columns, encode_bit_columns, resolve_collisions_isin, sift_pair
 from refsim import prepare_sequence
 
 from cowkd.cowsim import ChannelParams, DetectionArrays
-from cowkd.errors import SessionAborted
+from cowkd.errors import EXIT_ABORT, SessionAborted
 from cowkd.randomness import EntropySeed, new_stream
 from cowkd.sifting import (
     CONTROL_DATA,
     CONTROL_MON_DEST,
     CONTROL_MON_OTHER,
-    AliceSiftView,
     ResolvedEvents,
     SiftingMode,
     decode,
@@ -101,6 +100,67 @@ def test_decode_rejects_malformed_streams():
     bad = np.packbits(np.array([0, 0, 0, 1, 1, 0, 0, 0], dtype=np.uint8)).tobytes()
     with pytest.raises(SessionAborted):
         decode(bad, mode, 1)
+
+
+@st.composite
+def event_streams(draw):
+    """Strictly increasing qubits with gaps up to 3 * 2^14, so both modes
+    need overflow blocks, and random detection control codes."""
+    gaps = draw(st.lists(st.integers(0, 20) | st.integers(0, 3 << 14), max_size=60))
+    qubits = np.cumsum(np.asarray(gaps, dtype=np.int64) + 1) - 1
+    controls = draw(st.lists(st.sampled_from([CONTROL_DATA, CONTROL_MON_DEST, CONTROL_MON_OTHER]),
+                             min_size=len(gaps), max_size=len(gaps)))
+    return events_from(qubits, controls)
+
+
+def _decoded_or_abort(decoder, payload, mode, n_blocks):
+    try:
+        q, c = decoder(payload, mode, n_blocks)
+    except SessionAborted as err:
+        assert err.exit_code == EXIT_ABORT
+        return "abort"
+    return q.dtype.str, q.tobytes(), c.dtype.str, c.tobytes()
+
+
+@given(events=event_streams(), w=st.sampled_from([6, 14]))
+@example(events=events_from([0, 62, 63, 126, 200_000]), w=6)
+def test_word_codec_matches_bit_column_codec(events, w):
+    mode = SiftingMode(w)
+    payload, n_blocks = encode(events, mode)
+    assert (payload, n_blocks) == encode_bit_columns(events, mode)
+    assert len(payload) * 8 == n_blocks * mode.block_bits
+    got = _decoded_or_abort(decode, payload, mode, n_blocks)
+    assert got == _decoded_or_abort(decode_bit_columns, payload, mode, n_blocks)
+    assert got[1] == events.qubit.tobytes() and got[3] == events.control.tobytes()
+
+
+@st.composite
+def raw_disclosures(draw):
+    """(w, payload, n_blocks): blocks of any delta and control, mostly
+    well-formed, with the payload now and then a byte short or long."""
+    w = draw(st.sampled_from([6, 14]))
+    marker = (1 << w) - 1
+    blocks = draw(st.lists(st.tuples(st.integers(0, marker) | st.just(marker), st.integers(0, 3)),
+                           max_size=30))
+    payload = b"".join(((v << 2) | c).to_bytes((w + 2) // 8, "big") for v, c in blocks)
+    payload = draw(st.sampled_from([payload, payload, payload[:-1], payload + b"\x00"]))
+    return w, payload, len(blocks)
+
+
+@given(case=raw_disclosures())
+@example(case=(6, bytes([0b11111101]), 1))  # reserved marker on a detection
+@example(case=(14, bytes([0xFF, 0xFE]), 1))
+@example(case=(6, bytes([0b00011000]), 1))  # empty block, non-maximal delta
+@example(case=(14, bytes([0x00, 0x04]), 1))
+@example(case=(14, bytes([0x00, 0x05, 0x00]), 1))  # long payload
+@example(case=(14, bytes([0x00]), 1))  # short payload
+@example(case=(6, b"", 1))
+def test_hostile_payloads_decode_as_bit_column_codec_or_abort(case):
+    # both decoders return the same blocks or both end in exit 3
+    w, payload, n_blocks = case
+    mode = SiftingMode(w)
+    assert (_decoded_or_abort(decode, payload, mode, n_blocks)
+            == _decoded_or_abort(decode_bit_columns, payload, mode, n_blocks))
 
 
 # ---------------------------------------------------------------------------
