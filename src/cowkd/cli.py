@@ -87,7 +87,6 @@ def _build_config(args) -> SessionConfig:
         params=params,
         code_rate=args.rate,
         sift_bits=args.sift_bits,
-        pe_mode=PE_MODES[args.pe_mode],
         compression=compression,
         n_batches=args.batches,
         blocks_per_batch=args.blocks_per_batch,
@@ -296,7 +295,6 @@ def _add_run_args(p):
     p.add_argument("--fibre-km", type=float, default=1.0)
     p.add_argument("--rate", default="3/4", choices=["1/2", "2/3", "3/4", "5/6"])
     p.add_argument("--sift-bits", type=int, default=14, choices=[6, 14])
-    p.add_argument("--pe-mode", default="compare", choices=list(PE_MODES))
     p.add_argument("--compression", default="auto",
                    help="percent (e.g. 11.5) or 'auto'")
     p.add_argument("--batches", type=int, default=3)

@@ -117,10 +117,6 @@ _HELLO = _Layout("hello", "5s32s32s")
 _SIFT = _Layout("sifting disclosure", "QI")
 # data detections n | keep flags bits[n]
 _SIFT_RESPONSE = _Layout("sifting response", "I")
-# kept bits n | disclosed d | mask bits[n] | disclosed bits[d]
-_SUBSAMPLE = _Layout("subsample disclosure", "II", b"SMP")
-# errors among the disclosed bits
-_SUBSAMPLE_ERRORS = _Layout("subsample error report", "Q", b"SME")
 # window | blocks n | syndromes bits[n * m], m from the configured code rate
 _SYNDROME = _Layout("syndrome frame", "IH")
 # window | blocks n | n verification tag records, in block order
@@ -133,9 +129,9 @@ _VERIFY_RESPONSE = _Layout("verify response", "IH")
 _ESTIMATE = _Layout("estimation report", "IQQ", b"EST")
 # batch | the 8 counters of `decode_audit`
 _AUDIT = _Layout("truth audit", "I8Q", b"AUD")
-# mode | batch | width w | LFSR (mode 1): state bits[w] | feedback taps bits[w];
-# explicit diagonal (mode 0): bits[w]
+# mode, always SEED_MODE_LFSR | batch | width w | state bits[w] | feedback taps bits[w]
 _SEED = _Layout("privacy amplification seed", "BII")
+SEED_MODE_LFSR = 1  # the only seed mode: an LFSR register and its taps
 # pad index | tag below 2^127
 _AUTH_TAG = _Layout("auth tag", "I16s")
 
@@ -169,27 +165,6 @@ def encode_sift_response(keep: np.ndarray) -> bytes:
 
 def decode_sift_response(payload: bytes, n_data: int) -> np.ndarray:
     return _SIFT_RESPONSE.unpack(payload, (n_data,), lambda n: [n])[1].astype(bool)
-
-
-def encode_subsample(mask: np.ndarray, disclosed: np.ndarray) -> bytes:
-    return _SUBSAMPLE.pack(mask.size, disclosed.size, bits=[mask, disclosed])
-
-
-def decode_subsample(payload: bytes, n_kept: int) -> tuple[np.ndarray, np.ndarray]:
-    """(mask, disclosed bits) over the `n_kept` bits the last sift round kept."""
-    _, n_disc, mask, disclosed = _SUBSAMPLE.unpack(payload, (n_kept,), lambda n, d: [n, d])
-    _check(n_disc == mask.sum(), "subsample disclosure does not match its mask")
-    return mask.astype(bool), disclosed
-
-
-def encode_subsample_errors(errors: int) -> bytes:
-    return _SUBSAMPLE_ERRORS.pack(errors)
-
-
-def decode_subsample_errors(payload: bytes, n_disclosed: int) -> int:
-    (errors,) = _SUBSAMPLE_ERRORS.unpack(payload)
-    _check(errors <= n_disclosed, "subsample error report exceeds the disclosed bits")
-    return errors
 
 
 # -- error correction and verification ----------------------------------------------
@@ -263,29 +238,27 @@ def decode_audit(payload: bytes, batch: int) -> tuple[int, ...]:
 
 
 def encode_seed(seed: PASeed, batch_id: int) -> bytes:
-    if seed.mode == PASeed.EXPLICIT:
-        return _SEED.pack(0, batch_id, seed.diagonal.size, bits=[seed.diagonal])
-    return _SEED.pack(1, batch_id, seed.lfsr_state.size,
-                      bits=[seed.lfsr_state, seed.feedback_poly])
+    return _SEED.pack(SEED_MODE_LFSR, batch_id, seed.state.size, bits=[seed.state, seed.taps])
+
+
+def _seed_sizes(mode: int, batch: int, w: int) -> list[int]:
+    _check(mode == SEED_MODE_LFSR, f"unknown seed mode {mode}")
+    return [w, w]
 
 
 def decode_seed(data: bytes) -> tuple[PASeed, int]:
-    """(seed, batch id) of either mode; an LFSR needs a nonzero feedback polynomial."""
-    mode, batch_id, _, *bits = _SEED.unpack(
-        data, sizes=lambda mode, batch, w: [w] if mode == 0 else [w, w])
-    if mode == 0:
-        return PASeed(mode=PASeed.EXPLICIT, diagonal=bits[0]), batch_id
-    _check(mode == 1, f"unknown seed mode {mode}")
-    _check(bits[1].any(), "seed has a zero feedback polynomial")
-    return PASeed(mode=PASeed.LFSR, lfsr_state=bits[0], feedback_poly=bits[1]), batch_id
+    """(seed, batch id); any mode but the LFSR's, and a zero feedback
+    polynomial, abort."""
+    _, batch_id, _, state, taps = _SEED.unpack(data, sizes=_seed_sizes)
+    _check(taps.any(), "seed has a zero feedback polynomial")
+    return PASeed(state, taps), batch_id
 
 
 def decode_pa_seed(payload: bytes, batch: int, n_out: int) -> PASeed:
-    """The LFSR seed of `batch`, `n_out` bits wide."""
+    """The seed of `batch`, `n_out` bits wide."""
     seed, batch_id = decode_seed(payload)
     _check(batch_id == batch, "privacy amplification batches out of step")
-    _check(seed.mode == PASeed.LFSR and seed.lfsr_state.size == n_out,
-           f"seed is not an LFSR of width {n_out}")
+    _check(seed.state.size == n_out, f"seed is not an LFSR of width {n_out}")
     return seed
 
 

@@ -10,18 +10,17 @@ order it arrives, so her loop is driven by Bob's frames alone.
 Bob does not wait on each answer before he sends on:
 
 - Reply FIFO. Bob keeps one queue of requests whose reply he has not read
-  (sifting disclosures, EC sub-windows, subsample records) and reads
-  Alice's replies strictly in that order. Every decision that changes what
-  he sends uses only replies already read, so each direction's transcript
-  is a function of the seed and the configuration alone. The unread
-  replies (one sifting response plus the verdicts of the windows sent since
-  his last read) take a few KB, far below any socket buffer.
+  (sifting disclosures and EC sub-windows) and reads Alice's replies
+  strictly in that order. Every decision that changes what he sends uses
+  only replies already read, so each direction's transcript is a function
+  of the seed and the configuration alone. The unread replies (one sifting
+  response plus the verdicts of the windows sent since his last read) take
+  a few KB, far below any socket buffer.
 - One chunk ahead. Bob sends chunk k+1's disclosure before he reads the
   verdict on chunk k when chunk k cannot close the batch even if Alice
   keeps all of its data bits; the batch then needs chunk k+1 whatever she
   answers, so the frames and the quantum stream's draws are those of strict
-  alternation. In subsampling mode chunk k's subsample record, which
-  depends on her verdict, comes first, so Bob never discloses ahead there.
+  alternation.
 - Streamed error correction. Bob sends every `SUB_WINDOW_BLOCKS` queued
   full blocks as their own syndrome and verify frames and reads the verdict
   later, while Alice decodes and he samples the next chunks. The window
@@ -34,10 +33,9 @@ Bob does not wait on each answer before he sends on:
   on where windows split.
 
 All quantum-side randomness lives in one seed-derived stream held by Bob;
-protocol randomness (verification seeds, PA seeds, subsample masks) comes
-from his party stream, another domain of the same seed. Given the same
-session seed and configuration, transcripts and pools are bit-identical run
-to run.
+protocol randomness (verification seeds and PA seeds) comes from his party
+stream, another domain of the same seed. Given the same session seed and
+configuration, transcripts and pools are bit-identical run to run.
 
 Per-direction authentication: every non-admin frame byte enters a 2^20-bit
 unit stream; each filled unit is tagged (pad index = 2*unit + direction) and
@@ -54,7 +52,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,14 +64,13 @@ from ..cowsim.channel import TRUTH_DARK, TRUTH_NOISE, TRUTH_SIGNAL, interfering_
 from ..errors import EXIT_AUTH_ALARM, EXIT_CONFIG, EXIT_OK, AuthAlarm, SessionAborted
 from ..finitekey import (
     FiniteKeyBudget,
-    PEMode,
     corrected_observables,
     quantize_compression,
     secret_fraction,
 )
 from ..ldpc.codec import DECODE_SLICE
 from ..ldpc.fer import fer_estimate
-from ..privamp import PASeed, SeedLedger, amplify_batch, make_seed
+from ..privamp import SeedLedger, amplify_batch, make_seed
 from ..randomness import EntropySeed, RandomStream
 from ..sifting import ResolvedEvents, SiftingMode, decode_and_sift, encode, resolve_collisions
 from ..verification import BLOCK_BITS, BatchEstimate, estimate_from_counts, make_tags, verify_batch
@@ -102,11 +99,10 @@ _UNIT_BYTES = UNIT_BITS // 8
 # Bob sends error correction in sub-windows of at most this many blocks, the
 # decoder's slice; syndrome and verify frames count them in 16 bits
 SUB_WINDOW_BLOCKS = DECODE_SLICE
-# fixed protocol constants; the margin, the prior and the subsampling share
-# enter `SessionConfig.digest()`, so both parties must agree on them
+# fixed protocol constants; the margin and the prior enter
+# `SessionConfig.digest()`, so both parties must agree on them
 COMPRESSION_MARGIN = 0.85  # auto compression = margin * expected secret fraction
 CHANNEL_P_PRIOR = 0.02  # decoder prior until the first batch is measured
-SUBSAMPLE_ETA = 0.125  # share of kept bits disclosed in subsampling mode
 # qubits Alice holds prepared for one sifting disclosure; a chunk must fit
 ALICE_BUFFER_QUBITS = 1 << 24
 
@@ -116,7 +112,6 @@ class SessionConfig:
     params: ChannelParams = field(default_factory=ChannelParams)
     code_rate: str = "3/4"
     sift_bits: int = 14
-    pe_mode: str = PEMode.KEY_COMPARISON
     compression: float | None = None  # None: derive from expected observables
     n_batches: int = 3
     blocks_per_batch: int = 512
@@ -139,18 +134,21 @@ class SessionConfig:
         return self.blocks_per_batch * BLOCK_BITS
 
     def digest(self) -> bytes:
+        # "pe_mode" and "subsample_eta" name a retired session mode; hashing
+        # them as the constants they always held keeps the hello bytes, and
+        # so every transcript, as they were
         blob = json.dumps({
             "params": self.params.to_json(),
             "code_rate": self.code_rate,
             "sift_bits": self.sift_bits,
-            "pe_mode": self.pe_mode,
+            "pe_mode": "key_comparison",
             "compression": self.compression,
             "margin": COMPRESSION_MARGIN,
             "n_batches": self.n_batches,
             "blocks_per_batch": self.blocks_per_batch,
             "chunk_qubits": self.chunk_qubits,
             "prior": CHANNEL_P_PRIOR,
-            "subsample_eta": SUBSAMPLE_ETA,
+            "subsample_eta": 0.125,
         }, sort_keys=True).encode()
         return hashlib.sha256(blob).digest()
 
@@ -173,8 +171,7 @@ class SessionConfig:
             dark_qber=stats["qber_dark"], noise_qber=stats["qber_noise"],
             mu=self.params.mu, code_rate=float(ldpc.as_rate(self.code_rate)),
             n_sift=self.n_sift, p_decoy=self.params.p_decoy,
-            t_bob=self.params.t_bob, pe_mode=self.pe_mode,
-            eta_pe=SUBSAMPLE_ETA,
+            t_bob=self.params.t_bob,
         )
         obs.visibility_corrected = self.params.visibility_if
         f_sec = secret_fraction(obs, FiniteKeyBudget.reference())
@@ -358,8 +355,6 @@ class _PartyBase:
         self.total_qubits = 0
         self.channel_p = CHANNEL_P_PRIOR
         self.alarms: list[str] = []
-        self.subsample_errors = 0
-        self.subsample_disclosed = 0
         self.window = 0  # EC windows so far
         self._dropped_blocks = 0  # since the last amplification round
         self._audit = np.zeros(8, dtype=np.int64)  # Bob fills; Alice receives
@@ -382,15 +377,8 @@ class _PartyBase:
 
     def _estimate_and_reset(self, mismatches: int) -> BatchEstimate:
         """This batch's error estimate; the drop count restarts for the next."""
-        passed, dropped = self.config.blocks_per_batch, self._dropped_blocks
-        self._dropped_blocks = 0
-        est = estimate_from_counts(mismatches, passed, dropped)
-        if self.config.pe_mode == PEMode.SUBSAMPLING and self.subsample_disclosed:
-            q_raw = self.subsample_errors / self.subsample_disclosed
-            q_eff = min((q_raw * passed * BLOCK_BITS + 0.5 * dropped * BLOCK_BITS)
-                        / (est.n_blocks * BLOCK_BITS), 0.5)
-            est = replace(est, qber_raw=q_raw, qber_effective=q_eff)
-        return est
+        dropped, self._dropped_blocks = self._dropped_blocks, 0
+        return estimate_from_counts(mismatches, self.config.blocks_per_batch, dropped)
 
     def _batch_observables(self, est: BatchEstimate, audit: np.ndarray):
         (n_kept, err_total, err_dark, err_noise,
@@ -404,8 +392,7 @@ class _PartyBase:
             dark_qber=dark_q, noise_qber=noise_q,
             mu=self.config.params.mu, code_rate=float(self.rate),
             n_sift=self.config.n_sift, p_decoy=self.config.params.p_decoy,
-            t_bob=self.config.params.t_bob, pe_mode=self.config.pe_mode,
-            eta_pe=SUBSAMPLE_ETA,
+            t_bob=self.config.params.t_bob,
         )
         v_corr = (nb_sig - nd_sig) / (nb_sig + nd_sig) if nb_sig + nd_sig else 1.0
         obs.visibility_corrected = max(min(v_corr, 1.0), 0.0)
@@ -583,12 +570,8 @@ class BobParty(_PartyBase):
         """Whether the batch needs the next chunk whatever Alice keeps of this one.
 
         It does when all of `chunk`'s data bits would still leave the queued,
-        in-flight and passed blocks short of the batch. In subsampling mode
-        the chunk's subsample record, which depends on her verdict, comes
-        first, so Bob never discloses ahead there.
+        in-flight and passed blocks short of the batch.
         """
-        if self.config.pe_mode == PEMode.SUBSAMPLING:
-            return False
         blocks = ((self.key_bits.size + chunk.n_data) // BLOCK_BITS + self._in_flight
                   + self.pa_buffer.size // BLOCK_BITS)
         return blocks < self.config.blocks_per_batch
@@ -600,22 +583,7 @@ class BobParty(_PartyBase):
         self.total_raw += chunk.n_data
         self.total_sifted += kept_bits.size
         self._audit_errors(events, dmask, keep, chunk.q0)
-        kept_bits = self._maybe_subsample(kept_bits)
         self.key_bits = np.concatenate([self.key_bits, kept_bits])
-
-    def _maybe_subsample(self, kept_bits: np.ndarray) -> np.ndarray:
-        if self.config.pe_mode != PEMode.SUBSAMPLING or kept_bits.size == 0:
-            return kept_bits
-        mask = self.proto_rng.draw_uniform(kept_bits.size) < SUBSAMPLE_ETA
-        disclosed = kept_bits[mask]
-        self.ep.send(CH_CONTROL, frames.encode_subsample(mask, disclosed))
-        self.subsample_disclosed += disclosed.size
-        self._pending.append((self._read_subsample_errors, disclosed.size))
-        return kept_bits[~mask]
-
-    def _read_subsample_errors(self, n_disclosed: int):
-        self.subsample_errors += frames.decode_subsample_errors(
-            self.ep.expect(CH_CONTROL), n_disclosed)
 
     # EC + verification in sub-windows; a closing window sends the whole
     # queue and reads every outstanding verdict (see the module docstring)
@@ -652,7 +620,7 @@ class BobParty(_PartyBase):
         cfg = self.config
         batch_bits = self.pa_buffer[: cfg.n_sift]
         self.pa_buffer = self.pa_buffer[cfg.n_sift :]
-        seed = make_seed(self.proto_rng, cfg.n_sift, self.n_out, mode=PASeed.LFSR)
+        seed = make_seed(self.proto_rng, self.n_out)
         self.ep.send(CH_PA_SEED, frames.encode_seed(seed, batch_index))
 
         # exchange estimation inputs: Alice's exact mismatch count against
@@ -703,8 +671,6 @@ class AliceParty(_PartyBase):
         self.source: QubitSource | None = None
         self.corrected_buffer = np.zeros(0, dtype=np.uint8)
         self.qubits_seen = 0
-        # kept bits of the last sift round still awaiting a subsample disclosure
-        self._unsampled = 0
         # mismatches of each passed block, in consumption order
         self._block_mismatches: list[int] = []
 
@@ -720,8 +686,6 @@ class AliceParty(_PartyBase):
             elif ch == CH_PA_SEED:
                 self._pa_round(payload, batch)
                 batch += 1
-            elif ch == CH_CONTROL and self._unsampled:
-                self._subsample_round(payload)
             else:
                 raise SessionAborted(f"unexpected frame on {CHANNEL_NAMES[ch]}")
         if self.ep.expect(CH_CONTROL) != frames.END:
@@ -760,20 +724,7 @@ class AliceParty(_PartyBase):
         self.total_raw += view.raw_count
         self.total_sifted += view.sifted_count
         self.key_bits = np.concatenate([self.key_bits, view.alice_key_bits])
-        if cfg.pe_mode == PEMode.SUBSAMPLING:
-            self._unsampled = view.sifted_count
         self.ep.send(CH_SIFTING, frames.encode_sift_response(view.keep_mask))
-
-    def _subsample_round(self, payload: bytes):
-        n_kept, self._unsampled = self._unsampled, 0
-        mask, bob_vals = frames.decode_subsample(payload, n_kept)
-        mine = self.key_bits[-n_kept:]
-        errors = int((mine[mask] != bob_vals).sum())
-        self.subsample_errors += errors
-        self.subsample_disclosed += bob_vals.size
-        head = self.key_bits[: self.key_bits.size - n_kept]
-        self.key_bits = np.concatenate([head, mine[~mask]])
-        self.ep.send(CH_CONTROL, frames.encode_subsample_errors(errors))
 
     def _ec_round(self, payload: bytes):
         synd = frames.decode_syndrome(payload, self.window, self.rate,

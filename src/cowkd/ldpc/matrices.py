@@ -57,22 +57,6 @@ class ParityMatrix:
     # taps[i][t, r] is the t-th bit checked by parity check i*81 + r
     taps: tuple
 
-    @property
-    def n_block_rows(self) -> int:
-        return self.prototype.shape[0]
-
-    @property
-    def n_checks(self) -> int:
-        return self.n_block_rows * Z
-
-    def dense(self) -> np.ndarray:
-        """Fully expanded (n_checks, 1944) uint8 matrix; oracle/test use."""
-        h = np.zeros((self.n_checks, BLOCK_LENGTH), dtype=np.uint8)
-        rows = np.arange(Z)
-        for i, j in zip(*np.nonzero(self.prototype >= 0)):
-            h[i * Z + rows, j * Z + (rows + self.prototype[i, j]) % Z] = 1
-        return h
-
 
 _cache: dict = {}
 

@@ -7,8 +7,8 @@ the binary convolution d*x, taken from one cyclic float FFT product of
 n_in + n_out - 1 points whose output is checked to be safely integral before
 reduction mod 2, so the result is exact or the call fails loudly.
 
-In LFSR mode only a feedback polynomial and initial register (w = n_out bits
-each) travel on the wire; the diagonal is the register's output sequence,
+Only a feedback polynomial and initial register (w = n_out bits each) travel
+on the wire; the diagonal is the register's output sequence,
 d[t] = sum_j c_j * d[t-j] for t >= w. Every shift of the characteristic
 polynomial chi(z) = z^w + sum_j c_j z^(w-j) therefore maps d to zero, so
 with P(z) = sum_j x_j z^(n_in-1-j),
@@ -204,58 +204,37 @@ def lfsr_expand(lfsr_state: np.ndarray, feedback_poly: np.ndarray, length: int) 
 
 @dataclass(frozen=True)
 class PASeed:
-    mode: str  # "explicit_diagonal" | "lfsr"
-    diagonal: np.ndarray | None = None
-    lfsr_state: np.ndarray | None = None
-    feedback_poly: np.ndarray | None = None
+    """An LFSR seed: the register `state` and the feedback `taps`."""
 
-    EXPLICIT = "explicit_diagonal"
-    LFSR = "lfsr"
-
-    def expanded(self, n_in: int, n_out: int) -> np.ndarray:
-        need = n_in + n_out - 1 if n_out else 0
-        if self.mode == self.EXPLICIT:
-            if self.diagonal is None or self.diagonal.size != need:
-                raise ValueError(f"diagonal must carry {need} bits")
-            return self.diagonal
-        if self.mode == self.LFSR:
-            return lfsr_expand(*self.lfsr_parts(n_out), need)
-        raise ValueError(f"unknown seed mode {self.mode!r}")
+    state: np.ndarray
+    taps: np.ndarray
 
     def lfsr_parts(self, n_out: int) -> tuple[np.ndarray, np.ndarray]:
-        """(state, taps) of an LFSR seed whose register is n_out bits wide."""
-        if self.lfsr_state is None or self.lfsr_state.size != n_out:
+        """(state, taps) of a seed whose register is n_out bits wide."""
+        if self.state.size != n_out:
             raise ValueError("lfsr state must be n_out bits")
-        return (np.asarray(self.lfsr_state, dtype=np.uint8),
-                np.asarray(self.feedback_poly, dtype=np.uint8))
+        return (np.asarray(self.state, dtype=np.uint8),
+                np.asarray(self.taps, dtype=np.uint8))
 
     def fingerprint(self) -> bytes:
         import hashlib
 
-        h = hashlib.sha256(self.mode.encode())
-        for arr in (self.diagonal, self.lfsr_state, self.feedback_poly):
-            if arr is not None:
-                h.update(np.packbits(arr).tobytes())
-        return h.digest()
+        return hashlib.sha256(np.packbits(self.state).tobytes()
+                              + np.packbits(self.taps).tobytes()).digest()
 
 
-def make_seed(rng: RandomStream, n_in: int, n_out: int, mode: str = PASeed.LFSR) -> PASeed:
-    """Draw a fresh seed; LFSR feedback polynomials are uniform nonzero."""
-    if mode == PASeed.EXPLICIT:
-        return PASeed(mode=mode, diagonal=rng.draw_bits(max(n_in + n_out - 1, 0)))
+def make_seed(rng: RandomStream, n_out: int) -> PASeed:
+    """Draw a fresh seed; feedback polynomials are uniform nonzero."""
     state = rng.draw_bits(n_out)
     poly = rng.draw_bits(n_out)
     while n_out and not poly.any():
         poly = rng.draw_bits(n_out)
-    return PASeed(mode=PASeed.LFSR, lfsr_state=state, feedback_poly=poly)
+    return PASeed(state, poly)
 
 
 # ---------------------------------------------------------------------------
 # hashing
 # ---------------------------------------------------------------------------
-
-_CHUNK = 1 << 17  # input bits folded per partial product
-
 
 def _toeplitz_product(d: np.ndarray, x: np.ndarray, n_out: int) -> np.ndarray:
     """out[i] = sum_j d[n_in-1+i-j] x[j] as exact integers, d of n_in+n_out-1.
@@ -271,49 +250,25 @@ def _toeplitz_product(d: np.ndarray, x: np.ndarray, n_out: int) -> np.ndarray:
     return _product(_spectrum(d, size), _spectrum(x, size), size, n_in - 1, n_in - 1 + n_out)
 
 
-def _toeplitz_window(d: np.ndarray, x: np.ndarray, n_out: int) -> np.ndarray:
-    """T.x for an explicit diagonal, folded in chunks of the input.
-
-    Each input chunk is multiplied against just the diagonal window it can
-    reach, so the FFT size follows the chunk, not n_in.
-    """
-    n_in = x.size
-    acc = np.zeros(n_out, dtype=np.int64)
-    for a in range(0, n_in, _CHUNK):
-        chunk = x[a : a + _CHUNK]
-        lo = n_in - a - chunk.size
-        acc += _toeplitz_product(d[lo : n_in + n_out - 1 - a], chunk, n_out)
-    return (acc & 1).astype(np.uint8)
-
-
-def _lfsr_hash(x: np.ndarray, seed: PASeed, n_out: int) -> np.ndarray:
-    """T.x for an LFSR seed, from the key reduced mod chi (module docstring).
+def toeplitz_hash(input_bits: np.ndarray, seed: PASeed, n_out: int) -> np.ndarray:
+    """T.x over GF(2) for the Toeplitz matrix whose diagonal the seed's LFSR
+    outputs, from the key reduced mod chi (module docstring).
 
     Reversed, P = Q chi + R reads x = rev(Q) f + z^m rev(R) with
     m = n_in - w, so rev(R) is x[m:] ^ the carry of dividing x by f over m
     coefficients, and the hash of x is the hash of rev(R) under d[:2w-1].
     """
+    x = np.asarray(input_bits, dtype=np.uint8)
+    if n_out == 0:
+        return np.zeros(0, dtype=np.uint8)
+    if n_out > x.size:
+        raise ValueError("cannot extract more bits than supplied")
     state, taps = seed.lfsr_parts(n_out)
     divisor = _Divisor(_connection_poly(state, taps))
     m = x.size - n_out
     _, carry = divisor.divide(x, m, np.zeros(n_out, dtype=np.int64), True)
     d = divisor.expand(state, 2 * n_out - 1)
     return (_toeplitz_product(d, x[m:] ^ carry, n_out) & 1).astype(np.uint8)
-
-
-def toeplitz_hash(input_bits: np.ndarray, seed: PASeed, n_out: int) -> np.ndarray:
-    """T.x over GF(2) for the Toeplitz matrix defined by the seed diagonal."""
-    x = np.asarray(input_bits, dtype=np.uint8)
-    if n_out == 0:
-        return np.zeros(0, dtype=np.uint8)
-    if n_out > x.size:
-        raise ValueError("cannot extract more bits than supplied")
-    if seed.mode == PASeed.LFSR:
-        return _lfsr_hash(x, seed, n_out)
-    d = seed.expanded(x.size, n_out)
-    if x.size <= 2 * _CHUNK:
-        return (_toeplitz_product(d, x, n_out) & 1).astype(np.uint8)
-    return _toeplitz_window(d, x, n_out)
 
 
 class SeedLedger:

@@ -3,7 +3,9 @@
 `poly_mac_horner` is the scalar Horner evaluation of the GF(2^127 - 1)
 polynomial MAC; `resolve_collisions_isin` resolves collisions with
 `np.isin` membership tests; `lfsr_expand_ref` steps the LFSR one bit at a
-time and `toeplitz_hash_dense` multiplies by the dense Toeplitz matrix;
+time, `toeplitz_hash_dense` multiplies by the dense Toeplitz matrix and
+`toeplitz_hash_explicit` folds an explicit diagonal's product chunk by chunk;
+`parity_dense` expands the LDPC parity-check matrix;
 `aes_ctr_bits` computes a stream's bits straight from AES-256 of its
 counters and `uniform_from_bits` reads them as uniform floats; `qubit_at`
 evaluates one prepared qubit from one AES block;
@@ -12,7 +14,7 @@ bit column at a time;
 `gf48_mul` / `poly_hash48` evaluate the verification hash one limb at a time,
 and `make_tags_per_block` draws one tag seed per block.
 They define what `cowkd.auth.poly_mac`, `cowkd.sifting.resolve_collisions`,
-`cowkd.privamp.lfsr_expand` / `toeplitz_hash`,
+`cowkd.privamp.lfsr_expand` / `toeplitz_hash`, `cowkd.ldpc.syndrome_batch`,
 `cowkd.randomness.RandomStream` draws, `cowkd.cowsim.QubitSource.at`,
 `cowkd.sifting.encode` / `decode` and
 `cowkd.verification.gf48_mul_vec` / `hash_blocks` / `make_tags` must return,
@@ -33,6 +35,8 @@ from cowkd.auth import LIMB_BITS, UNIT_BITS, mod_p
 from cowkd.bitops import bits_to_int, pack_bits, unpack_bits
 from cowkd.cowsim.channel import DetectionArrays
 from cowkd.errors import SessionAborted
+from cowkd.ldpc import BLOCK_LENGTH, Z, ParityMatrix
+from cowkd.privamp import _toeplitz_product
 from cowkd.randomness import EntropySeed, RandomStream
 from cowkd.sifting import (
     CONTROL_DATA,
@@ -139,13 +143,39 @@ def lfsr_expand_ref(lfsr_state, feedback_poly, length: int) -> np.ndarray:
 
 
 def toeplitz_hash_dense(input_bits: np.ndarray, diagonal: np.ndarray, n_out: int) -> np.ndarray:
-    """Dense matrix-vector product, O(n_in * n_out)."""
+    """Dense matrix-vector product, O(n_in * n_out); the matrix is a strided
+    view of the diagonal, T[i][j] = d[n_in-1+i-j], so it is never copied."""
     x = np.asarray(input_bits, dtype=np.int64)
+    if n_out == 0:
+        return np.zeros(0, dtype=np.uint8)
     d = np.asarray(diagonal, dtype=np.int64)
-    n_in = x.size
-    rows = [d[np.arange(n_in)[::-1] + i] for i in range(n_out)]
-    t = np.stack(rows) if n_out else np.zeros((0, n_in), dtype=np.int64)
+    t = np.lib.stride_tricks.sliding_window_view(d, x.size)[:n_out, ::-1]
     return ((t @ x) & 1).astype(np.uint8)
+
+
+_CHUNK = 1 << 17  # input bits folded per partial product
+
+
+def toeplitz_hash_explicit(x: np.ndarray, d: np.ndarray, n_out: int) -> np.ndarray:
+    """T.x for an explicit diagonal d of n_in + n_out - 1 bits, folded in
+    chunks of the input: each chunk is multiplied against just the diagonal
+    window it can reach, so the FFT size follows the chunk, not n_in."""
+    n_in = x.size
+    acc = np.zeros(n_out, dtype=np.int64)
+    for a in range(0, n_in, _CHUNK):
+        chunk = x[a : a + _CHUNK]
+        lo = n_in - a - chunk.size
+        acc += _toeplitz_product(d[lo : n_in + n_out - 1 - a], chunk, n_out)
+    return (acc & 1).astype(np.uint8)
+
+
+def parity_dense(pm: ParityMatrix) -> np.ndarray:
+    """Fully expanded (checks, 1944) uint8 parity-check matrix."""
+    h = np.zeros((pm.prototype.shape[0] * Z, BLOCK_LENGTH), dtype=np.uint8)
+    rows = np.arange(Z)
+    for i, j in zip(*np.nonzero(pm.prototype >= 0)):
+        h[i * Z + rows, j * Z + (rows + pm.prototype[i, j]) % Z] = 1
+    return h
 
 
 def aes_ctr_bits(seed: EntropySeed, domain: int, n_bits: int, start: int = 0) -> np.ndarray:

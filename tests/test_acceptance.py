@@ -14,7 +14,14 @@ import numpy as np
 import pytest
 
 import fk_oracle
-from oracles import _limbs_from_bits, estimate_qber, toeplitz_hash_dense
+from oracles import (
+    _limbs_from_bits,
+    estimate_qber,
+    lfsr_expand_ref,
+    parity_dense,
+    toeplitz_hash_dense,
+    toeplitz_hash_explicit,
+)
 from cowkd import ldpc
 from cowkd.auth import P127, consumption_fraction, deception_bound, field_mul
 from cowkd.bitops import bits_to_int
@@ -32,13 +39,7 @@ from cowkd.finitekey import (
 )
 from cowkd.ldpc.fer import measure_point
 from cowkd.presets import MEASURED, channel_params
-from cowkd.privamp import (
-    PASeed,
-    SeedLedger,
-    amplify_batch,
-    make_seed,
-    toeplitz_hash,
-)
+from cowkd.privamp import SeedLedger, amplify_batch, lfsr_expand, make_seed, toeplitz_hash
 from cowkd.randomness import EntropySeed, new_stream
 from cowkd.sifting import (
     CONTROL_DATA,
@@ -139,7 +140,7 @@ def test_criterion_04_ldpc_operating_point():
     assert fer_low < 1e-3, fer_low
     # exactness: syndrome linearity and dense-oracle equality
     rng = stream(4)
-    h = ldpc.parity_matrix("3/4").dense()
+    h = parity_dense(ldpc.parity_matrix("3/4"))
     x = rng.draw_bits(1944)
     y = rng.draw_bits(1944)
     sx, sy, sxy = ldpc.syndrome_batch(np.stack([x, y, x ^ y]), "3/4")
@@ -205,28 +206,29 @@ def test_criterion_07_privacy_amplification():
         n_in = int(dims.integers(1, 65))
         n_out = int(dims.integers(0, n_in + 1))
         x = rng.draw_bits(n_in)
-        d = rng.draw_bits(n_in + n_out - 1 if n_out else 0)
-        seed = PASeed(mode=PASeed.EXPLICIT, diagonal=d)
+        seed = make_seed(rng, n_out)
+        d = (lfsr_expand_ref(seed.state, seed.taps, n_in + n_out - 1) if n_out
+             else np.zeros(0, dtype=np.uint8))
         assert np.array_equal(toeplitz_hash(x, seed, n_out),
                               toeplitz_hash_dense(x, d, n_out))
-    # LFSR mode is bit-identical to the expanded explicit mode
+    # the LFSR hash is bit-identical to the product with the expanded diagonal
     n_in, n_out = 4000, 900
     x = rng.draw_bits(n_in)
-    lseed = make_seed(rng, n_in, n_out, mode=PASeed.LFSR)
-    expl = PASeed(mode=PASeed.EXPLICIT, diagonal=lseed.expanded(n_in, n_out))
+    lseed = make_seed(rng, n_out)
+    diagonal = lfsr_expand(lseed.state, lseed.taps, n_in + n_out - 1)
     assert np.array_equal(toeplitz_hash(x, lseed, n_out),
-                          toeplitz_hash(x, expl, n_out))
+                          toeplitz_hash_explicit(x, diagonal, n_out))
     # throughput on a full batch
     bits = rng.draw_bits(N_SIFT_BLOCK)
     n_out = quantize_compression(0.115)[1]
-    seed = make_seed(rng, N_SIFT_BLOCK, n_out, mode=PASeed.LFSR)
+    seed = make_seed(rng, n_out)
     t0 = time.time()
     out = amplify_batch(bits, seed, n_out, SeedLedger())
     rate = N_SIFT_BLOCK / (time.time() - t0)
     assert out.size == 114_463
     assert rate > 1e6, rate
-    _report(7, f"dense-oracle equality on 1000 cases <= 64 bits; LFSR == "
-               f"explicit; throughput {rate:.2e} input bits/s >= 1e6")
+    _report(7, f"dense-oracle equality on 1000 LFSR cases <= 64 bits; LFSR == "
+               f"expanded explicit diagonal; throughput {rate:.2e} input bits/s >= 1e6")
 
 
 def test_criterion_08_authentication():

@@ -424,27 +424,6 @@ def test_session_over_small_socket_buffers_completes(monkeypatch):
         == SMALL_CONFIG_POOL_DIGEST
 
 
-def test_subsample_mode_with_sub_windows_agrees(monkeypatch):
-    # subsample records and their replies share Bob's reply queue with the
-    # sub-windows' verdicts
-    monkeypatch.setattr(session_mod, "SUB_WINDOW_BLOCKS", 2)
-    ra, rb = run_session(small_config(pe_mode="subsampling"))
-    assert ra["pool_digest"] == rb["pool_digest"]
-    assert ra["secret_bits"] > 0 and ra["batches"] == 2
-    assert ra["transcript"] == {"out": rb["transcript"]["in"], "in": rb["transcript"]["out"]}
-
-
-def test_subsample_mode_runs_and_costs_more_traffic():
-    # fine chunks so the +1/0.875 sifting demand shows through granularity
-    ra_c, rb_c = run_session(small_config(n_batches=1, chunk_qubits=1 << 19))
-    cfg_s = small_config(n_batches=1, pe_mode="subsampling", chunk_qubits=1 << 19)
-    ra_s, rb_s = run_session(cfg_s)
-    assert ra_s["pool_digest"] == rb_s["pool_digest"]
-    assert ra_s["secret_bits"] > 0
-    extra = ra_s["classical_bits_total"] / ra_c["classical_bits_total"] - 1
-    assert 0.05 < extra < 0.35, extra
-
-
 def run_parties(alice, bob, timeout: float) -> dict:
     """Run both parties in threads; return the exception each raised, by role."""
     errors = {}

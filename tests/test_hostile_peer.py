@@ -17,30 +17,28 @@ from cowkd.engine.session import AliceParty, BobParty
 from test_engine import _RewriteTransport, run_parties, small_config
 
 
-# record -> (sender, channel, payload prefix, subsampling session, (offset, width) fields)
+# record -> (sender, channel, payload prefix, (offset, width) fields)
 RECORDS = {
-    "hello": ("alice", CH_CONTROL, b"COWD1", False, [(0, 5), (5, 32), (37, 32)]),
-    "hello echo": ("bob", CH_CONTROL, b"COWD1", False, [(0, 5), (5, 32), (37, 32)]),
-    "sift disclosure": ("bob", CH_SIFTING, b"", False, [(0, 8), (8, 4), (12, 1)]),
-    "sift response": ("alice", CH_SIFTING, b"", False, [(0, 4), (4, 1)]),
-    "SMP": ("bob", CH_CONTROL, b"SMP", True, [(0, 3), (3, 4), (7, 4), (11, 1)]),
-    "SME": ("alice", CH_CONTROL, b"SME", True, [(0, 3), (3, 8)]),
-    "syndrome": ("bob", CH_SYNDROME, b"", False, [(0, 4), (4, 2), (6, 1)]),
-    "verify tags": ("bob", CH_VERIFY, b"", False, [(0, 4), (4, 2), (6, 6), (12, 6)]),
-    "verify response": ("alice", CH_VERIFY, b"", False, [(0, 4), (4, 2), (6, 1)]),
-    "EST": ("alice", CH_CONTROL, b"EST", False, [(3, 4), (7, 8), (15, 8)]),
-    "AUD": ("bob", CH_CONTROL, b"AUD", False, [(3, 4)] + [(7 + 8 * i, 8) for i in range(8)]),
-    "END from bob": ("bob", CH_CONTROL, b"END", False, [(0, 3)]),
-    "END from alice": ("alice", CH_CONTROL, b"END", False, [(0, 3)]),
-    "PA seed": ("bob", CH_PA_SEED, b"", False, [(0, 1), (1, 4), (5, 4), (9, 1)]),
-    "auth tag from bob": ("bob", CH_AUTH_TAG, b"", False, [(0, 4), (4, 16)]),
-    "auth tag from alice": ("alice", CH_AUTH_TAG, b"", False, [(0, 4), (4, 16)]),
+    "hello": ("alice", CH_CONTROL, b"COWD1", [(0, 5), (5, 32), (37, 32)]),
+    "hello echo": ("bob", CH_CONTROL, b"COWD1", [(0, 5), (5, 32), (37, 32)]),
+    "sift disclosure": ("bob", CH_SIFTING, b"", [(0, 8), (8, 4), (12, 1)]),
+    "sift response": ("alice", CH_SIFTING, b"", [(0, 4), (4, 1)]),
+    "syndrome": ("bob", CH_SYNDROME, b"", [(0, 4), (4, 2), (6, 1)]),
+    "verify tags": ("bob", CH_VERIFY, b"", [(0, 4), (4, 2), (6, 6), (12, 6)]),
+    "verify response": ("alice", CH_VERIFY, b"", [(0, 4), (4, 2), (6, 1)]),
+    "EST": ("alice", CH_CONTROL, b"EST", [(3, 4), (7, 8), (15, 8)]),
+    "AUD": ("bob", CH_CONTROL, b"AUD", [(3, 4)] + [(7 + 8 * i, 8) for i in range(8)]),
+    "END from bob": ("bob", CH_CONTROL, b"END", [(0, 3)]),
+    "END from alice": ("alice", CH_CONTROL, b"END", [(0, 3)]),
+    "PA seed": ("bob", CH_PA_SEED, b"", [(0, 1), (1, 4), (5, 4), (9, 1)]),
+    "auth tag from bob": ("bob", CH_AUTH_TAG, b"", [(0, 4), (4, 16)]),
+    "auth tag from alice": ("alice", CH_AUTH_TAG, b"", [(0, 4), (4, 16)]),
 }
 
 
 def run_rewritten(record: str, rewrite) -> tuple[dict, AliceParty, BobParty]:
-    sender, channel_id, prefix, subsample, _ = RECORDS[record]
-    cfg = small_config(n_batches=1, **({"pe_mode": "subsampling"} if subsample else {}))
+    sender, channel_id, prefix, _ = RECORDS[record]
+    cfg = small_config(n_batches=1)
     ta, tb = LoopbackTransport.pair(timeout=10)
     if sender == "alice":
         ta = evil = _RewriteTransport(ta, channel_id, rewrite, prefix)
@@ -78,7 +76,7 @@ mutations = st.one_of(
 
 
 def _mutate(record: str, mutation):
-    fields = RECORDS[record][4]
+    fields = RECORDS[record][3]
 
     def rewrite(payload: bytes) -> bytes:
         kind, *args = mutation
@@ -109,6 +107,8 @@ def _replace(offset: int, value: bytes):
 
 @pytest.mark.parametrize("record, rewrite, party, exit_code", [
     ("PA seed", _replace(0, bytes([7])), "alice", EXIT_ABORT),  # unknown mode
+    pytest.param("PA seed", _replace(0, bytes([0])), "alice", EXIT_ABORT,
+                 id="PA seed-retired mode 0-alice-3"),  # the explicit diagonal
     ("syndrome", _replace(4, b"\xff\xff"), "alice", EXIT_ABORT),  # 65,535 blocks
     ("sift disclosure", lambda p: p[: len(p) // 2], "alice", EXIT_ABORT),
     ("EST", lambda p: p[:-1], "bob", EXIT_ABORT),

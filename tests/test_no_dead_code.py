@@ -12,12 +12,14 @@ Dunder methods are called by the language and are skipped.
 
 import ast
 import importlib.util
+import runpy
 import sys
 from pathlib import Path
 
 import cowkd
 
 SRC = Path(cowkd.__file__).resolve().parent
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 # Public on purpose though nothing in the package calls them.
 ALLOWED = {
@@ -29,8 +31,8 @@ ALLOWED = {
     "consumption_fraction",  # auth: key share spent on tags
     "consumption_report",  # auth: the consumption figures per reference point
     "pads_consumed",  # auth: pads a session of a given length spends
-    # the tests' oracle for the parity-check taps
-    "dense",  # ParityMatrix.dense
+    # perfbench's tracer binds it by name
+    "lfsr_expand",  # privamp.lfsr_expand
     # the write side of ChannelParams.load's file format
     "save",  # ChannelParams.save
     # key delivery to an application, the pool's consumer-facing use
@@ -121,3 +123,18 @@ def test_every_definition_has_a_caller_in_src():
 def test_allowlist_names_only_uncalled_definitions():
     # an allowlisted name that gained a caller, or was deleted, leaves the list
     assert set(unused_names(SRC)) >= ALLOWED
+
+
+def test_every_name_perfbench_traces_resolves():
+    # the tracer rebinds these by name, so a traced benchmark run crashes on
+    # one that src/ renamed or deleted; the file is read, not imported, so
+    # nothing is written next to it
+    layers = runpy.run_path(str(TRACER))["LAYERS"]
+    missing = []
+    for module, cls, name, _, _ in layers:
+        owner = importlib.import_module(module)
+        if cls is not None:
+            owner = getattr(owner, cls, None)
+        if not callable(getattr(owner, name, None)):
+            missing.append(f"{module}.{cls + '.' if cls else ''}{name}")
+    assert not missing, f"perfbench traces names the package lacks: {missing}"

@@ -6,14 +6,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import lfsr_expand_ref, toeplitz_hash_dense
-from cowkd.engine.frames import decode_seed, encode_seed
+from oracles import lfsr_expand_ref, toeplitz_hash_dense, toeplitz_hash_explicit
+from cowkd.engine.frames import _SEED, decode_seed, encode_seed
+from cowkd.errors import EXIT_ABORT, SessionAborted
 from cowkd.finitekey import N_SIFT_BLOCK, quantize_compression
 from cowkd.privamp import (
     PASeed,
     SeedLedger,
     SeedReuseError,
     _division_sizes,
+    _toeplitz_product,
     amplify_batch,
     lfsr_expand,
     make_seed,
@@ -26,30 +28,37 @@ def stream(n=1):
     return new_stream(EntropySeed.from_int(100 + n))
 
 
-def explicit_seed(diag):
-    return PASeed(mode=PASeed.EXPLICIT, diagonal=np.asarray(diag, dtype=np.uint8))
+def diagonal_of(seed: PASeed, n_in: int, n_out: int) -> np.ndarray:
+    """The seed's n_in + n_out - 1 bit diagonal, stepped out by the reference."""
+    if n_out == 0:
+        return np.zeros(0, dtype=np.uint8)
+    return lfsr_expand_ref(seed.state, seed.taps, n_in + n_out - 1)
 
 
 def test_zero_input_hashes_to_zero():
     rng = stream(1)
-    seed = explicit_seed(rng.draw_bits(31))
+    seed = make_seed(rng, 8)
     out = toeplitz_hash(np.zeros(24, dtype=np.uint8), seed, 8)
     assert not out.any()
 
 
 def test_identity_toeplitz():
-    d = np.zeros(15, dtype=np.uint8)
-    d[7] = 1  # main-diagonal position for n_in = 8
+    # register e_7 with the single tap c_8 outputs d[7] = 1 and zeros
+    # after it: the main diagonal for n_in = 8
+    state = np.zeros(8, dtype=np.uint8)
+    state[7] = 1
+    taps = np.zeros(8, dtype=np.uint8)
+    taps[7] = 1
     x = np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.uint8)
-    assert np.array_equal(toeplitz_hash(x, explicit_seed(d), 8), x)
+    assert np.array_equal(toeplitz_hash(x, PASeed(state, taps), 8), x)
 
 
 def test_matches_dense_oracle_spec_example():
     rng = stream(2)
     x = rng.draw_bits(24)
-    d = rng.draw_bits(24 + 8 - 1)
-    assert np.array_equal(toeplitz_hash(x, explicit_seed(d), 8),
-                          toeplitz_hash_dense(x, d, 8))
+    seed = make_seed(rng, 8)
+    assert np.array_equal(toeplitz_hash(x, seed, 8),
+                          toeplitz_hash_dense(x, diagonal_of(seed, 24, 8), 8))
 
 
 def test_matches_dense_oracle_all_dims_up_to_64():
@@ -60,16 +69,15 @@ def test_matches_dense_oracle_all_dims_up_to_64():
         n_in = int(dims.integers(1, 65))
         n_out = int(dims.integers(0, n_in + 1))
         x = rng.draw_bits(n_in)
-        d = rng.draw_bits(n_in + n_out - 1 if n_out else 0)
-        got = toeplitz_hash(x, explicit_seed(d), n_out)
-        want = toeplitz_hash_dense(x, d, n_out)
+        seed = make_seed(rng, n_out)
+        got = toeplitz_hash(x, seed, n_out)
+        want = toeplitz_hash_dense(x, diagonal_of(seed, n_in, n_out), n_out)
         assert np.array_equal(got, want)
 
 
 def test_linearity():
     rng = stream(4)
-    d = rng.draw_bits(100 + 40 - 1)
-    seed = explicit_seed(d)
+    seed = make_seed(rng, 40)
     for _ in range(50):
         x = rng.draw_bits(100)
         y = rng.draw_bits(100)
@@ -84,7 +92,7 @@ def test_fft_path_matches_direct_convolution():
     n_in, n_out = 40_000, 5_000
     x = rng.draw_bits(n_in)
     d = rng.draw_bits(n_in + n_out - 1)
-    fft_out = toeplitz_hash(x, explicit_seed(d), n_out)
+    fft_out = (_toeplitz_product(d, x, n_out) & 1).astype(np.uint8)
     # independent exact path: direct integer convolution on int64
     full = np.convolve(d.astype(np.int64), x.astype(np.int64))
     direct = (full[n_in - 1 : n_in - 1 + n_out] & 1).astype(np.uint8)
@@ -100,7 +108,7 @@ def test_fft_window_at_transform_size_boundaries(n_in, n_out):
     d = rng.draw_bits(n_in + n_out - 1)
     full = np.convolve(d.astype(np.int64), x.astype(np.int64))
     direct = (full[n_in - 1 : n_in - 1 + n_out] & 1).astype(np.uint8)
-    assert np.array_equal(toeplitz_hash(x, explicit_seed(d), n_out), direct)
+    assert np.array_equal(_toeplitz_product(d, x, n_out) & 1, direct)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +181,7 @@ def test_lfsr_zero_polynomial_rejected():
 def test_lfsr_hash_rejects_bad_seed(n_in, state_bits, tap_bits, taps_nonzero):
     rng = stream(12)
     taps = np.ones(tap_bits, dtype=np.uint8) if taps_nonzero else np.zeros(tap_bits, dtype=np.uint8)
-    seed = PASeed(mode=PASeed.LFSR, lfsr_state=rng.draw_bits(state_bits), feedback_poly=taps)
+    seed = PASeed(rng.draw_bits(state_bits), taps)
     with pytest.raises(ValueError):
         toeplitz_hash(rng.draw_bits(n_in), seed, 50)
 
@@ -209,7 +217,7 @@ def lfsr_hash_cases(draw):
 @example(_lfsr_case(600, 768, 4, False))
 def test_lfsr_hash_matches_dense_oracle(case):
     x, state, taps, n_out = case
-    seed = PASeed(mode=PASeed.LFSR, lfsr_state=state, feedback_poly=taps)
+    seed = PASeed(state, taps)
     diagonal = lfsr_expand_ref(state, taps, x.size + n_out - 1)
     assert np.array_equal(toeplitz_hash(x, seed, n_out), toeplitz_hash_dense(x, diagonal, n_out))
 
@@ -223,7 +231,7 @@ def test_lfsr_hash_matches_dense_oracle(case):
 def test_full_batch_lfsr_hash_digest_pinned(n_out, seed_int, digest):
     rng = new_stream(EntropySeed.from_int(seed_int))
     x = rng.draw_bits(N_SIFT_BLOCK)
-    seed = make_seed(rng, N_SIFT_BLOCK, n_out, mode=PASeed.LFSR)
+    seed = make_seed(rng, n_out)
     out = toeplitz_hash(x, seed, n_out)
     assert hashlib.sha256(np.packbits(out).tobytes()).hexdigest() == digest
 
@@ -232,10 +240,10 @@ def test_lfsr_mode_equals_explicit_mode():
     rng = stream(7)
     n_in, n_out = 3000, 700
     x = rng.draw_bits(n_in)
-    seed = make_seed(rng, n_in, n_out, mode=PASeed.LFSR)
-    diag = seed.expanded(n_in, n_out)
+    seed = make_seed(rng, n_out)
+    diag = lfsr_expand(seed.state, seed.taps, n_in + n_out - 1)
     out_lfsr = toeplitz_hash(x, seed, n_out)
-    out_explicit = toeplitz_hash(x, explicit_seed(diag), n_out)
+    out_explicit = toeplitz_hash_explicit(x, diag, n_out)
     assert np.array_equal(out_lfsr, out_explicit)
 
 
@@ -243,12 +251,13 @@ def test_lfsr_mode_equals_explicit_mode():
     (512, 1 << 10),  # 2^k
     (700, 3 << 9),  # 3 * 2^k
     (1550, 5 ** 5),  # 5^5 * 2^k, here with k = 0: an odd transform length
+    (3073, 2 * 5 ** 5),  # the family's first even member, as in production
 ])
 def test_lfsr_hash_matches_dense_oracle_in_each_transform_size_family(w, size):
     # n_in spans two division blocks, the second one partial
     assert _division_sizes(w) == (size, size // 2)
     x, state, taps, n_out = _lfsr_case(w, size // 2 + 7, w, False)
-    seed = PASeed(mode=PASeed.LFSR, lfsr_state=state, feedback_poly=taps)
+    seed = PASeed(state, taps)
     diagonal = lfsr_expand_ref(state, taps, x.size + n_out - 1)
     assert np.array_equal(toeplitz_hash(x, seed, n_out), toeplitz_hash_dense(x, diagonal, n_out))
 
@@ -259,9 +268,9 @@ def test_full_size_lfsr_hash_equals_expanded_explicit_diagonal():
     assert (n_in, _division_sizes(n_out)) == (995_328, (200_000, 100_000))
     rng = stream(14)
     x = rng.draw_bits(n_in)
-    seed = make_seed(rng, n_in, n_out, mode=PASeed.LFSR)
-    expl = explicit_seed(seed.expanded(n_in, n_out))
-    assert np.array_equal(toeplitz_hash(x, seed, n_out), toeplitz_hash(x, expl, n_out))
+    seed = make_seed(rng, n_out)
+    diagonal = lfsr_expand(seed.state, seed.taps, n_in + n_out - 1)
+    assert np.array_equal(toeplitz_hash(x, seed, n_out), toeplitz_hash_explicit(x, diagonal, n_out))
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +286,7 @@ def test_amplify_batch_and_seed_freshness():
     rng = stream(8)
     bits = rng.draw_bits(N_SIFT_BLOCK)
     n_out = quantize_compression(0.01)[1]
-    seed = make_seed(rng, N_SIFT_BLOCK, n_out, mode=PASeed.LFSR)
+    seed = make_seed(rng, n_out)
     ledger = SeedLedger()
     out = amplify_batch(bits, seed, n_out, ledger)
     assert out.size == n_out
@@ -287,7 +296,7 @@ def test_amplify_batch_and_seed_freshness():
 
 def test_amplify_ratio_zero_gives_empty_key():
     rng = stream(9)
-    seed = make_seed(rng, N_SIFT_BLOCK, 0)
+    seed = make_seed(rng, 0)
     assert amplify_batch(rng.draw_bits(N_SIFT_BLOCK), seed, 0, SeedLedger()).size == 0
 
 
@@ -295,7 +304,7 @@ def test_full_batch_throughput_floor():
     rng = stream(10)
     bits = rng.draw_bits(N_SIFT_BLOCK)
     n_out = quantize_compression(0.115)[1]
-    seed = make_seed(rng, N_SIFT_BLOCK, n_out, mode=PASeed.LFSR)
+    seed = make_seed(rng, n_out)
     t0 = time.time()
     out = amplify_batch(bits, seed, n_out, SeedLedger())
     elapsed = time.time() - t0
@@ -305,11 +314,20 @@ def test_full_batch_throughput_floor():
 
 def test_seed_wire_roundtrip():
     rng = stream(11)
-    for mode in (PASeed.EXPLICIT, PASeed.LFSR):
-        seed = make_seed(rng, 200, 50, mode=mode)
-        blob = encode_seed(seed, batch_id=7)
-        back, bid = decode_seed(blob)
-        assert bid == 7
-        assert back.mode == seed.mode
-        assert np.array_equal(back.expanded(200, 50), seed.expanded(200, 50))
+    seed = make_seed(rng, 50)
+    blob = encode_seed(seed, batch_id=7)
+    assert blob[0] == 1  # the mode byte
+    back, bid = decode_seed(blob)
+    assert bid == 7
+    assert np.array_equal(back.state, seed.state)
+    assert np.array_equal(back.taps, seed.taps)
+
+
+def test_decode_seed_rejects_explicit_diagonal_mode():
+    # a well-formed record of mode 0, an explicit diagonal, aborts
+    d = stream(15).draw_bits(249)
+    blob = _SEED.pack(0, 7, d.size, bits=[d])
+    with pytest.raises(SessionAborted) as info:
+        decode_seed(blob)
+    assert info.value.exit_code == EXIT_ABORT
 
