@@ -33,6 +33,10 @@ TRUTH_SIGNAL = 0
 TRUTH_DARK = 1
 TRUTH_NOISE = 2
 
+# Qubits per cipher pass of `QubitSource.at`: 128 kB of counters and of
+# ciphertext, reused, so a lookup neither allocates nor faults in fresh pages.
+_LOOKUP_PIECE = 1 << 13
+
 
 class QubitSource:
     """Random-access view of Alice's prepared sequence.
@@ -40,6 +44,9 @@ class QubitSource:
     Qubit i's basis and bit derive from an AES block at counter i, so
     evaluation at arbitrary indices is O(1) and both parties of a simulated
     session can share the view through the 256-bit key.
+
+    Single-owner, like `RandomStream`: lookups reuse the source's counter and
+    ciphertext buffers, so two threads must not call `at` at once.
     """
 
     def __init__(self, key: bytes, p_decoy: float):
@@ -47,21 +54,32 @@ class QubitSource:
             raise ValueError("qubit source key must be 32 bytes")
         self.key = key
         self.p_decoy = p_decoy
-        self._cipher = Cipher(algorithms.AES(key), modes.ECB())
+        # ECB keeps no state between whole blocks: one encryptor serves every lookup
+        self._ecb = Cipher(algorithms.AES(key), modes.ECB()).encryptor()
+        self._counters = np.zeros((_LOOKUP_PIECE, 2), dtype=">u8")  # column 0 stays 0
+        self._blocks = np.empty(16 * _LOOKUP_PIECE + 15, dtype=np.uint8)  # ECB needs 15 spare
 
     def at(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(basis, bit) arrays for the given qubit indices.
 
         Qubit i encrypts the big-endian 128-bit counter i. Its basis is decoy
         when the ciphertext's first 32-bit word, big-endian, falls below
-        p_decoy * 2^32; its bit is the low bit of the fifth byte.
+        p_decoy * 2^32; its bit is the low bit of the fifth byte. Each piece
+        of up to _LOOKUP_PIECE indices is one cipher pass into the source's
+        ciphertext buffer, read straight into the fresh result arrays.
         """
-        counters = np.zeros((np.size(indices), 2), dtype=">u8")
-        counters[:, 1] = np.asarray(indices, dtype=np.uint64)
-        ciphertext = self._cipher.encryptor().update(counters.view(np.uint8))
-        words = np.frombuffer(ciphertext, dtype=">u4").reshape(-1, 4)
-        basis = (words[:, 0] < int(self.p_decoy * (1 << 32))).astype(np.uint8)
-        bit = ((words[:, 1] >> 24) & 1).astype(np.uint8)
+        idx = np.asarray(indices).ravel()
+        basis = np.empty(idx.size, dtype=np.uint8)
+        bit = np.empty(idx.size, dtype=np.uint8)
+        below = int(self.p_decoy * (1 << 32))
+        for a in range(0, idx.size, _LOOKUP_PIECE):
+            piece = slice(a, a + _LOOKUP_PIECE)
+            counters = self._counters[: idx[piece].size]
+            counters[:, 1] = idx[piece]
+            self._ecb.update_into(counters.view(np.uint8), self._blocks)
+            blocks = self._blocks[: 16 * counters.shape[0]].reshape(-1, 16)
+            np.less(blocks.view("<u4")[:, 0].byteswap(), below, out=basis[piece].view(bool))
+            np.bitwise_and(blocks[:, 4], 1, out=bit[piece])
         return basis, bit
 
 
@@ -122,50 +140,82 @@ def _geometric_hits(rng: RandomStream, n_slots: int, p: float) -> np.ndarray:
     while pos < n_slots:
         draw = max(int((n_slots - pos) * p * 1.1) + 64, 256)
         u = rng.draw_uniform(draw)
-        gaps = np.floor(np.log(np.maximum(u, 1e-300)) / log_q).astype(np.int64)
-        hits = pos + np.cumsum(gaps + 1)
+        gaps = np.log(np.maximum(u, 1e-300, out=u))
+        gaps /= log_q
+        hits = np.floor(gaps, out=gaps).astype(np.int64)
+        hits += 1
+        np.cumsum(hits, out=hits)
+        hits += pos
         out.append(hits)
         pos = int(hits[-1])
-    hits = np.concatenate(out)
-    return hits[hits < n_slots]
+    # hits increase, so only the last draw can run past n_slots
+    out[-1] = hits[: np.searchsorted(hits, n_slots)]
+    return out[0] if len(out) == 1 else np.concatenate(out)
+
+
+# Pulse code of one gate: 2 * basis + whether the gate holds the qubit's
+# pulse, so a data qubit's empty (leakage) bin is 0, its full bin 1 and a
+# decoy's bins 2 and 3. _NO_PULSE stands for the gate before qubit 0.
+_NO_PULSE = 4
+_NOMINAL = np.array([False, True, True, True, False])  # a non-empty half pulse
+
+
+def _pulse_codes(source: QubitSource, gates: np.ndarray) -> np.ndarray:
+    basis, bit = source.at(gates >> 1)
+    return (basis << 1) | (bit ^ (gates.astype(np.uint8) & 1))
+
+
+def _acceptance_tables(params: ChannelParams, t_eta_data: float, q_max: float,
+                       t_eta_mon: float, q_max_mon: float) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Thinning ratios p_true / q_max per class: the data detector's by pulse
+    code (4 entries), and each monitor port's (destructive first) by the
+    codes of the slot's two half pulses, 4 * previous + this (20 entries).
+
+    They apply the per-click expressions to the class values, so each entry
+    is the float a per-click evaluation would compare against.
+    """
+    means = np.array([params.mu_leak, params.mu_full, params.mu, params.mu, 0.0])
+    data = (1.0 - np.exp(-means[:_NO_PULSE] * t_eta_data)) / q_max
+    prev, here = np.divmod(np.arange(4 * (_NO_PULSE + 1)), 4)
+    m = means * t_eta_mon
+    ports = _monitor_port_means(params, m[prev], m[here], _NOMINAL[prev] & _NOMINAL[here])
+    return data, [(1.0 - np.exp(-mean)) / q_max_mon for mean in ports]
 
 
 def sample_detections(params: ChannelParams, source: QubitSource, n_qubits: int,
                       rng: RandomStream) -> tuple[DetectionArrays, DetectionArrays]:
     """Data and monitor detections of n_qubits prepared by `source`.
 
-    The dense per-gate reference it must agree with in distribution lives
+    Candidate clicks are thinned against class tables computed once per
+    call (`_acceptance_tables`): a candidate's pulse codes pick its entry.
+    The dense per-gate reference this must agree with in distribution lives
     with the tests (`tests/refsim.py`).
     """
     n_gates = 2 * n_qubits
     t_eta_data = params.t_data_line * params.eta_det_data
-
-    # data detector signal: bound by the brightest bin (a decoy pulse)
+    t_eta_mon = params.t_monitor_line * params.eta_det_mon
+    # candidate rates: bound by the brightest bin (a decoy pulse)
     q_max = 1.0 - math.exp(-params.mu * t_eta_data)
+    q_max_mon = 1.0 - math.exp(-params.mu * t_eta_mon)
+    accept, port_accept = _acceptance_tables(params, t_eta_data, q_max, t_eta_mon, q_max_mon)
+
     cand = _geometric_hits(rng, n_gates, q_max)
-    basis, bit = source.at(cand >> 1)
-    is_early = (cand & 1) == 0
-    full = np.where(is_early, bit == 1, bit == 0)
-    mean = np.where(basis == BASIS_DECOY, params.mu,
-                    np.where(full, params.mu_full, params.mu_leak))
-    p_true = 1.0 - np.exp(-mean * t_eta_data)
-    acc = rng.draw_uniform(cand.size) < (p_true / q_max)
+    acc = rng.draw_uniform(cand.size) < accept[_pulse_codes(source, cand)]
     sig_gates = cand[acc]
 
     dark_gates = _geometric_hits(rng, n_gates, params.p_dark_data)
     noise_gates = _geometric_hits(rng, n_gates, params.p_dwdm_noise)
     data = _merge_truth(sig_gates, dark_gates, noise_gates)
 
-    # monitor ports
-    t_eta_mon = params.t_monitor_line * params.eta_det_mon
-    q_max_mon = 1.0 - math.exp(-params.mu * t_eta_mon)
     mon_streams = []
-    for destructive in (True, False):
+    for destructive, port_table in zip((True, False), port_accept):
         cand = _geometric_hits(rng, n_gates, q_max_mon)
-        dest_mean, bright_mean = _slot_means_at(params, source, cand, t_eta_mon)
-        port_mean = dest_mean if destructive else bright_mean
-        p_true = 1.0 - np.exp(-port_mean)
-        acc = rng.draw_uniform(cand.size) < (p_true / q_max_mon)
+        # the slots' half pulses and their predecessors' in one lookup
+        codes = _pulse_codes(source, np.concatenate([cand - 1, cand]))
+        if cand.size and cand[0] == 0:
+            codes[0] = _NO_PULSE
+        slot_class = 4 * codes[: cand.size] + codes[cand.size :]
+        acc = rng.draw_uniform(cand.size) < port_table[slot_class]
         sig = cand[acc]
         dark = _geometric_hits(rng, n_gates, params.p_dark_mon)
         noise = _geometric_hits(rng, n_gates, params.p_noise_mon_port)
@@ -181,37 +231,16 @@ def sample_detections(params: ChannelParams, source: QubitSource, n_qubits: int,
     return data, monitor
 
 
-def _slot_means_at(params: ChannelParams, source: QubitSource, slots: np.ndarray,
-                   t_eta_mon: float) -> tuple[np.ndarray, np.ndarray]:
-    """Monitor port means at specific gate slots, evaluated lazily."""
-
-    def pulse(gates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        valid = gates >= 0
-        q = np.where(valid, gates >> 1, 0)
-        basis, bit = source.at(q)
-        is_early = (gates & 1) == 0
-        full = np.where(is_early, bit == 1, bit == 0)
-        decoy = basis == BASIS_DECOY
-        mean = np.where(decoy, params.mu, np.where(full, params.mu_full, params.mu_leak))
-        nominal = decoy | full
-        mean = np.where(valid, mean, 0.0)
-        nominal &= valid
-        return mean * t_eta_mon, nominal
-
-    m_here, nom_here = pulse(slots)
-    m_prev, nom_prev = pulse(slots - 1)
-    return _monitor_port_means(params, m_prev, m_here, nom_prev & nom_here)
-
-
 def _merge_truth(sig: np.ndarray, dark: np.ndarray, noise: np.ndarray) -> DetectionArrays:
-    """Union of click sources at distinct gates, signal taking precedence."""
+    """Union of click sources at distinct gates, signal taking precedence.
+
+    The sources are concatenated in truth-code order, so a stable sort by
+    gate puts a gate's signal click ahead of its dark and noise clicks.
+    """
     gates = np.concatenate([sig, dark, noise])
-    truth = np.concatenate([
-        np.full(sig.size, TRUTH_SIGNAL, dtype=np.uint8),
-        np.full(dark.size, TRUTH_DARK, dtype=np.uint8),
-        np.full(noise.size, TRUTH_NOISE, dtype=np.uint8),
-    ])
-    order = np.lexsort((truth, gates))
+    truth = np.repeat(np.array([TRUTH_SIGNAL, TRUTH_DARK, TRUTH_NOISE], dtype=np.uint8),
+                      [sig.size, dark.size, noise.size])
+    order = np.argsort(gates, kind="stable")
     gates, truth = gates[order], truth[order]
     first = np.ones(gates.size, dtype=bool)
     first[1:] = gates[1:] != gates[:-1]
@@ -219,12 +248,13 @@ def _merge_truth(sig: np.ndarray, dark: np.ndarray, noise: np.ndarray) -> Detect
 
 
 def interfering_slot_mask(lookup, gates: np.ndarray) -> np.ndarray:
-    """True at monitor slots where two nominally non-empty half pulses meet."""
-    def nominal(g):
-        valid = g >= 0
-        basis, bit = lookup(np.where(valid, g >> 1, 0))
-        is_early = (g & 1) == 0
-        full = np.where(is_early, bit == 1, bit == 0)
-        return ((basis == BASIS_DECOY) | full) & valid
+    """True at monitor slots where two nominally non-empty half pulses meet.
 
-    return nominal(gates) & nominal(gates - 1)
+    The slots' half pulses and their predecessors' come from one lookup."""
+    both = np.concatenate([gates - 1, gates])
+    valid = both >= 0
+    basis, bit = lookup(np.where(valid, both >> 1, 0))
+    is_early = (both & 1) == 0
+    full = np.where(is_early, bit == 1, bit == 0)
+    nominal = ((basis == BASIS_DECOY) | full) & valid
+    return nominal[: gates.size] & nominal[gates.size :]

@@ -579,10 +579,11 @@ class BobParty(_PartyBase):
     def _read_sift_verdict(self, chunk: _Chunk):
         events, dmask = chunk.events, chunk.dmask
         keep = frames.decode_sift_response(self.ep.expect(CH_SIFTING), chunk.n_data)
-        kept_bits = events.bob_bit[dmask][keep].astype(np.uint8)
+        kept = np.flatnonzero(dmask)[keep]  # the events Alice keeps
+        kept_bits = events.bob_bit[kept].astype(np.uint8)
         self.total_raw += chunk.n_data
         self.total_sifted += kept_bits.size
-        self._audit_errors(events, dmask, keep, chunk.q0)
+        self._audit_errors(events, kept, kept_bits, chunk.q0)
         self.key_bits = np.concatenate([self.key_bits, kept_bits])
 
     # EC + verification in sub-windows; a closing window sends the whole
@@ -647,12 +648,11 @@ class BobParty(_PartyBase):
         self._audit[6] += int((interf & ~dest & sig).sum())
         self._audit[7] += int((interf & dest & sig).sum())
 
-    def _audit_errors(self, events, dmask, keep, q0: int):
-        q = events.qubit[dmask][keep]
-        bob = events.bob_bit[dmask][keep]
-        truth = events.truth[dmask][keep]
+    def _audit_errors(self, events, kept, kept_bits, q0: int):
+        q = events.qubit[kept]
+        truth = events.truth[kept]
         _, alice_bits = self.source.at(q + q0)
-        err = bob != alice_bits
+        err = kept_bits != alice_bits
         self._audit[0] += q.size
         self._audit[1] += int(err.sum())
         self._audit[2] += int((err & (truth == TRUTH_DARK)).sum())

@@ -22,7 +22,8 @@ SEED_BITS = 256
 _BLOCK_BYTES = 16
 # Blocks available to one domain: counter bits below the 32-bit label.
 _DOMAIN_SPACE = 1 << 96
-_ZERO_BYTE = np.zeros(1, dtype=np.uint8)
+# Plaintext of the keystream, encrypted a piece at a time; never written.
+_ZEROS = np.zeros(1 << 16, dtype=np.uint8)
 
 
 class CounterExhausted(RuntimeError):
@@ -58,6 +59,10 @@ class RandomStream:
     Single-owner: a stream may be handed between threads but must not be
     drawn from concurrently. Output is a pure function of (seed, domain,
     cumulative bits drawn); drawing 64 bits twice equals drawing 128 once.
+
+    A stream's blocks are consecutive, so it keeps one CTR encryptor and
+    each draw writes the next keystream blocks into a fresh numpy buffer;
+    the encryptor is rebuilt only when `_block` is not where it stopped.
     """
 
     def __init__(self, seed: EntropySeed, domain: int = 0):
@@ -66,23 +71,32 @@ class RandomStream:
         self.seed = seed
         self.domain = domain
         self._block = 0  # next 128-bit block index within this domain
-        self._buf = b""
+        self._buf = np.zeros(0, dtype=np.uint8)  # the last block drawn
         self._buf_bits = 0  # unread bits remaining in _buf (from its tail)
         self.bits_emitted = 0
+        self._enc = None
+        self._enc_block = -1  # the block the encryptor produces next
 
     # -- raw block generation -------------------------------------------------
 
-    def _raw_blocks(self, n_blocks: int) -> bytes:
-        """The next n_blocks keystream blocks: AES-CTR from counter
-        (domain << 96) + block, whose carries stay below the domain label."""
+    def _raw_blocks_into(self, out: np.ndarray):
+        """Fill `out` with the next len(out) / 16 keystream blocks: AES-CTR
+        from counter (domain << 96) + block, whose carries stay below the
+        domain label."""
+        n_blocks = out.size // _BLOCK_BYTES
         if self._block + n_blocks > _DOMAIN_SPACE:
             raise CounterExhausted(
                 f"domain {self.domain} exhausted after {self._block} blocks"
             )
-        start = (self.domain << 96) | self._block
+        if self._enc_block != self._block:
+            start = (self.domain << 96) | self._block
+            self._enc = Cipher(algorithms.AES(self.seed.bits),
+                               modes.CTR(start.to_bytes(_BLOCK_BYTES, "big"))).encryptor()
+        for a in range(0, _BLOCK_BYTES * n_blocks, _ZEROS.size):
+            piece = out[a : a + _ZEROS.size]
+            self._enc.update_into(_ZEROS[: piece.size], piece)
         self._block += n_blocks
-        enc = Cipher(algorithms.AES(self.seed.bits), modes.CTR(start.to_bytes(_BLOCK_BYTES, "big")))
-        return enc.encryptor().update(bytes(_BLOCK_BYTES * n_blocks))
+        self._enc_block = self._block
 
     # -- public draws ----------------------------------------------------------
 
@@ -104,8 +118,8 @@ class RandomStream:
 
     def _draw_packed(self, n_bits: int) -> np.ndarray:
         """The next n_bits stream bits, packed most significant first into
-        ceil(n_bits / 8) bytes. Bits past n_bits in the last byte are filler,
-        not drawn.
+        ceil(n_bits / 8) bytes of a fresh array. Bits past n_bits in the last
+        byte are filler, not drawn.
 
         Unread bits are the last `_buf_bits` bits of `_buf` (one AES block);
         when the stream sits off a byte boundary, each output byte joins the
@@ -116,14 +130,17 @@ class RandomStream:
             raise ValueError("n must be >= 0")
         have = self._buf_bits
         n_blocks = -(-(n_bits - have) // 128) if n_bits > have else 0
-        raw = self._raw_blocks(n_blocks) if n_blocks else b""
-        head = np.frombuffer(self._buf, dtype=np.uint8)[len(self._buf) - (have + 7) // 8 :]
-        src = np.concatenate([head, np.frombuffer(raw, dtype=np.uint8), _ZERO_BYTE])
-        read = (-have) % 8  # bits of head[0] drawn already
+        n_head = (have + 7) // 8
+        end = n_head + _BLOCK_BYTES * n_blocks
+        src = np.empty(end + 1, dtype=np.uint8)
+        src[:n_head] = self._buf[self._buf.size - n_head :]
+        if n_blocks:
+            self._raw_blocks_into(src[n_head:end])
+            self._buf = src[end - _BLOCK_BYTES : end].copy()
+        src[end] = 0
+        read = (-have) % 8  # bits of src[0] drawn already
         if read:
             src = (src[:-1] << read) | (src[1:] >> (8 - read))
-        if n_blocks:
-            self._buf = raw[-_BLOCK_BYTES:]
         self._buf_bits = have + 128 * n_blocks - n_bits
         self.bits_emitted += n_bits
         return src[: (n_bits + 7) // 8]

@@ -93,7 +93,7 @@ def resolve_collisions(data: DetectionArrays, monitor: DetectionArrays,
     way; an unsorted stream aborts). Every membership test below relies on
     it: it is a binary search into a sorted array.
     """
-    if np.any(np.diff(data.gate) < 0) or np.any(np.diff(monitor.gate) < 0):
+    if _unsorted(data.gate) or _unsorted(monitor.gate):
         raise SessionAborted("detection streams must be gate-sorted")
     dg = data.gate
 
@@ -110,7 +110,7 @@ def resolve_collisions(data: DetectionArrays, monitor: DetectionArrays,
     dq = dg >> 1
     first = _first_per_qubit(dg)
     dup = ~first
-    bits = ((dg & 1) ^ 1).astype(np.uint8)  # early gate reads bit 1
+    bits = (dg.astype(np.uint8) & 1) ^ 1  # early gate reads bit 1
     if dup.any():
         coin = rng.draw_bits(int(dup.sum()))
         bits[np.flatnonzero(dup) - 1] = coin  # overwrite the kept (first) record
@@ -132,6 +132,10 @@ def resolve_collisions(data: DetectionArrays, monitor: DetectionArrays,
     truth = np.concatenate([dtruth, mt])
     order = np.argsort(q, kind="stable")
     return ResolvedEvents(q[order], ctrl[order], bob_bit[order], truth[order])
+
+
+def _unsorted(a: np.ndarray) -> bool:
+    return bool((a[1:] < a[:-1]).any())
 
 
 def _in_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -161,18 +165,18 @@ def encode(events: ResolvedEvents, mode: SiftingMode) -> tuple[bytes, int]:
     if q.size == 0:
         return b"", 0
     m = mode.overflow_marker
-    base = np.concatenate([[0], q[:-1] + 1])
-    delta = q - base
-    if np.any(delta < 0):
+    delta = np.diff(q, prepend=-1)
+    delta -= 1  # qubit periods since the previous event ended
+    if delta.min() < 0:
         raise SessionAborted("events out of order")
-    over = delta // m
-    resid = delta - over * m
-    n_blocks = int(q.size + over.sum())
-
-    words = np.full(n_blocks, m << 2, dtype=mode.word_dtype)
-    pos = np.cumsum(over + 1) - 1
-    words[pos] = (resid << 2) | events.control
-    return words.tobytes(), n_blocks
+    words = (delta << 2) | events.control
+    if delta.max() >= m:  # gaps bridged by overflow blocks
+        over = delta // m
+        words -= (over * m) << 2
+        blocks = np.full(q.size + int(over.sum()), m << 2, dtype=np.int64)
+        blocks[np.cumsum(over + 1) - 1] = words
+        words = blocks
+    return words.astype(mode.word_dtype).tobytes(), words.size
 
 
 def decode(payload: bytes, mode: SiftingMode, n_blocks: int) -> tuple[np.ndarray, np.ndarray]:

@@ -2,8 +2,11 @@
 
 `poly_mac_horner` is the scalar Horner evaluation of the GF(2^127 - 1)
 polynomial MAC; `resolve_collisions_isin` resolves collisions with
-`np.isin` membership tests; `lfsr_expand_ref` steps the LFSR one bit at a
-time, `toeplitz_hash_dense` multiplies by the dense Toeplitz matrix and
+`np.isin` membership tests; `sample_detections_ref` thins each candidate
+click by its own acceptance probability, with one qubit lookup per pulse
+array, and merges click sources with `np.lexsort`; `lfsr_expand_ref` steps
+the LFSR one bit at a time, `toeplitz_hash_dense` multiplies by the dense
+Toeplitz matrix and
 `toeplitz_hash_explicit` folds an explicit diagonal's product chunk by chunk;
 `parity_dense` expands the LDPC parity-check matrix;
 `aes_ctr_bits` computes a stream's bits straight from AES-256 of its
@@ -14,6 +17,7 @@ bit column at a time;
 `gf48_mul` / `poly_hash48` evaluate the verification hash one limb at a time,
 and `make_tags_per_block` draws one tag seed per block.
 They define what `cowkd.auth.poly_mac`, `cowkd.sifting.resolve_collisions`,
+`cowkd.cowsim.sample_detections`,
 `cowkd.privamp.lfsr_expand` / `toeplitz_hash`, `cowkd.ldpc.syndrome_batch`,
 `cowkd.randomness.RandomStream` draws, `cowkd.cowsim.QubitSource.at`,
 `cowkd.sifting.encode` / `decode` and
@@ -26,6 +30,7 @@ bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +38,8 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from cowkd.auth import LIMB_BITS, UNIT_BITS, mod_p
 from cowkd.bitops import bits_to_int, pack_bits, unpack_bits
-from cowkd.cowsim.channel import DetectionArrays
+from cowkd.cowsim import BASIS_DECOY, TRUTH_DARK, TRUTH_NOISE, TRUTH_SIGNAL, ChannelParams
+from cowkd.cowsim.channel import DetectionArrays, deadtime_mask
 from cowkd.errors import SessionAborted
 from cowkd.ldpc import BLOCK_LENGTH, Z, ParityMatrix
 from cowkd.privamp import _toeplitz_product
@@ -125,6 +131,117 @@ def resolve_collisions_isin(data: DetectionArrays, monitor: DetectionArrays,
     truth = np.concatenate([dtruth, mt])
     order = np.argsort(q, kind="stable")
     return ResolvedEvents(q[order], ctrl[order], bob_bit[order], truth[order])
+
+
+def _geometric_hits_ref(rng: RandomStream, n_slots: int, p: float) -> np.ndarray:
+    """Sorted slot indices of Bernoulli(p) hits over n_slots, gap-sampled."""
+    if p <= 0.0 or n_slots <= 0:
+        return np.zeros(0, dtype=np.int64)
+    out = []
+    pos = -1
+    log_q = math.log1p(-p)
+    while pos < n_slots:
+        draw = max(int((n_slots - pos) * p * 1.1) + 64, 256)
+        u = rng.draw_uniform(draw)
+        gaps = np.floor(np.log(np.maximum(u, 1e-300)) / log_q).astype(np.int64)
+        hits = pos + np.cumsum(gaps + 1)
+        out.append(hits)
+        pos = int(hits[-1])
+    hits = np.concatenate(out)
+    return hits[hits < n_slots]
+
+
+def _monitor_port_means_ref(params: ChannelParams, m_prev: np.ndarray, m_here: np.ndarray,
+                            interferes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    m1 = m_prev / 2.0
+    m2 = m_here / 2.0
+    cross = 2.0 * np.sqrt(m1 * m2) * params.visibility_if
+    base = m1 + m2
+    dest = np.where(interferes, (base - cross) / 2.0, base / 2.0)
+    bright = np.where(interferes, (base + cross) / 2.0, base / 2.0)
+    return dest, bright
+
+
+def sample_detections_ref(params: ChannelParams, source, n_qubits: int,
+                          rng: RandomStream) -> tuple[DetectionArrays, DetectionArrays]:
+    """Per-click thinning: each candidate's acceptance probability evaluated
+    from its own pulse means, with one `source.at` call per pulse array."""
+    n_gates = 2 * n_qubits
+    t_eta_data = params.t_data_line * params.eta_det_data
+
+    q_max = 1.0 - math.exp(-params.mu * t_eta_data)
+    cand = _geometric_hits_ref(rng, n_gates, q_max)
+    basis, bit = source.at(cand >> 1)
+    is_early = (cand & 1) == 0
+    full = np.where(is_early, bit == 1, bit == 0)
+    mean = np.where(basis == BASIS_DECOY, params.mu,
+                    np.where(full, params.mu_full, params.mu_leak))
+    p_true = 1.0 - np.exp(-mean * t_eta_data)
+    acc = rng.draw_uniform(cand.size) < (p_true / q_max)
+    sig_gates = cand[acc]
+
+    dark_gates = _geometric_hits_ref(rng, n_gates, params.p_dark_data)
+    noise_gates = _geometric_hits_ref(rng, n_gates, params.p_dwdm_noise)
+    data = _merge_truth_ref(sig_gates, dark_gates, noise_gates)
+
+    t_eta_mon = params.t_monitor_line * params.eta_det_mon
+    q_max_mon = 1.0 - math.exp(-params.mu * t_eta_mon)
+    mon_streams = []
+    for destructive in (True, False):
+        cand = _geometric_hits_ref(rng, n_gates, q_max_mon)
+        dest_mean, bright_mean = _slot_means_at_ref(params, source, cand, t_eta_mon)
+        port_mean = dest_mean if destructive else bright_mean
+        p_true = 1.0 - np.exp(-port_mean)
+        acc = rng.draw_uniform(cand.size) < (p_true / q_max_mon)
+        sig = cand[acc]
+        dark = _geometric_hits_ref(rng, n_gates, params.p_dark_mon)
+        noise = _geometric_hits_ref(rng, n_gates, params.p_noise_mon_port)
+        merged = _merge_truth_ref(sig, dark, noise)
+        live = deadtime_mask(merged.gate, params.deadtime_mon_gates)
+        mon_streams.append((merged.gate[live], merged.truth[live], destructive))
+
+    mg = np.concatenate([g for g, _, _ in mon_streams])
+    mt = np.concatenate([t for _, t, _ in mon_streams])
+    md = np.concatenate([np.full(g.size, d, dtype=bool) for g, _, d in mon_streams])
+    order = np.argsort(mg, kind="stable")
+    return data, DetectionArrays(mg[order], mt[order], md[order])
+
+
+def _slot_means_at_ref(params: ChannelParams, source, slots: np.ndarray,
+                       t_eta_mon: float) -> tuple[np.ndarray, np.ndarray]:
+    """Monitor port means at specific gate slots, evaluated lazily."""
+
+    def pulse(gates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        valid = gates >= 0
+        q = np.where(valid, gates >> 1, 0)
+        basis, bit = source.at(q)
+        is_early = (gates & 1) == 0
+        full = np.where(is_early, bit == 1, bit == 0)
+        decoy = basis == BASIS_DECOY
+        mean = np.where(decoy, params.mu, np.where(full, params.mu_full, params.mu_leak))
+        nominal = decoy | full
+        mean = np.where(valid, mean, 0.0)
+        nominal &= valid
+        return mean * t_eta_mon, nominal
+
+    m_here, nom_here = pulse(slots)
+    m_prev, nom_prev = pulse(slots - 1)
+    return _monitor_port_means_ref(params, m_prev, m_here, nom_prev & nom_here)
+
+
+def _merge_truth_ref(sig: np.ndarray, dark: np.ndarray, noise: np.ndarray) -> DetectionArrays:
+    """Union of click sources at distinct gates, signal taking precedence."""
+    gates = np.concatenate([sig, dark, noise])
+    truth = np.concatenate([
+        np.full(sig.size, TRUTH_SIGNAL, dtype=np.uint8),
+        np.full(dark.size, TRUTH_DARK, dtype=np.uint8),
+        np.full(noise.size, TRUTH_NOISE, dtype=np.uint8),
+    ])
+    order = np.lexsort((truth, gates))
+    gates, truth = gates[order], truth[order]
+    first = np.ones(gates.size, dtype=bool)
+    first[1:] = gates[1:] != gates[:-1]
+    return DetectionArrays(gates[first], truth[first])
 
 
 def lfsr_expand_ref(lfsr_state, feedback_poly, length: int) -> np.ndarray:

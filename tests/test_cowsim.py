@@ -5,11 +5,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oracles import qubit_at
+from oracles import _slot_means_at_ref, qubit_at, sample_detections_ref
 from refsim import (DetectionArrays, QubitSource, RunMismatch, ground_truth_stats, prepare_sequence,
                     transmit_detect)
 
 from cowkd.cowsim import BASIS_DATA, BASIS_DECOY, ChannelParams, channel, sample_detections
+from cowkd.cowsim.channel import _acceptance_tables, _pulse_codes
 from cowkd.presets import channel_params, measured_point
 from cowkd.randomness import EntropySeed, new_stream
 
@@ -104,6 +105,17 @@ def test_qubit_lookup_matches_scalar_aes_oracle(key, p_decoy, indices):
     want = [qubit_at(key, p_decoy, i) for i in indices]
     assert basis.dtype == bit.dtype == np.uint8
     assert [(int(a), int(b)) for a, b in zip(basis, bit)] == want
+
+
+def test_lookup_results_survive_later_lookups():
+    # lookups reuse the source's cipher buffers; a result must not share them
+    src = channel.QubitSource(bytes(range(32)), 0.155)
+    idx = np.arange(40_000, dtype=np.int64) * 7  # spans several cipher passes
+    basis, bit = src.at(idx)
+    kept = basis.copy(), bit.copy()
+    src.at(idx[::-1] + 1)
+    src.at(np.arange(100, dtype=np.int64))
+    assert np.array_equal(basis, kept[0]) and np.array_equal(bit, kept[1])
 
 
 # ---------------------------------------------------------------------------
@@ -220,3 +232,83 @@ def test_run_mismatch_detected():
     with pytest.raises(RunMismatch):
         ground_truth_stats(seq, data, mon)
 
+
+
+# ---------------------------------------------------------------------------
+# class-table thinning against the per-click oracle
+# ---------------------------------------------------------------------------
+
+def _same_detections(got, want):
+    for a, b in zip(got, want):
+        assert np.array_equal(a.gate, b.gate) and a.gate.dtype == b.gate.dtype
+        assert np.array_equal(a.truth, b.truth) and a.truth.dtype == b.truth.dtype
+    assert np.array_equal(got[1].destructive, want[1].destructive)
+
+
+def _check_against_oracle(params, key, n_qubits, seed):
+    streams = [new_stream(EntropySeed.from_int(seed)) for _ in range(2)]
+    got = sample_detections(params, channel.QubitSource(key, params.p_decoy), n_qubits, streams[0])
+    want = sample_detections_ref(params, channel.QubitSource(key, params.p_decoy), n_qubits,
+                                 streams[1])
+    _same_detections(got, want)
+    assert streams[0]._block == streams[1]._block
+    assert streams[0].bits_emitted == streams[1].bits_emitted
+    return got
+
+
+@given(seed=st.integers(0, 2 ** 16), key=st.binary(min_size=32, max_size=32),
+       n_qubits=st.integers(0, 3000),
+       mu=st.sampled_from([0.089, 0.5, 0.95]),
+       p_decoy=st.sampled_from([0.0, 0.155, 0.5]),
+       eta_det=st.sampled_from([0.096, 1.0]),
+       visibility_if=st.sampled_from([0.9, 0.998, 1.0]),
+       p_dark_data=st.sampled_from([0.0, 1e-3, 0.05]),
+       p_dwdm_noise=st.sampled_from([0.0, 0.02]),
+       dark_rate_mon_hz=st.sampled_from([0.0, 800.0, 5e7]),
+       deadtime_mon_s=st.sampled_from([0.0, 8e-9]))
+@example(seed=1, key=bytes(32), n_qubits=2000, mu=0.95, p_decoy=0.0, eta_det=1.0,
+         visibility_if=1.0, p_dark_data=0.0, p_dwdm_noise=0.0, dark_rate_mon_hz=0.0,
+         deadtime_mon_s=8e-9)
+def test_sampler_matches_per_click_oracle(seed, key, n_qubits, mu, p_decoy, eta_det,
+                                          visibility_if, p_dark_data, p_dwdm_noise,
+                                          dark_rate_mon_hz, deadtime_mon_s):
+    # small chunks, bright enough that both detectors click often: the same
+    # clicks and the same stream position as per-click thinning
+    params = ChannelParams(mu=mu, p_decoy=p_decoy, fibre_km=0.0, eta_det_data=eta_det,
+                           eta_det_mon=eta_det, visibility_if=visibility_if,
+                           p_dark_data=p_dark_data, p_dwdm_noise=p_dwdm_noise,
+                           dark_rate_mon_hz=dark_rate_mon_hz, deadtime_mon_s=deadtime_mon_s)
+    _check_against_oracle(params, key, n_qubits, seed)
+
+
+@pytest.mark.parametrize("km", [1.0, 25.0])
+def test_full_size_chunk_matches_per_click_oracle(km):
+    data, monitor = _check_against_oracle(channel_params(km), bytes(range(32)), 1 << 24, 31)
+    assert len(data) > 10_000 and len(monitor) > 2_000
+
+
+@pytest.mark.parametrize("km", [1.0, 25.0])
+def test_acceptance_tables_equal_per_click_ratios(km):
+    # the premise of class-table thinning: each table entry is bit for bit
+    # the ratio the per-click expressions give, on arrays of chunk size
+    p = channel_params(km)
+    src = channel.QubitSource(bytes(range(32)), p.p_decoy)
+    t_eta_data = p.t_data_line * p.eta_det_data
+    t_eta_mon = p.t_monitor_line * p.eta_det_mon
+    q_max = 1.0 - math.exp(-p.mu * t_eta_data)
+    q_max_mon = 1.0 - math.exp(-p.mu * t_eta_mon)
+    data_table, port_tables = _acceptance_tables(p, t_eta_data, q_max, t_eta_mon, q_max_mon)
+
+    gates = np.arange(100_000, dtype=np.int64) * 3  # both bins, every class
+    basis, bit = src.at(gates >> 1)
+    full = np.where((gates & 1) == 0, bit == 1, bit == 0)
+    mean = np.where(basis == BASIS_DECOY, p.mu, np.where(full, p.mu_full, p.mu_leak))
+    ratio = (1.0 - np.exp(-mean * t_eta_data)) / q_max
+    assert np.array_equal(data_table[_pulse_codes(src, gates)], ratio)
+
+    codes = _pulse_codes(src, np.concatenate([gates - 1, gates]))
+    codes[0] = 4  # gate 0 has no predecessor
+    slot_class = 4 * codes[: gates.size] + codes[gates.size :]
+    assert np.unique(slot_class).size == 17  # 16 pulse pairs and one slot before qubit 0
+    for table, port_mean in zip(port_tables, _slot_means_at_ref(p, src, gates, t_eta_mon)):
+        assert np.array_equal(table[slot_class], (1.0 - np.exp(-port_mean)) / q_max_mon)

@@ -2,7 +2,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import aes_ctr_bits, uniform_from_bits
@@ -125,19 +125,30 @@ _BITS_PER = {"bits": 1, "bytes": 8, "uniform": 32}
 
 
 @given(seed=st.integers(0, 2 ** 16), domain=st.sampled_from([0, 1, 3]),
-       ops=st.lists(st.tuples(st.sampled_from(["bits", "uniform", "bytes"]), st.integers(0, 300)),
-                    max_size=12))
+       ops=st.lists(st.tuples(st.sampled_from(["bits", "uniform", "bytes", "jump"]),
+                              st.integers(0, 300)), max_size=12))
+@example(seed=0, domain=1, ops=[("uniform", 5), ("jump", 0), ("bits", 7), ("jump", 9),
+                                ("jump", 9), ("bytes", 3)])
 def test_interleaved_draws_match_bit_level_oracle(seed, domain, ops):
     # every draw is the next slice of the AES counter stream, whatever kind
-    # of draw came before it
+    # of draw came before it; a jump draws the rest of the current block and
+    # then sets the block counter by hand (forward, back or in place), after
+    # which the stream continues from that block
     s = EntropySeed.from_int(seed)
     r = RandomStream(s, domain)
-    ops = ops + [("bits", 131)]
-    ref = aes_ctr_bits(s, domain, sum(_BITS_PER[kind] * n for kind, n in ops))
-    pos = 0
-    for kind, n in ops:
-        want = ref[pos : pos + _BITS_PER[kind] * n]
+    start, pos, emitted = 0, 0, 0  # current run of blocks, bits drawn from it, in all
+    for kind, n in ops + [("bits", 131)]:
+        if kind == "jump":
+            rest = r._buf_bits
+            want = aes_ctr_bits(s, domain, pos + rest, start)[pos:]
+            assert np.array_equal(r.draw_bits(rest), want)
+            emitted += rest
+            start, pos = n, 0
+            r._block = start
+            continue
+        want = aes_ctr_bits(s, domain, pos + _BITS_PER[kind] * n, start)[pos:]
         pos += want.size
+        emitted += want.size
         if kind == "bits":
             got = r.draw_bits(n)
             assert got.dtype == np.uint8 and np.array_equal(got, want)
@@ -145,5 +156,18 @@ def test_interleaved_draws_match_bit_level_oracle(seed, domain, ops):
             assert np.array_equal(r.draw_uniform(n), uniform_from_bits(want))
         else:
             assert r.draw_bytes(n) == np.packbits(want).tobytes()
-        assert r.bits_emitted == pos
-        assert r._block == -(-pos // 128)
+        assert r.bits_emitted == emitted
+        assert r._block == start + -(-pos // 128)
+
+
+def test_draws_survive_later_draws():
+    # each draw's keystream passes through buffers; a result must not share them
+    r = new_stream(EntropySeed.from_int(21))
+    u = r.draw_uniform(5000)
+    bits = r.draw_bits(999)
+    kept = u.copy(), bits.copy()
+    r.draw_bits(3)  # off a byte boundary
+    r.draw_uniform(5000)
+    r.draw_bits(40_000)
+    r.draw_uniform(7)
+    assert np.array_equal(u, kept[0]) and np.array_equal(bits, kept[1])
