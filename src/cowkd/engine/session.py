@@ -13,14 +13,17 @@ Bob does not wait on each answer before he sends on:
   (sifting disclosures and EC sub-windows) and reads Alice's replies
   strictly in that order. Every decision that changes what he sends uses
   only replies already read, so each direction's transcript is a function
-  of the seed and the configuration alone. The unread replies (one sifting
-  response plus the verdicts of the windows sent since his last read) take
-  a few KB, far below any socket buffer.
-- One chunk ahead. Bob sends chunk k+1's disclosure before he reads the
-  verdict on chunk k when chunk k cannot close the batch even if Alice
-  keeps all of its data bits; the batch then needs chunk k+1 whatever she
-  answers, so the frames and the quantum stream's draws are those of strict
-  alternation.
+  of the seed and the configuration alone. The unread replies (at most
+  `MAX_UNREAD_CHUNKS` sifting responses of ~5 KB each at 1 km, plus a few
+  bytes per window verdict) take ~20 KB, below the default socket buffers.
+- Chunks ahead. Bob discloses another chunk before he reads the oldest
+  unread verdict, up to `MAX_UNREAD_CHUNKS` unread, while all the data bits
+  of the unread chunks cannot close the batch; the batch then needs the new
+  chunk whatever Alice answers. He reads the verdicts and runs the EC
+  windows in chunk order, so keys, tag draws and the quantum stream's draws
+  are those of strict alternation; only the order of disclosures among
+  window frames moves. Deeper, Alice decodes while Bob samples instead of
+  each waiting on the other; much deeper, error correction starts late.
 - Streamed error correction. Bob sends every `SUB_WINDOW_BLOCKS` queued
   full blocks as their own syndrome and verify frames and reads the verdict
   later, while Alice decodes and he samples the next chunks. The window
@@ -99,6 +102,8 @@ _UNIT_BYTES = UNIT_BITS // 8
 # Bob sends error correction in sub-windows of at most this many blocks, the
 # decoder's slice; syndrome and verify frames count them in 16 bits
 SUB_WINDOW_BLOCKS = DECODE_SLICE
+# sifting disclosures Bob may have sent ahead of reading their verdicts
+MAX_UNREAD_CHUNKS = 4
 # fixed protocol constants; the margin and the prior enter
 # `SessionConfig.digest()`, so both parties must agree on them
 COMPRESSION_MARGIN = 0.85  # auto compression = margin * expected secret fraction
@@ -511,11 +516,13 @@ class BobParty(_PartyBase):
         cfg = self.config
         self._handshake()
         batch = 0
-        ahead = None
+        unread: deque[_Chunk] = deque()  # disclosed chunks whose verdict is unread
         while batch < cfg.n_batches:
-            chunk = ahead or self._disclose()
-            ahead = self._disclose() if self._batch_needs_next(chunk) else None
-            self._read_replies(until=chunk)
+            if not unread:
+                unread.append(self._disclose())
+            while len(unread) < MAX_UNREAD_CHUNKS and self._batch_needs_next(unread):
+                unread.append(self._disclose())
+            self._read_replies(until=unread.popleft())
             self._ec_window()
             while self.pa_buffer.size >= cfg.n_sift and batch < cfg.n_batches:
                 self._pa_round(batch)
@@ -566,14 +573,15 @@ class BobParty(_PartyBase):
         self._pending.append((self._read_sift_verdict, chunk))
         return chunk
 
-    def _batch_needs_next(self, chunk: _Chunk) -> bool:
-        """Whether the batch needs the next chunk whatever Alice keeps of this one.
+    def _batch_needs_next(self, unread: deque[_Chunk]) -> bool:
+        """Whether the batch needs the next chunk whatever Alice keeps of `unread`.
 
-        It does when all of `chunk`'s data bits would still leave the queued,
-        in-flight and passed blocks short of the batch.
+        It does when all the data bits of the chunks whose verdict is unread
+        would still leave the queued, in-flight and passed blocks short of
+        the batch.
         """
-        blocks = ((self.key_bits.size + chunk.n_data) // BLOCK_BITS + self._in_flight
-                  + self.pa_buffer.size // BLOCK_BITS)
+        held = self.key_bits.size + sum(chunk.n_data for chunk in unread)
+        blocks = held // BLOCK_BITS + self._in_flight + self.pa_buffer.size // BLOCK_BITS
         return blocks < self.config.blocks_per_batch
 
     def _read_sift_verdict(self, chunk: _Chunk):

@@ -23,10 +23,12 @@ remainder. The same division by f, with the register as its first quotient
 block, expands the diagonal. Division runs in blocks of b = floor(size / 2)
 quotient bits, size the smallest 2^k, 3*2^k or 5^5*2^k FFT length covering
 2 max(w, 512) points: at n_out = 99,035 that is 9 blocks of 100,000 bits
-at 200,000 points for the key and one for the diagonal, each block two
-cyclic products against precomputed spectra of f and of its inverse; the
-final product of the reduced key with the diagonal's 198,069 bits runs at
-200,000 points too.
+for the key and one for the diagonal. Each block's quotient is one cyclic
+product of 200,000 points against the precomputed spectrum of f's inverse;
+the carry it spills into the next block is one of 100,000 points against
+f's, because below the block f*q equals the block's known numerator, which
+separates what wraps around. The final product of the reduced key with the
+diagonal's 198,069 bits runs at 200,000 points.
 """
 
 from __future__ import annotations
@@ -118,8 +120,8 @@ def _division_sizes(w: int) -> tuple[int, int]:
     """(FFT size, block length b) of the blocked division by a degree-w f.
 
     b >= w keeps a block's carry within the next block; size >= 2b keeps
-    both products (a b-bit numerator by the inverse, f by a b-bit quotient
-    block) free of wraparound.
+    the product of a b-bit numerator by the inverse free of wraparound, and
+    that of f by the register in `expand`.
     """
     size = _fft_size(2 * max(w, _MIN_BLOCK))
     return size, size // 2
@@ -129,8 +131,9 @@ class _Divisor:
     """Power-series division over GF(2) by one connection polynomial f.
 
     The inverse of f is computed once, to the block length b; each block
-    of b quotient bits then costs two fixed-size cyclic products with the
-    precomputed spectra of f and of that inverse.
+    of b quotient bits then costs two cyclic products with precomputed
+    spectra: the quotient with that inverse's at `size` points, and the
+    carry past the block with f's at `spill_size` (about half as many).
     """
 
     def __init__(self, f: np.ndarray):
@@ -138,6 +141,9 @@ class _Divisor:
         self.size, self.block = _division_sizes(self.w)
         self.spec_f = _spectrum(f, self.size)
         self.spec_inv = _spectrum(_gf2_series_inv(f, self.block), self.size)
+        # a quotient block's spill wraps at this size (see `_block_spill`)
+        self.spill_size = _fft_size(max(self.block, self.w + 1))
+        self.spec_f_spill = _spectrum(f, self.spill_size)
 
     def _spill(self, block: np.ndarray, carry: np.ndarray) -> np.ndarray:
         """The w coefficients of f*(quotient so far) just past `block`.
@@ -149,6 +155,22 @@ class _Divisor:
         spill = _product(_spectrum(block, self.size), self.spec_f, self.size, 0, n + self.w) & 1
         spill[: self.w] ^= carry
         return spill[n:]
+
+    def _block_spill(self, block: np.ndarray, e: np.ndarray, carry: np.ndarray) -> np.ndarray:
+        """`_spill` of a quotient block of e, from a product of `spill_size` points.
+
+        Below the block's length n, f*block = e mod 2 (e is the block's
+        numerator with the carry in), so the coefficients of f*block that
+        wrap from spill_size + j onto j < n read out[j] ^ e[j].
+        """
+        n, s = block.size, self.spill_size
+        out = _product(_spectrum(block, s), self.spec_f_spill, s, 0, min(s, n + self.w)) & 1
+        wrap = max(n + self.w - s, 0)
+        out[:wrap] ^= e[:wrap]
+        spill = np.concatenate([out[n:], out[:wrap]])
+        if n < self.w:  # carry bits past a block shorter than w
+            spill[: self.w - n] ^= carry[n:]
+        return spill
 
     def divide(self, num: np.ndarray, length: int, carry: np.ndarray,
                remainder: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -170,7 +192,7 @@ class _Divisor:
             block = _product(_spectrum(e, self.size), self.spec_inv, self.size, 0, take) & 1
             q[pos : pos + take] = block
             if remainder or pos + take < length:
-                carry = self._spill(block, carry)
+                carry = self._block_spill(block, e, carry)
         return q, carry.astype(np.uint8)
 
     def expand(self, state: np.ndarray, length: int) -> np.ndarray:

@@ -368,7 +368,7 @@ class _RecordingTransport:
         self._inner.close()
 
 
-def test_bob_discloses_one_chunk_ahead_only_while_the_batch_needs_it(monkeypatch):
+def test_bob_discloses_ahead_only_while_the_batch_needs_it(monkeypatch):
     n_data = []  # data detections of each disclosed chunk, in order
     encode = session_mod.encode
 
@@ -386,14 +386,15 @@ def test_bob_discloses_one_chunk_ahead_only_while_the_batch_needs_it(monkeypatch
 
     # replay Bob's view: the bits he holds toward the batch and does not know
     # to be dropped, whether queued, in flight or passed
-    held = disclosed = read = ahead = 0
+    held = disclosed = read = deepest = 0
     for kind, channel_id, payload in recorder.log:
         if (kind, channel_id) == ("send", CH_SIFTING):
-            if disclosed > read:  # sent before the verdict on chunk `read`
-                ahead += 1
-                assert disclosed == read + 1
-                # even keeping every data bit of that chunk, the batch needed this one
-                assert (held + n_data[read]) // BLOCK_BITS < cfg.blocks_per_batch
+            unread = disclosed - read  # disclosed chunks whose verdict is unread
+            if unread:
+                assert unread < session_mod.MAX_UNREAD_CHUNKS
+                # even keeping every data bit of those chunks, the batch needed this one
+                assert (held + sum(n_data[read:disclosed])) // BLOCK_BITS < cfg.blocks_per_batch
+            deepest = max(deepest, unread)
             disclosed += 1
         elif (kind, channel_id) == ("recv", CH_SIFTING):
             held += int(frames.decode_sift_response(payload, n_data[read]).sum())
@@ -404,8 +405,32 @@ def test_bob_discloses_one_chunk_ahead_only_while_the_batch_needs_it(monkeypatch
         elif (kind, channel_id) == ("send", CH_PA_SEED):
             assert disclosed == read  # nothing disclosed past the batch's last chunk
             held -= cfg.n_sift
-    assert ahead > 0
+    assert deepest > 1  # more than one chunk ahead at least once
     assert disclosed == read == len(n_data)
+
+
+# per-direction transcript digests of small_config() in 2-block sub-windows
+# with Bob one chunk ahead (MAX_UNREAD_CHUNKS = 2)
+TWO_DEEP_ALICE_TO_BOB = "3c6cb37cd35bab4e33e3176ee52c483212714b46a1623232b94942b728e45882"
+TWO_DEEP_BOB_TO_ALICE = "b55131bd87a47a92adfd06210e12e9426fd371d571550a29df350a56d32e9d65"
+
+
+def test_reading_verdicts_later_moves_only_the_frame_order(monkeypatch):
+    # in 2-block sub-windows, windows go out between disclosures, so how far
+    # ahead Bob discloses moves frames in both directions; it reads verdicts
+    # and sends windows in the same chunk order, so keys and drops stay
+    monkeypatch.setattr(session_mod, "SUB_WINDOW_BLOCKS", 2)
+    cfg = small_config()
+    runs = []
+    for depth in (session_mod.MAX_UNREAD_CHUNKS, 2):
+        monkeypatch.setattr(session_mod, "MAX_UNREAD_CHUNKS", depth)
+        runs.append(run_session(cfg)[0])
+    deep, two = runs
+    assert deep["pool_digest"] == two["pool_digest"] == SMALL_CONFIG_POOL_DIGEST
+    assert deep["per_batch"] == two["per_batch"]
+    assert deep["transcript"]["out"] != two["transcript"]["out"]
+    assert deep["transcript"]["in"] != two["transcript"]["in"]
+    assert two["transcript"] == {"out": TWO_DEEP_ALICE_TO_BOB, "in": TWO_DEEP_BOB_TO_ALICE}
 
 
 def test_session_over_small_socket_buffers_completes(monkeypatch):

@@ -14,7 +14,9 @@ from cowkd.privamp import (
     PASeed,
     SeedLedger,
     SeedReuseError,
+    _connection_poly,
     _division_sizes,
+    _Divisor,
     _toeplitz_product,
     amplify_batch,
     lfsr_expand,
@@ -260,6 +262,28 @@ def test_lfsr_hash_matches_dense_oracle_in_each_transform_size_family(w, size):
     seed = PASeed(state, taps)
     diagonal = lfsr_expand_ref(state, taps, x.size + n_out - 1)
     assert np.array_equal(toeplitz_hash(x, seed, n_out), toeplitz_hash_dense(x, diagonal, n_out))
+
+
+@pytest.mark.parametrize("w, size, spill_size", [
+    (400, 1 << 10, 1 << 9),  # 2^k
+    (700, 3 << 9, 3 << 8),  # 3 * 2^k
+    (1550, 5 ** 5, 1 << 11),  # 5^5 * 2^k, k = 0
+    (3073, 2 * 5 ** 5, 5 ** 5),
+    (99_035, 200_000, 100_000),  # production
+])
+@pytest.mark.parametrize("length", ["b", "w < n < b", "n < w"])
+def test_block_spill_at_half_size_equals_full_size_spill(w, size, spill_size, length):
+    rng = stream(15)
+    divisor = _Divisor(_connection_poly(rng.draw_bits(w), rng.draw_bits(w)))
+    b = divisor.block
+    assert (divisor.size, divisor.spill_size, w < b) == (size, spill_size, True)
+    n = {"b": b, "w < n < b": (w + b) // 2, "n < w": w // 2}[length]
+    num = rng.draw_bits(n)
+    carry = rng.draw_bits(w).astype(np.int64)
+    block, _ = divisor.divide(num, n, carry, False)  # one quotient block
+    e = num.astype(np.int64)
+    e[:w] ^= carry[:n]
+    assert np.array_equal(divisor._block_spill(block, e, carry), divisor._spill(block, carry))
 
 
 def test_full_size_lfsr_hash_equals_expanded_explicit_diagonal():
