@@ -13,6 +13,12 @@ and leaves the working arrays, at the first iteration whose hard decision
 meets its syndrome, so its result never depends on the blocks decoded beside
 it. The session hands the decoder a whole distillation batch at once; it
 works through it DECODE_SLICE blocks at a time to keep memory flat.
+
+A layer builds its check messages on the float32 bit patterns of the check
+inputs: minima and the tie count on the uint32 magnitudes, each sign as one
+XOR-reduced bit. Its float operations (the subtraction, the 15/16 scaling,
+the addition) are those of the float-mask formulation in `tests/oracles.py`,
+in the same order, so every message equals that one's bit for bit.
 """
 
 from __future__ import annotations
@@ -28,9 +34,8 @@ ITERATIONS = 10  # decoder iterations per block
 # working arrays (a few MB) and sets the vector width; results do not depend
 # on it.
 DECODE_SLICE = 64
-# Added to a check's minimum position to find its second minimum; far above
-# any message magnitude.
-_MASKED = np.float32(1e30)
+_SIGN = np.uint32(1 << 31)  # float32 sign bit
+_MAGNITUDE = np.uint32((1 << 31) - 1)
 
 # Min-sum normalization: the shift-add friendly 15/16 reproduces the measured
 # frame-failure operating point of the original fixed-point pipeline (about
@@ -89,6 +94,11 @@ def _decode_slice(bits, targets, ok, taps, llr) -> int:
     Column-stacked: row p of `lam` holds bit p's posterior LLR for every
     live block, so a layer gathers and scatters its taps as whole rows, and
     freezing a block drops one column. Returns the iterations run.
+
+    Magnitudes are non-negative, so they order like their uint32 words.
+    `lam` starts at +-llr, never -0.0, and q = lam - m or lam = q + m is
+    -0.0 only where its first operand is, so no q is ever -0.0: its sign
+    bit says q < 0.
     """
     tgt = np.ascontiguousarray(targets.T)
     ok[:] = (_syndrome_cols(np.ascontiguousarray(bits.T), taps) == tgt).all(axis=0)
@@ -97,27 +107,39 @@ def _decode_slice(bits, targets, ok, taps, llr) -> int:
         return 0
     lam = np.ascontiguousarray((1 - 2 * bits[live].T.astype(np.float32)) * llr)
     tgt = tgt[:, live]
-    flip = tgt.reshape(len(taps), Z, -1).astype(bool)  # target bit 1 flips the check
+    # target bit 1 flips the check: its sign bit
+    flip = tgt.reshape(len(taps), Z, -1).astype(np.uint32) << 31
     msgs = [np.zeros(t.shape + (live.size,), dtype=np.float32) for t in taps]
     for it in range(1, ITERATIONS + 1):
         for i, t in enumerate(taps):
             q = np.take(lam, t, axis=0)
             q -= msgs[i]
+            qw = q.view(np.uint32)
             # magnitude: the smallest |q| of the check, except at its (unique)
             # position, which gets the second smallest; on a tie both are equal
-            mag = np.abs(q)
+            mag = qw & _MAGNITUDE
             min1 = mag.min(axis=0)
-            at_min = mag == min1
-            at_min &= np.add.reduce(at_min.view(np.uint8), axis=0) == 1
-            at = at_min.astype(np.float32)
-            min2 = (mag + at * _MASKED).min(axis=0)
-            new = np.maximum(at * (MIN_SUM_SCALE * min2), MIN_SUM_SCALE * min1)
-            # sign: product of the other taps' signs, flipped by the target bit
-            odd = np.logical_xor.reduce(q < 0, axis=0) ^ flip[i]
-            new = np.copysign(new, q)
-            new *= 1 - 2 * odd.astype(np.float32)
-            msgs[i] = new
-            q += new
+            at_min = (mag == min1).view(np.uint8)
+            unique = np.add.reduce(at_min, axis=0, dtype=np.uint8) == 1
+            at_min = at_min.astype(np.uint32)
+            np.negative(at_min, out=at_min)  # all ones at each minimum
+            min2 = np.bitwise_or(mag, at_min, out=mag).min(axis=0)
+            small = (MIN_SUM_SCALE * min1.view(np.float32)).view(np.uint32)
+            large = (MIN_SUM_SCALE * min2.view(np.float32)).view(np.uint32)
+            # sign: the tap's own, times the product of all taps' signs,
+            # flipped by the target bit
+            sign = np.bitwise_xor.reduce(qw, axis=0)
+            sign ^= flip[i]
+            sign &= _SIGN
+            sign |= small
+            # swap in the second minimum at a unique minimum; on a tie every
+            # minimum was masked, and nothing is swapped
+            at_min &= (large ^ small) * unique
+            at_min ^= sign
+            new = np.bitwise_and(qw, _SIGN, out=mag)
+            new ^= at_min
+            msgs[i] = new.view(np.float32)
+            q += msgs[i]
             lam[t] = q
         hard = (lam < 0).view(np.uint8)
         done = (_syndrome_cols(hard, taps) == tgt).all(axis=0)

@@ -29,6 +29,12 @@ the carry it spills into the next block is one of 100,000 points against
 f's, because below the block f*q equals the block's known numerator, which
 separates what wraps around. The final product of the reduced key with the
 diagonal's 198,069 bits runs at 200,000 points.
+
+Each hash call owns its transform buffers (`_Transforms`): inputs are
+written into one float buffer, spectra and products land in reused ones,
+and only parities leave a product, read from the rounded float's mantissa
+after the integrality check. The buffers go with the call, so concurrent
+hashes never share them.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from .randomness import RandomStream
 _DIRECT_LIMIT = 1 << 11  # below this work product, use exact integer convolve
 _MIN_BLOCK = 1 << 9  # fewest quotient bits per division block
 _FFT_FACTORS = (1, 3, 5 ** 5)  # transform sizes are one of these times 2^k
+_ROUNDER = 1.5 * 2.0 ** 52  # see `_Transforms.parity`
 
 
 class SeedReuseError(RuntimeError):
@@ -66,24 +73,47 @@ def _fft_size(n: int) -> int:
     return min(f << max(int(np.ceil(np.log2(n / f))), 0) for f in _FFT_FACTORS)
 
 
-def _round_checked(raw: np.ndarray) -> np.ndarray:
-    rounded = np.rint(raw)
-    residual = raw - rounded
-    if np.abs(residual, out=residual).max() > 0.25:
-        raise NumericalOverflow("convolution residual too large")
-    return rounded.astype(np.int64)
+class _Transforms:
+    """Exact binary convolutions by float FFT, through reused buffers.
+
+    The buffers hold transforms of up to `size` points. One hash call makes
+    its own, reuses them for every product and then drops them, so threads
+    hashing at once never share one. A spectrum made without `keep` lives
+    in the spectrum buffer, valid until the next such spectrum.
+    """
+
+    def __init__(self, size: int):
+        self._real = np.empty(size)
+        self._spec = np.empty(size // 2 + 1, dtype=complex)
+        self._raw = np.empty(size)
+
+    def spectrum(self, a: np.ndarray, size: int, keep: bool = False) -> np.ndarray:
+        """rfft of the integer sequence `a`, zero-padded to `size` points."""
+        real = self._real[: a.size]
+        real[...] = a
+        return np.fft.rfft(real, size, out=None if keep else self._spec[: size // 2 + 1])
+
+    def parity(self, spec_a: np.ndarray, spec_b: np.ndarray, size: int,
+               lo: int, hi: int) -> np.ndarray:
+        """Parities of entries lo..hi-1 of the size-point cyclic product,
+        each checked to lie within 0.25 of an integer; overwrites `spec_a`.
+
+        Adding 1.5 * 2^52 rounds an entry to the nearest integer (ties to
+        even, as `np.rint`), held in the low mantissa bits.
+        """
+        spec_a *= spec_b
+        raw = np.fft.irfft(spec_a, size, out=self._raw[:size])[lo:hi]
+        rounded = np.add(raw, _ROUNDER, out=self._real[: hi - lo])
+        bits = np.bitwise_and(rounded.view(np.uint64), 1, casting="unsafe",
+                              out=np.empty(hi - lo, dtype=np.uint8))
+        rounded -= _ROUNDER
+        raw -= rounded
+        if max(raw.max(), -raw.min()) > 0.25:
+            raise NumericalOverflow("convolution residual too large")
+        return bits
 
 
-def _spectrum(a: np.ndarray, size: int) -> np.ndarray:
-    return np.fft.rfft(a.astype(np.float64), size)
-
-
-def _product(spec_a: np.ndarray, spec_b: np.ndarray, size: int, lo: int, hi: int) -> np.ndarray:
-    """Entries lo..hi-1 of the size-point cyclic product, checked integral."""
-    return _round_checked(np.fft.irfft(spec_a * spec_b, size)[lo:hi])
-
-
-def _gf2_series_inv(f: np.ndarray, precision: int) -> np.ndarray:
+def _gf2_series_inv(f: np.ndarray, precision: int, transforms: _Transforms) -> np.ndarray:
     """Inverse of f (f[0] must be 1) as a power series mod z^precision.
 
     Each Newton step lifts precision h to k <= 2h: with f*inv = 1 + z^h r
@@ -92,15 +122,16 @@ def _gf2_series_inv(f: np.ndarray, precision: int) -> np.ndarray:
     """
     if f[0] != 1:
         raise ValueError("series inverse requires a unit constant term")
-    inv = np.ones(1, dtype=np.int64)
+    t = transforms
+    inv = np.ones(1, dtype=np.uint8)
     while inv.size < precision:
         h = inv.size
         k = min(2 * h, precision)
         size = _fft_size(k)
-        spec_inv = _spectrum(inv, size)
-        r = _product(_spectrum(f[:k], size), spec_inv, size, h, k) & 1
-        inv = np.concatenate([inv, _product(_spectrum(r, size), spec_inv, size, 0, k - h) & 1])
-    return inv[:precision].astype(np.uint8)
+        spec_inv = t.spectrum(inv, size, keep=True)
+        r = t.parity(t.spectrum(f[:k], size), spec_inv, size, h, k)
+        inv = np.concatenate([inv, t.parity(t.spectrum(r, size), spec_inv, size, 0, k - h)])
+    return inv[:precision]
 
 
 # ---------------------------------------------------------------------------
@@ -131,28 +162,33 @@ class _Divisor:
     """Power-series division over GF(2) by one connection polynomial f.
 
     The inverse of f is computed once, to the block length b; each block
-    of b quotient bits then costs two cyclic products with precomputed
-    spectra: the quotient with that inverse's at `size` points, and the
-    carry past the block with f's at `spill_size` (about half as many).
+    of b quotient bits then costs two cyclic products: the quotient with
+    that inverse's spectrum at `size` points, and the carry past the block
+    with f's at `spill_size` (about half as many). A divisor owns the
+    transform buffers of its products (`_Transforms`).
     """
 
     def __init__(self, f: np.ndarray):
+        self.f = f
         self.w = f.size - 1
         self.size, self.block = _division_sizes(self.w)
-        self.spec_f = _spectrum(f, self.size)
-        self.spec_inv = _spectrum(_gf2_series_inv(f, self.block), self.size)
+        self.transforms = _Transforms(self.size)
+        self.spec_inv = self.transforms.spectrum(
+            _gf2_series_inv(f, self.block, self.transforms), self.size, keep=True)
         # a quotient block's spill wraps at this size (see `_block_spill`)
         self.spill_size = _fft_size(max(self.block, self.w + 1))
-        self.spec_f_spill = _spectrum(f, self.spill_size)
+        self.spec_f_spill = self.transforms.spectrum(f, self.spill_size, keep=True)
 
     def _spill(self, block: np.ndarray, carry: np.ndarray) -> np.ndarray:
         """The w coefficients of f*(quotient so far) just past `block`.
 
         `carry` is that for the quotient before `block`, aligned to its
         start; f*block spills up to w coefficients past the block's end.
+        This is the full-size product, with f's spectrum made for it alone.
         """
-        n = block.size
-        spill = _product(_spectrum(block, self.size), self.spec_f, self.size, 0, n + self.w) & 1
+        n, t = block.size, self.transforms
+        spec_f = t.spectrum(self.f, self.size, keep=True)
+        spill = t.parity(t.spectrum(block, self.size), spec_f, self.size, 0, n + self.w)
         spill[: self.w] ^= carry
         return spill[n:]
 
@@ -163,8 +199,8 @@ class _Divisor:
         numerator with the carry in), so the coefficients of f*block that
         wrap from spill_size + j onto j < n read out[j] ^ e[j].
         """
-        n, s = block.size, self.spill_size
-        out = _product(_spectrum(block, s), self.spec_f_spill, s, 0, min(s, n + self.w)) & 1
+        n, s, t = block.size, self.spill_size, self.transforms
+        out = t.parity(t.spectrum(block, s), self.spec_f_spill, s, 0, min(s, n + self.w))
         wrap = max(n + self.w - s, 0)
         out[:wrap] ^= e[:wrap]
         spill = np.concatenate([out[n:], out[:wrap]])
@@ -173,27 +209,30 @@ class _Divisor:
         return spill
 
     def divide(self, num: np.ndarray, length: int, carry: np.ndarray,
-               remainder: bool) -> tuple[np.ndarray, np.ndarray]:
-        """Quotient q = (num - carry) / f mod z^length, and the carry past it.
+               remainder: bool) -> np.ndarray:
+        """Quotient q = (num - carry) / f mod z^length, or with `remainder`
+        only the carry past it.
 
         `num` is dense and of any length (coefficients past its end are
-        zero); `carry` (w coefficients) is subtracted from its start. The
-        returned carry c is (carry + f*q)[length : length + w], so the
-        remainder num - carry - f*q reads num[length + k] ^ c[k] there; it
-        is computed only when `remainder` is set.
+        zero); `carry` (w coefficients, uint8) is subtracted from its start.
+        The carry past q is c = (carry + f*q)[length : length + w], so the
+        remainder num - carry - f*q reads num[length + k] ^ c[k] there; the
+        quotient is then not kept.
         """
-        q = np.empty(length, dtype=np.uint8)
+        t = self.transforms
+        q = None if remainder else np.empty(length, dtype=np.uint8)
         for pos in range(0, length, self.block):
             take = min(self.block, length - pos)
-            e = np.zeros(take, dtype=np.int64)
+            e = np.zeros(take, dtype=np.uint8)
             part = num[pos : pos + take]
             e[: part.size] = part
             e[: self.w] ^= carry[:take]
-            block = _product(_spectrum(e, self.size), self.spec_inv, self.size, 0, take) & 1
-            q[pos : pos + take] = block
+            block = t.parity(t.spectrum(e, self.size), self.spec_inv, self.size, 0, take)
+            if q is not None:
+                q[pos : pos + take] = block
             if remainder or pos + take < length:
                 carry = self._block_spill(block, e, carry)
-        return q, carry.astype(np.uint8)
+        return carry if remainder else q
 
     def expand(self, state: np.ndarray, length: int) -> np.ndarray:
         """First `length` >= w output bits of the LFSR with register `state`.
@@ -202,8 +241,8 @@ class _Divisor:
         g = f*state mod z^w, so the rest is the division of g - f*state,
         which is zero except for the carry f*state spills past z^w.
         """
-        carry = self._spill(state, np.zeros(self.w, dtype=np.int64))
-        tail, _ = self.divide(np.zeros(0, dtype=np.uint8), length - self.w, carry, False)
+        carry = self._spill(state, np.zeros(self.w, dtype=np.uint8))
+        tail = self.divide(np.zeros(0, dtype=np.uint8), length - self.w, carry, False)
         return np.concatenate([state, tail])
 
 
@@ -258,18 +297,23 @@ def make_seed(rng: RandomStream, n_out: int) -> PASeed:
 # hashing
 # ---------------------------------------------------------------------------
 
-def _toeplitz_product(d: np.ndarray, x: np.ndarray, n_out: int) -> np.ndarray:
-    """out[i] = sum_j d[n_in-1+i-j] x[j] as exact integers, d of n_in+n_out-1.
+def _toeplitz_product(d: np.ndarray, x: np.ndarray, n_out: int,
+                      transforms: _Transforms | None = None) -> np.ndarray:
+    """Parities of out[i] = sum_j d[n_in-1+i-j] x[j], d of n_in+n_out-1 bits.
 
     These are entries n_in-1 .. n_in+n_out-2 of the convolution d*x, so a
     cyclic product of d.size points suffices: what wraps around lands below
-    entry n_in - 1.
+    entry n_in - 1. `transforms` may be a caller's buffers of that size or
+    more.
     """
     n_in = x.size
     if n_in * d.size <= _DIRECT_LIMIT ** 2:
-        return np.convolve(d.astype(np.int64), x.astype(np.int64))[n_in - 1 : n_in - 1 + n_out]
+        out = np.convolve(d.astype(np.int64), x.astype(np.int64))[n_in - 1 : n_in - 1 + n_out]
+        return (out & 1).astype(np.uint8)
     size = _fft_size(d.size)
-    return _product(_spectrum(d, size), _spectrum(x, size), size, n_in - 1, n_in - 1 + n_out)
+    t = transforms or _Transforms(size)
+    spec_d = t.spectrum(d, size, keep=True)
+    return t.parity(t.spectrum(x, size), spec_d, size, n_in - 1, n_in - 1 + n_out)
 
 
 def toeplitz_hash(input_bits: np.ndarray, seed: PASeed, n_out: int) -> np.ndarray:
@@ -288,9 +332,9 @@ def toeplitz_hash(input_bits: np.ndarray, seed: PASeed, n_out: int) -> np.ndarra
     state, taps = seed.lfsr_parts(n_out)
     divisor = _Divisor(_connection_poly(state, taps))
     m = x.size - n_out
-    _, carry = divisor.divide(x, m, np.zeros(n_out, dtype=np.int64), True)
+    carry = divisor.divide(x, m, np.zeros(n_out, dtype=np.uint8), True)
     d = divisor.expand(state, 2 * n_out - 1)
-    return (_toeplitz_product(d, x[m:] ^ carry, n_out) & 1).astype(np.uint8)
+    return _toeplitz_product(d, x[m:] ^ carry, n_out, divisor.transforms)
 
 
 class SeedLedger:

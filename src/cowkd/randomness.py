@@ -112,19 +112,37 @@ class RandomStream:
         """n floats uniform on [0, 1) with 32-bit resolution.
 
         Each float is the next 32 stream bits read as a big-endian word.
+        Off a byte boundary, word i is source bytes 4i..4i+3 shifted left
+        by the bits already drawn, joined with the head of byte 4i + 4.
         """
-        words = self._draw_packed(32 * n).view(">u4")
-        return words.astype(np.float64) / float(1 << 32)
+        src, read = self._draw_source(32 * n)
+        words = src[: 4 * n].view(">u4")
+        if read:
+            words = words << read
+            words |= src[4 : 4 * n + 4 : 4] >> (8 - read)
+        out = words.astype(np.float64)
+        out *= 2.0 ** -32
+        return out
 
     def _draw_packed(self, n_bits: int) -> np.ndarray:
         """The next n_bits stream bits, packed most significant first into
         ceil(n_bits / 8) bytes of a fresh array. Bits past n_bits in the last
         byte are filler, not drawn.
 
-        Unread bits are the last `_buf_bits` bits of `_buf` (one AES block);
-        when the stream sits off a byte boundary, each output byte joins the
-        tail of one source byte with the head of the next (a zero byte after
-        the source is the last byte's filler).
+        When the stream sits off a byte boundary, each output byte joins the
+        tail of one source byte with the head of the next.
+        """
+        src, read = self._draw_source(n_bits)
+        if read:
+            src = (src[:-1] << read) | (src[1:] >> (8 - read))
+        return src[: (n_bits + 7) // 8]
+
+    def _draw_source(self, n_bits: int) -> tuple[np.ndarray, int]:
+        """Advance the stream by n_bits; return a fresh array of source bytes
+        holding them, and the bits of its first byte drawn before.
+
+        Unread bits are the last `_buf_bits` bits of `_buf` (one AES block).
+        The source ends with one zero byte, the last output byte's filler.
         """
         if n_bits < 0:
             raise ValueError("n must be >= 0")
@@ -138,12 +156,9 @@ class RandomStream:
             self._raw_blocks_into(src[n_head:end])
             self._buf = src[end - _BLOCK_BYTES : end].copy()
         src[end] = 0
-        read = (-have) % 8  # bits of src[0] drawn already
-        if read:
-            src = (src[:-1] << read) | (src[1:] >> (8 - read))
         self._buf_bits = have + 128 * n_blocks - n_bits
         self.bits_emitted += n_bits
-        return src[: (n_bits + 7) // 8]
+        return src, (-have) % 8
 
 
 def new_stream(seed: EntropySeed) -> RandomStream:

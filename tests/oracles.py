@@ -8,7 +8,8 @@ array, and merges click sources with `np.lexsort`; `lfsr_expand_ref` steps
 the LFSR one bit at a time, `toeplitz_hash_dense` multiplies by the dense
 Toeplitz matrix and
 `toeplitz_hash_explicit` folds an explicit diagonal's product chunk by chunk;
-`parity_dense` expands the LDPC parity-check matrix;
+`parity_dense` expands the LDPC parity-check matrix, and `decode_slice_ref`
+builds each min-sum check message from float masks and `np.copysign`;
 `aes_ctr_bits` computes a stream's bits straight from AES-256 of its
 counters and `uniform_from_bits` reads them as uniform floats; `qubit_at`
 evaluates one prepared qubit from one AES block;
@@ -19,6 +20,7 @@ and `make_tags_per_block` draws one tag seed per block.
 They define what `cowkd.auth.poly_mac`, `cowkd.sifting.resolve_collisions`,
 `cowkd.cowsim.sample_detections`,
 `cowkd.privamp.lfsr_expand` / `toeplitz_hash`, `cowkd.ldpc.syndrome_batch`,
+`cowkd.ldpc.codec._decode_slice`,
 `cowkd.randomness.RandomStream` draws, `cowkd.cowsim.QubitSource.at`,
 `cowkd.sifting.encode` / `decode` and
 `cowkd.verification.gf48_mul_vec` / `hash_blocks` / `make_tags` must return,
@@ -42,6 +44,7 @@ from cowkd.cowsim import BASIS_DECOY, TRUTH_DARK, TRUTH_NOISE, TRUTH_SIGNAL, Cha
 from cowkd.cowsim.channel import DetectionArrays, deadtime_mask
 from cowkd.errors import SessionAborted
 from cowkd.ldpc import BLOCK_LENGTH, Z, ParityMatrix
+from cowkd.ldpc.codec import ITERATIONS, MIN_SUM_SCALE, _syndrome_cols
 from cowkd.privamp import _toeplitz_product
 from cowkd.randomness import EntropySeed, RandomStream
 from cowkd.sifting import (
@@ -293,6 +296,64 @@ def parity_dense(pm: ParityMatrix) -> np.ndarray:
     for i, j in zip(*np.nonzero(pm.prototype >= 0)):
         h[i * Z + rows, j * Z + (rows + pm.prototype[i, j]) % Z] = 1
     return h
+
+
+# Added to a check's minimum position to find its second minimum; far above
+# any message magnitude.
+_MASKED = np.float32(1e30)
+
+
+def decode_slice_ref(bits, targets, ok, taps, llr) -> int:
+    """Layered min-sum on a few rows, in place on `bits` and `ok`, with
+    float masks, `np.copysign` and a ±1 multiply for the check messages.
+
+    Column-stacked: row p of `lam` holds bit p's posterior LLR for every
+    live block, so a layer gathers and scatters its taps as whole rows, and
+    freezing a block drops one column. Returns the iterations run.
+    """
+    tgt = np.ascontiguousarray(targets.T)
+    ok[:] = (_syndrome_cols(np.ascontiguousarray(bits.T), taps) == tgt).all(axis=0)
+    live = np.flatnonzero(~ok)
+    if live.size == 0:
+        return 0
+    lam = np.ascontiguousarray((1 - 2 * bits[live].T.astype(np.float32)) * llr)
+    tgt = tgt[:, live]
+    flip = tgt.reshape(len(taps), Z, -1).astype(bool)  # target bit 1 flips the check
+    msgs = [np.zeros(t.shape + (live.size,), dtype=np.float32) for t in taps]
+    for it in range(1, ITERATIONS + 1):
+        for i, t in enumerate(taps):
+            q = np.take(lam, t, axis=0)
+            q -= msgs[i]
+            # the kernel reads a message's sign from its sign bit: no q is -0.0
+            assert not np.signbit(q[q == 0]).any()
+            # magnitude: the smallest |q| of the check, except at its (unique)
+            # position, which gets the second smallest; on a tie both are equal
+            mag = np.abs(q)
+            min1 = mag.min(axis=0)
+            at_min = mag == min1
+            at_min &= np.add.reduce(at_min.view(np.uint8), axis=0) == 1
+            at = at_min.astype(np.float32)
+            min2 = (mag + at * _MASKED).min(axis=0)
+            new = np.maximum(at * (MIN_SUM_SCALE * min2), MIN_SUM_SCALE * min1)
+            # sign: product of the other taps' signs, flipped by the target bit
+            odd = np.logical_xor.reduce(q < 0, axis=0) ^ flip[i]
+            new = np.copysign(new, q)
+            new *= 1 - 2 * odd.astype(np.float32)
+            msgs[i] = new
+            q += new
+            lam[t] = q
+        hard = (lam < 0).view(np.uint8)
+        done = (_syndrome_cols(hard, taps) == tgt).all(axis=0)
+        if done.any():
+            bits[live[done]] = hard[:, done].T
+            ok[live[done]] = True
+            keep = ~done
+            live, lam, tgt, flip = live[keep], lam[:, keep], tgt[:, keep], flip[..., keep]
+            msgs = [m[..., keep] for m in msgs]
+            if live.size == 0:
+                return it
+    bits[live] = (lam < 0).T
+    return ITERATIONS
 
 
 def aes_ctr_bits(seed: EntropySeed, domain: int, n_bits: int, start: int = 0) -> np.ndarray:

@@ -1,9 +1,10 @@
 import inspect
+import math
 
 import numpy as np
 import pytest
 
-from oracles import parity_dense
+from oracles import decode_slice_ref, parity_dense
 from cowkd import ldpc
 from cowkd.ldpc import fer as ldpc_fer
 from cowkd.ldpc import matrices
@@ -158,6 +159,41 @@ def test_sign_flip_equals_translate_then_decode():
         epat, ok2, _ = ldpc.decode_batch(zeros, e_synd, r, channel_p=0.03)
         assert np.array_equal(ok1, ok2)
         assert np.array_equal(direct, noisy ^ epat)
+
+
+def _decoder_cases(rate, rng):
+    """(noisy, targets, channel p) for the kernel-against-reference test."""
+    for width in (1, 7, 64, 65):
+        for p in (0.0, 0.01, 0.02, 0.035, 0.06):
+            true = rng.draw_bits(width * 1944).reshape(width, 1944)
+            flips = rng.draw_uniform(width * 1944).reshape(width, 1944) < p
+            yield true ^ flips, ldpc.syndrome_batch(true, rate), max(p, 0.01)
+    # every magnitude equals the LLR through the first layers: ties everywhere
+    true = np.zeros((7, 1944), dtype=np.uint8)
+    true[np.arange(7), 100 * np.arange(1, 8)] = 1
+    yield np.zeros_like(true), ldpc.syndrome_batch(true, rate), 0.02
+    # targets of unrelated words: rows that never converge
+    noisy = rng.draw_bits(7 * 1944).reshape(7, 1944)
+    yield noisy, ldpc.syndrome_batch(rng.draw_bits(7 * 1944).reshape(7, 1944), rate), 0.02
+
+
+@pytest.mark.parametrize("rate", ALL_RATES)
+def test_min_sum_kernel_matches_reference(rate):
+    # same bits, convergence flags and iteration counts as the float-mask
+    # reference, which also checks that no check input q is ever -0.0
+    taps = ldpc.parity_matrix(rate).taps
+    rng = stream(30)
+    iterations = set()
+    for noisy, targets, p in _decoder_cases(rate, rng):
+        llr = np.float32(math.log((1 - p) / p))
+        runs = []
+        for kernel in (ldpc.codec._decode_slice, decode_slice_ref):
+            bits, ok = noisy.copy(), np.zeros(len(noisy), dtype=bool)
+            runs.append((bits, ok, kernel(bits, targets, ok, taps, llr)))
+        (bits, ok, it), (bits_ref, ok_ref, it_ref) = runs
+        assert it == it_ref and np.array_equal(ok, ok_ref) and np.array_equal(bits, bits_ref)
+        iterations.add((it, bool(ok.all())))
+    assert (ldpc.codec.ITERATIONS, False) in iterations  # some rows never converged
 
 
 def test_decode_validates_inputs():

@@ -1,4 +1,6 @@
 import hashlib
+import sys
+import threading
 import time
 
 import numpy as np
@@ -279,9 +281,9 @@ def test_block_spill_at_half_size_equals_full_size_spill(w, size, spill_size, le
     assert (divisor.size, divisor.spill_size, w < b) == (size, spill_size, True)
     n = {"b": b, "w < n < b": (w + b) // 2, "n < w": w // 2}[length]
     num = rng.draw_bits(n)
-    carry = rng.draw_bits(w).astype(np.int64)
-    block, _ = divisor.divide(num, n, carry, False)  # one quotient block
-    e = num.astype(np.int64)
+    carry = rng.draw_bits(w)
+    block = divisor.divide(num, n, carry, False)  # one quotient block
+    e = num.copy()
     e[:w] ^= carry[:n]
     assert np.array_equal(divisor._block_spill(block, e, carry), divisor._spill(block, carry))
 
@@ -295,6 +297,53 @@ def test_full_size_lfsr_hash_equals_expanded_explicit_diagonal():
     seed = make_seed(rng, n_out)
     diagonal = lfsr_expand(seed.state, seed.taps, n_in + n_out - 1)
     assert np.array_equal(toeplitz_hash(x, seed, n_out), toeplitz_hash_explicit(x, diagonal, n_out))
+
+
+def _hash_cases(rng, shapes):
+    return [(rng.draw_bits(n_in), make_seed(rng, n_out), n_out) for n_in, n_out in shapes]
+
+
+def test_hash_result_survives_later_hashes_of_other_sizes():
+    # each call's transform buffers are its own: a result shares none of
+    # them, whatever the later calls' sizes and inputs
+    rng = stream(16)
+    shapes = [(60_000, 9_000), (3_000, 700), (120_000, 20_000), (200, 64), (60_000, 9_000)]
+    cases = _hash_cases(rng, shapes)
+    first = toeplitz_hash(*cases[0])
+    kept = first.copy()
+    for case in cases[1:]:
+        toeplitz_hash(*case)
+    assert np.array_equal(first, kept)
+
+
+def test_threads_hashing_at_once_match_single_thread():
+    # as in a loopback session, where both parties amplify in one process;
+    # more threads than cores, with frequent switches
+    rng = stream(17)
+    cases = _hash_cases(rng, [(60_000, 9_000), (40_000, 5_000), (120_000, 20_000), (3_000, 700)])
+    want = [toeplitz_hash(*case) for case in cases]
+    got = {}
+
+    def work(k):
+        for r in range(3):
+            for j in range(len(cases)):
+                i = (j + k) % len(cases)
+                got[k, r, i] = toeplitz_hash(*cases[i])
+
+    threads = [threading.Thread(target=work, args=(k,), daemon=True) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert len(got) == 4 * 3 * len(cases)
+    for (_, _, i), out in got.items():
+        assert np.array_equal(out, want[i]), i
 
 
 # ---------------------------------------------------------------------------

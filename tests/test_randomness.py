@@ -124,11 +124,20 @@ def test_bitops_round_trips():
 _BITS_PER = {"bits": 1, "bytes": 8, "uniform": 32}
 
 
+def _at_every_bit_offset(test):
+    # word and byte draws from each of the 8 bit offsets, across AES blocks
+    for k in range(8):
+        ops = [("bits", k), ("uniform", 9), ("bytes", 5), ("bits", 131), ("uniform", 1)]
+        test = example(seed=k, domain=k % 2, ops=ops)(test)
+    return test
+
+
 @given(seed=st.integers(0, 2 ** 16), domain=st.sampled_from([0, 1, 3]),
        ops=st.lists(st.tuples(st.sampled_from(["bits", "uniform", "bytes", "jump"]),
                               st.integers(0, 300)), max_size=12))
 @example(seed=0, domain=1, ops=[("uniform", 5), ("jump", 0), ("bits", 7), ("jump", 9),
                                 ("jump", 9), ("bytes", 3)])
+@_at_every_bit_offset
 def test_interleaved_draws_match_bit_level_oracle(seed, domain, ops):
     # every draw is the next slice of the AES counter stream, whatever kind
     # of draw came before it; a jump draws the rest of the current block and
