@@ -44,7 +44,13 @@ PE_MODES = {"compare": PEMode.KEY_COMPARISON, "subsample": PEMode.SUBSAMPLING}
 
 
 def _psk_from_seed(seed_hex: str, n_bytes: int = 16384) -> bytes:
-    """Deterministic simulation PSK so loopback parties agree without a file."""
+    """Deterministic simulation PSK so loopback parties agree without a file.
+
+    For simulation only, never a deployment key: the session seed travels
+    in the clear in the hello record, so anyone who reads it can derive
+    this key, and two sessions from one seed reuse its pads. A deployment
+    passes a `gen-psk` file on both sides.
+    """
     out = bytearray()
     counter = 0
     while len(out) < n_bytes:

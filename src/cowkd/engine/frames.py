@@ -24,7 +24,6 @@ from ..auth import TAG_BITS, AuthTag
 from ..bitops import pack_bits, unpack_bits
 from ..errors import EXIT_ABORT, EXIT_CONFIG, SessionAborted
 from ..ldpc import syndrome_length
-from ..privamp import PASeed
 from ..verification import VerificationTag
 
 CH_SIFTING = 1
@@ -129,9 +128,11 @@ _VERIFY_RESPONSE = _Layout("verify response", "IH")
 _ESTIMATE = _Layout("estimation report", "IQQ", b"EST")
 # batch | the 8 counters of `decode_audit`
 _AUDIT = _Layout("truth audit", "I8Q", b"AUD")
-# mode, always SEED_MODE_LFSR | batch | width w | state bits[w] | feedback taps bits[w]
+# mode, always SEED_MODE_TOEPLITZ | batch | bit count n | diagonal bits[n]
 _SEED = _Layout("privacy amplification seed", "BII")
-SEED_MODE_LFSR = 1  # the only seed mode: an LFSR register and its taps
+# the only seed mode: a modified Toeplitz diagonal; modes 0 (an explicit
+# Toeplitz diagonal) and 1 (an LFSR register and taps) are retired
+SEED_MODE_TOEPLITZ = 2
 # pad index | tag below 2^127
 _AUTH_TAG = _Layout("auth tag", "I16s")
 
@@ -237,28 +238,26 @@ def decode_audit(payload: bytes, batch: int) -> tuple[int, ...]:
     return counters
 
 
-def encode_seed(seed: PASeed, batch_id: int) -> bytes:
-    return _SEED.pack(SEED_MODE_LFSR, batch_id, seed.state.size, bits=[seed.state, seed.taps])
+def encode_seed(seed: np.ndarray, batch_id: int) -> bytes:
+    return _SEED.pack(SEED_MODE_TOEPLITZ, batch_id, seed.size, bits=[seed])
 
 
-def _seed_sizes(mode: int, batch: int, w: int) -> list[int]:
-    _check(mode == SEED_MODE_LFSR, f"unknown seed mode {mode}")
-    return [w, w]
+def _seed_sizes(mode: int, batch: int, n: int) -> list[int]:
+    _check(mode == SEED_MODE_TOEPLITZ, f"unknown seed mode {mode}")
+    return [n]
 
 
-def decode_seed(data: bytes) -> tuple[PASeed, int]:
-    """(seed, batch id); any mode but the LFSR's, and a zero feedback
-    polynomial, abort."""
-    _, batch_id, _, state, taps = _SEED.unpack(data, sizes=_seed_sizes)
-    _check(taps.any(), "seed has a zero feedback polynomial")
-    return PASeed(state, taps), batch_id
+def decode_seed(data: bytes) -> tuple[np.ndarray, int]:
+    """(diagonal, batch id); any mode but the modified Toeplitz one aborts."""
+    _, batch_id, _, seed = _SEED.unpack(data, sizes=_seed_sizes)
+    return seed, batch_id
 
 
-def decode_pa_seed(payload: bytes, batch: int, n_out: int) -> PASeed:
-    """The seed of `batch`, `n_out` bits wide."""
+def decode_pa_seed(payload: bytes, batch: int, n_sift: int) -> np.ndarray:
+    """The diagonal of `batch`, n_sift - 1 bits for an n_sift-bit key."""
     seed, batch_id = decode_seed(payload)
     _check(batch_id == batch, "privacy amplification batches out of step")
-    _check(seed.state.size == n_out, f"seed is not an LFSR of width {n_out}")
+    _check(seed.size == n_sift - 1, f"seed is not a diagonal of {n_sift - 1} bits")
     return seed
 
 

@@ -629,7 +629,7 @@ class BobParty(_PartyBase):
         cfg = self.config
         batch_bits = self.pa_buffer[: cfg.n_sift]
         self.pa_buffer = self.pa_buffer[cfg.n_sift :]
-        seed = make_seed(self.proto_rng, self.n_out)
+        seed = make_seed(self.proto_rng, cfg.n_sift)
         self.ep.send(CH_PA_SEED, frames.encode_seed(seed, batch_index))
 
         # exchange estimation inputs: Alice's exact mismatch count against
@@ -753,7 +753,7 @@ class AliceParty(_PartyBase):
 
     def _pa_round(self, payload: bytes, batch_index: int):
         cfg = self.config
-        seed = frames.decode_pa_seed(payload, batch_index, self.n_out)
+        seed = frames.decode_pa_seed(payload, batch_index, cfg.n_sift)
         if self.corrected_buffer.size < cfg.n_sift:
             raise SessionAborted("privacy amplification seed before its batch is complete")
         batch_bits = self.corrected_buffer[: cfg.n_sift]

@@ -6,8 +6,9 @@ polynomial MAC; `resolve_collisions_isin` resolves collisions with
 click by its own acceptance probability, with one qubit lookup per pulse
 array, and merges click sources with `np.lexsort`; `lfsr_expand_ref` steps
 the LFSR one bit at a time, `toeplitz_hash_dense` multiplies by the dense
-Toeplitz matrix and
-`toeplitz_hash_explicit` folds an explicit diagonal's product chunk by chunk;
+Toeplitz matrix and `toeplitz_hash_explicit` folds an explicit diagonal's
+product chunk by chunk (the PA hash is x[:w] XOR either's product with
+x[w:]);
 `parity_dense` expands the LDPC parity-check matrix, and `decode_slice_ref`
 builds each min-sum check message from float masks and `np.copysign`;
 `aes_ctr_bits` computes a stream's bits straight from AES-256 of its

@@ -39,9 +39,9 @@ PSK = bytes(range(256)) * 32  # 8 KiB deterministic test PSK
 SEED = "ab" * 32
 # pool and per-direction transcript digests of small_config(): a refactor
 # must not change the keys or the wire
-SMALL_CONFIG_POOL_DIGEST = "3882e8f3cc148771962b6a34f8cdc888c8ebdc2d3babfa4d73bad7b2c84b4744"
+SMALL_CONFIG_POOL_DIGEST = "a4904d7162d4814b7db577445e26aa88bd276fc920a50646106729e5c142398e"
 SMALL_CONFIG_ALICE_TO_BOB = "233a6f677e48932a9e7ad29904829717dc7ed00251a2dac7a6210debe58ba9a9"
-SMALL_CONFIG_BOB_TO_ALICE = "b894ab3bb6ea0990be32929315d03ac366cf1bc154b96e3de8f7be0b70010254"
+SMALL_CONFIG_BOB_TO_ALICE = "6d2c5ddfe532c78b57aaa6f19d4582cc27782d9a5f69e056628e7eda26aab7bd"
 
 
 def small_config(**kw):
@@ -318,11 +318,31 @@ def test_session_with_heavy_drops_still_agrees():
     assert ra["qber_effective"] > ra["qber_raw"]
 
 
+def test_session_over_its_compression_bound_aborts_at_batch_0():
+    # an 8-block batch measures a secret fraction of 0 (the finite-size
+    # penalties), so with the bound on, the configured 0.115 exceeds it:
+    # both parties freeze their pools at batch 0 and deliver nothing
+    cfg = small_config(enforce_compression_bound=True)
+    ta, tb = LoopbackTransport.pair(timeout=20)
+    alice, bob = AliceParty(cfg, ta), BobParty(cfg, tb)
+    errors = run_parties(alice, bob, 30)
+    assert set(errors) == {"alice", "bob"}
+    for party in (alice, bob):
+        err = errors[party.role]
+        assert type(err) is SessionAborted and err.exit_code == EXIT_ABORT, repr(err)
+        assert str(err) == ("batch 0: compression 0.1150 exceeds measured secret "
+                            "fraction 0.0000")
+        assert party.alarms == [str(err)]
+        assert party.pool.frozen
+        assert party.batches == []
+        assert party.pool.ledger.produced == party.pool.ledger.delivered == 0
+
+
 @pytest.mark.parametrize("cfg, pool_digest", [
     (small_config(), SMALL_CONFIG_POOL_DIGEST),
     # rate 5/6 drops most blocks: 22 of 26 and 13 of 17
     (small_config(code_rate="5/6", n_batches=2, blocks_per_batch=4),
-     "907abe8b86ee3c4e308e79c41bd1208061aaedd8651897adc6c36be4a7c2cd91"),
+     "a293b6b9d1f43ade74f36eb4f403aefc24f798f2e18bab7ba7ce08e779454d1c"),
 ], ids=["small", "heavy drops"])
 def test_sub_windows_keep_keys_and_drops(monkeypatch, cfg, pool_digest):
     # Bob streams each batch's error correction in sub-windows. Rows decode
@@ -412,7 +432,7 @@ def test_bob_discloses_ahead_only_while_the_batch_needs_it(monkeypatch):
 # per-direction transcript digests of small_config() in 2-block sub-windows
 # with Bob one chunk ahead (MAX_UNREAD_CHUNKS = 2)
 TWO_DEEP_ALICE_TO_BOB = "3c6cb37cd35bab4e33e3176ee52c483212714b46a1623232b94942b728e45882"
-TWO_DEEP_BOB_TO_ALICE = "b55131bd87a47a92adfd06210e12e9426fd371d571550a29df350a56d32e9d65"
+TWO_DEEP_BOB_TO_ALICE = "0a5d6d51ce68ede2677016b6aa7405f4ebb2d038b9b10ed732146311b86cfdb2"
 
 
 def test_reading_verdicts_later_moves_only_the_frame_order(monkeypatch):

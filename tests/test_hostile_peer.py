@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cowkd.engine import EXIT_ABORT, EXIT_AUTH_ALARM, EXIT_CONFIG, LoopbackTransport, SessionAborted
+from cowkd.engine import frames
 from cowkd.engine.frames import CH_AUTH_TAG, CH_CONTROL, CH_PA_SEED, CH_SIFTING, CH_SYNDROME, CH_VERIFY
 from cowkd.engine.session import AliceParty, BobParty
 from test_engine import _RewriteTransport, run_parties, small_config
@@ -105,10 +106,23 @@ def _replace(offset: int, value: bytes):
     return lambda p: p[:offset] + value + p[offset + len(value):]
 
 
+def _diagonal_one_bit_short(payload: bytes) -> bytes:
+    """A well-formed seed record whose diagonal lacks its last bit; for
+    n_sift = 15,552 it takes as many bytes as the n_sift - 1 bits due."""
+    seed, batch = frames.decode_seed(payload)
+    return frames.encode_seed(seed[:-1], batch)
+
+
 @pytest.mark.parametrize("record, rewrite, party, exit_code", [
     ("PA seed", _replace(0, bytes([7])), "alice", EXIT_ABORT),  # unknown mode
     pytest.param("PA seed", _replace(0, bytes([0])), "alice", EXIT_ABORT,
                  id="PA seed-retired mode 0-alice-3"),  # the explicit diagonal
+    pytest.param("PA seed", _replace(0, bytes([1])), "alice", EXIT_ABORT,
+                 id="PA seed-retired mode 1-alice-3"),  # the LFSR register and taps
+    pytest.param("PA seed", _diagonal_one_bit_short, "alice", EXIT_ABORT,
+                 id="PA seed-diagonal not n_sift - 1 bits-alice-3"),
+    pytest.param("PA seed", lambda p: p[:-1], "alice", EXIT_ABORT,
+                 id="PA seed-truncated diagonal-alice-3"),
     ("syndrome", _replace(4, b"\xff\xff"), "alice", EXIT_ABORT),  # 65,535 blocks
     ("sift disclosure", lambda p: p[: len(p) // 2], "alice", EXIT_ABORT),
     ("EST", lambda p: p[:-1], "bob", EXIT_ABORT),
