@@ -152,7 +152,7 @@ def toeplitz_hash(input_bits: np.ndarray, seed: np.ndarray, n_out: int) -> np.nd
     d = np.asarray(seed, dtype=np.uint8)
     if n_out > x.size:
         raise ValueError("cannot extract more bits than supplied")
-    if d.size != x.size - 1:
+    if d.ndim != 1 or d.size != x.size - 1:
         raise ValueError(f"seed must be {x.size - 1} bits for a {x.size}-bit key")
     out = x[:n_out].copy()
     right = x[n_out:]

@@ -174,6 +174,24 @@ def test_lfsr_expand_matches_reference_random_cases():
                               lfsr_expand_ref(state, taps, n))
 
 
+@pytest.mark.parametrize("w, length", [
+    # registers wider than 256 bits and outputs of several hundred to a few
+    # thousand bits, some at multiples of 512 and some just past them
+    (257, 1700),
+    (257, 1020),
+    (300, 301),  # one bit past the register
+    (400, 3001),
+    (1, 1025),
+    (512, 1536),  # three times the register
+    (600, 2137),
+])
+def test_lfsr_block_division_matches_reference_past_256_bits(w, length):
+    rng = stream(10)
+    state, taps = rng.draw_bits(w), rng.draw_bits(w)
+    taps[-1] = 1
+    assert np.array_equal(lfsr_expand(state, taps, length), lfsr_expand_ref(state, taps, length))
+
+
 def test_lfsr_zero_polynomial_rejected():
     with pytest.raises(ValueError):
         lfsr_expand(np.ones(8, dtype=np.uint8), np.zeros(8, dtype=np.uint8), 20)
@@ -192,6 +210,23 @@ def test_hash_rejects_seed_of_wrong_size(n_in, seed_bits):
         toeplitz_hash(rng.draw_bits(n_in), rng.draw_bits(n), 20)
     with pytest.raises(ValueError):  # an output wider than the key
         toeplitz_hash(rng.draw_bits(n_in), make_seed(rng, n_in), n_in + 1)
+
+
+@pytest.mark.parametrize("n_in", [50, 200])
+@pytest.mark.parametrize("state_bits, tap_bits, taps_nonzero", [
+    (50, 50, False),  # zero feedback polynomial
+    (49, 49, True),  # register narrower than n_out
+    (51, 51, True),  # register wider than n_out
+    (50, 49, True),  # taps narrower than the register
+])
+def test_lfsr_hash_rejects_bad_seed(n_in, state_bits, tap_bits, taps_nonzero):
+    # a seed in the retired LFSR form, (register, taps), is refused rather
+    # than read as a diagonal, whatever the widths of its two parts
+    rng = stream(12)
+    taps = np.ones(tap_bits, dtype=np.uint8) if taps_nonzero else np.zeros(tap_bits, dtype=np.uint8)
+    seed = (rng.draw_bits(state_bits), taps)
+    with pytest.raises(ValueError):
+        toeplitz_hash(rng.draw_bits(n_in), seed, 50)
 
 
 def _case(w, extra, seed):
