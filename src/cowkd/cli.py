@@ -105,7 +105,7 @@ def _build_config(args) -> SessionConfig:
 
 BATCH_COLUMNS = ("batch", "qber_raw", "qber_effective", "visibility_raw",
                  "visibility_corrected", "f_sec_measured", "compression",
-                 "n_out_bits", "attempted_blocks", "dropped_blocks")
+                 "n_out_bits", "attempted_blocks", "dropped_blocks", "monitor_clicks")
 
 
 def _write_report(out_dir: Path, report: dict):

@@ -29,10 +29,6 @@ from .params import ChannelParams
 BASIS_DATA = 0
 BASIS_DECOY = 1
 
-TRUTH_SIGNAL = 0
-TRUTH_DARK = 1
-TRUTH_NOISE = 2
-
 # Qubits per cipher pass of `QubitSource.at`: 128 kB of counters and of
 # ciphertext, reused, so a lookup neither allocates nor faults in fresh pages.
 _LOOKUP_PIECE = 1 << 13
@@ -88,7 +84,6 @@ class DetectionArrays:
     """Column-oriented detection stream (sorted by gate index)."""
 
     gate: np.ndarray  # int64 gate indices
-    truth: np.ndarray  # TRUTH_* codes
     destructive: np.ndarray | None = None  # monitor only
 
     def __len__(self):
@@ -205,7 +200,7 @@ def sample_detections(params: ChannelParams, source: QubitSource, n_qubits: int,
 
     dark_gates = _geometric_hits(rng, n_gates, params.p_dark_data)
     noise_gates = _geometric_hits(rng, n_gates, params.p_dwdm_noise)
-    data = _merge_truth(sig_gates, dark_gates, noise_gates)
+    data = DetectionArrays(_click_union(sig_gates, dark_gates, noise_gates))
 
     mon_streams = []
     for destructive, port_table in zip((True, False), port_accept):
@@ -219,42 +214,19 @@ def sample_detections(params: ChannelParams, source: QubitSource, n_qubits: int,
         sig = cand[acc]
         dark = _geometric_hits(rng, n_gates, params.p_dark_mon)
         noise = _geometric_hits(rng, n_gates, params.p_noise_mon_port)
-        merged = _merge_truth(sig, dark, noise)
-        live = deadtime_mask(merged.gate, params.deadtime_mon_gates)
-        mon_streams.append((merged.gate[live], merged.truth[live], destructive))
+        gates = _click_union(sig, dark, noise)
+        mon_streams.append((gates[deadtime_mask(gates, params.deadtime_mon_gates)], destructive))
 
-    mg = np.concatenate([g for g, _, _ in mon_streams])
-    mt = np.concatenate([t for _, t, _ in mon_streams])
-    md = np.concatenate([np.full(g.size, d, dtype=bool) for g, _, d in mon_streams])
+    mg = np.concatenate([g for g, _ in mon_streams])
+    md = np.concatenate([np.full(g.size, d, dtype=bool) for g, d in mon_streams])
     order = np.argsort(mg, kind="stable")
-    monitor = DetectionArrays(mg[order], mt[order], md[order])
-    return data, monitor
+    return data, DetectionArrays(mg[order], md[order])
 
 
-def _merge_truth(sig: np.ndarray, dark: np.ndarray, noise: np.ndarray) -> DetectionArrays:
-    """Union of click sources at distinct gates, signal taking precedence.
-
-    The sources are concatenated in truth-code order, so a stable sort by
-    gate puts a gate's signal click ahead of its dark and noise clicks.
-    """
+def _click_union(sig: np.ndarray, dark: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Sorted gates at which any click source fires, each gate once."""
     gates = np.concatenate([sig, dark, noise])
-    truth = np.repeat(np.array([TRUTH_SIGNAL, TRUTH_DARK, TRUTH_NOISE], dtype=np.uint8),
-                      [sig.size, dark.size, noise.size])
-    order = np.argsort(gates, kind="stable")
-    gates, truth = gates[order], truth[order]
+    gates.sort(kind="stable")  # merges the three sorted runs
     first = np.ones(gates.size, dtype=bool)
     first[1:] = gates[1:] != gates[:-1]
-    return DetectionArrays(gates[first], truth[first])
-
-
-def interfering_slot_mask(lookup, gates: np.ndarray) -> np.ndarray:
-    """True at monitor slots where two nominally non-empty half pulses meet.
-
-    The slots' half pulses and their predecessors' come from one lookup."""
-    both = np.concatenate([gates - 1, gates])
-    valid = both >= 0
-    basis, bit = lookup(np.where(valid, both >> 1, 0))
-    is_early = (both & 1) == 0
-    full = np.where(is_early, bit == 1, bit == 0)
-    nominal = ((basis == BASIS_DECOY) | full) & valid
-    return nominal[: gates.size] & nominal[gates.size :]
+    return gates[first]

@@ -124,10 +124,9 @@ _TAGS = _Layout("verification tag frame", "IH")
 _VERIFICATION_TAG = _Layout("verification tag record", "6s6s")
 # window | blocks n | pass flags bits[n]
 _VERIFY_RESPONSE = _Layout("verify response", "IH")
-# batch | mismatches | dropped blocks
-_ESTIMATE = _Layout("estimation report", "IQQ", b"EST")
-# batch | the 8 counters of `decode_audit`
-_AUDIT = _Layout("truth audit", "I8Q", b"AUD")
+# batch | mismatches | dropped blocks | bright | destructive monitor clicks
+# counted toward the visibility
+_ESTIMATE = _Layout("estimation report", "IQQQQ", b"EST")
 # mode, always SEED_MODE_TOEPLITZ | batch | bit count n | diagonal bits[n]
 _SEED = _Layout("privacy amplification seed", "BII")
 # the only seed mode: a modified Toeplitz diagonal; modes 0 (an explicit
@@ -213,29 +212,20 @@ def decode_verify_response(payload: bytes, window: int, n_blocks: int) -> np.nda
 
 # -- estimation and amplification ---------------------------------------------------
 
-def encode_estimate(batch: int, mismatches: int, dropped: int) -> bytes:
-    return _ESTIMATE.pack(batch, mismatches, dropped)
+def encode_estimate(batch: int, mismatches: int, dropped: int, bright: int, dest: int) -> bytes:
+    return _ESTIMATE.pack(batch, mismatches, dropped, bright, dest)
 
 
-def decode_estimate(payload: bytes, batch: int, dropped: int, max_mismatches: int) -> int:
-    """Alice's mismatch count for `batch`; her drop count must equal ours."""
-    mismatches = _ESTIMATE.unpack(payload, (batch, None, dropped))[1]
+def decode_estimate(payload: bytes, batch: int, dropped: int, max_mismatches: int,
+                    max_monitor: int) -> tuple[int, int, int]:
+    """Alice's (mismatches, bright, destructive) for `batch`. Her drop count
+    must equal ours, and her monitor clicks cannot outnumber the `max_monitor`
+    monitor events disclosed since the last seed."""
+    _, mismatches, _, bright, dest = _ESTIMATE.unpack(payload, (batch, None, dropped))
     _check(mismatches <= max_mismatches, "estimation report exceeds the batch size")
-    return mismatches
-
-
-def encode_audit(batch: int, counters) -> bytes:
-    return _AUDIT.pack(batch, *counters)
-
-
-def decode_audit(payload: bytes, batch: int) -> tuple[int, ...]:
-    """Counters: kept bits, their errors, dark and noise errors, then bright and
-    destructive interfering monitor clicks, all and signal-only."""
-    counters = _AUDIT.unpack(payload, (batch,))[1:]
-    kept, err, dark, noise, bright, dest, bright_sig, dest_sig = counters
-    _check(max(kept, bright, dest) < 1 << 62 and dark + noise <= err <= kept
-           and bright_sig <= bright and dest_sig <= dest, "truth audit counters are inconsistent")
-    return counters
+    _check(bright + dest <= max_monitor,
+           "estimation report claims more monitor clicks than were disclosed")
+    return mismatches, bright, dest
 
 
 def encode_seed(seed: np.ndarray, batch_id: int) -> bytes:

@@ -45,6 +45,14 @@ unit stream; each filled unit is tagged (pad index = 2*unit + direction) and
 the receiver re-verifies against its mirrored stream. A mismatch freezes key
 delivery and aborts the session.
 
+Each batch is delivered only if its measured secret fraction covers the
+applied compression. The measurement uses what the two parties observe:
+Alice's exact mismatch count and the batch's dropped blocks, the monitor
+visibility Alice counts from Bob's monitor disclosures since the last seed
+(`decode_and_sift`), and the dark-count and background-noise shares of the
+calibrated trusted detectors (`ChannelParams.expected_stats`). Alice sends
+her counts in the estimation report; both parties then decide alike.
+
 Every record is built and parsed by `frames`. A malformed record or a lost or
 silent peer ends the session in `SessionAborted` (exit 3), a bad tag in
 `AuthAlarm` (exit 4).
@@ -63,7 +71,7 @@ from .. import auth as auth_mod
 from .. import ldpc
 from ..auth import UNIT_BITS, AuthKeyState, PadScheduleError, parse_psk
 from ..cowsim import ChannelParams, QubitSource
-from ..cowsim.channel import TRUTH_DARK, TRUTH_NOISE, TRUTH_SIGNAL, interfering_slot_mask, sample_detections
+from ..cowsim.channel import sample_detections
 from ..errors import EXIT_AUTH_ALARM, EXIT_CONFIG, EXIT_OK, AuthAlarm, SessionAborted
 from ..finitekey import (
     FiniteKeyBudget,
@@ -160,9 +168,9 @@ class SessionConfig:
     def auto_compression(self) -> float:
         """Compression from the expected operating point, with margin.
 
-        Mirrors the per-batch measurement pipeline: the truth audit reports
-        the interferometer's own contrast as the corrected visibility, so
-        the expectation uses it directly rather than the error-share proxy.
+        The expectation takes the interferometer's calibrated contrast
+        `visibility_if` as the corrected visibility: the quantity each
+        batch's proxy-corrected monitor visibility estimates.
         """
         if self.compression is not None:
             return quantize_compression(self.compression)[0]
@@ -334,6 +342,7 @@ class BatchRow:
     n_out_bits: int
     attempted_blocks: int
     dropped_blocks: int
+    monitor_clicks: int  # bright + destructive clicks behind visibility_raw
 
 
 class _PartyBase:
@@ -362,7 +371,9 @@ class _PartyBase:
         self.alarms: list[str] = []
         self.window = 0  # EC windows so far
         self._dropped_blocks = 0  # since the last amplification round
-        self._audit = np.zeros(8, dtype=np.int64)  # Bob fills; Alice receives
+        # calibrated trusted-detector shares of the QBER
+        stats = config.params.expected_stats()
+        self.dark_qber, self.noise_qber = stats["qber_dark"], stats["qber_noise"]
 
     def run(self) -> dict:
         try:
@@ -385,27 +396,18 @@ class _PartyBase:
         dropped, self._dropped_blocks = self._dropped_blocks, 0
         return estimate_from_counts(mismatches, self.config.blocks_per_batch, dropped)
 
-    def _batch_observables(self, est: BatchEstimate, audit: np.ndarray):
-        (n_kept, err_total, err_dark, err_noise,
-         nb_raw, nd_raw, nb_sig, nd_sig) = (int(x) for x in audit)
-        dark_q = err_dark / n_kept if n_kept else 0.0
-        noise_q = err_noise / n_kept if n_kept else 0.0
-        v_raw = (nb_raw - nd_raw) / (nb_raw + nd_raw) if nb_raw + nd_raw else 1.0
+    def _finish_batch(self, batch_index: int, est: BatchEstimate, bright: int, dest: int,
+                      key: np.ndarray):
+        # no monitor click is no evidence of coherence: visibility 0
+        v_raw = (bright - dest) / (bright + dest) if bright + dest else 0.0
         obs = corrected_observables(
             qber_raw=min(est.qber_raw, 1.0), qber_effective=min(est.qber_effective, 1.0),
             visibility_raw=max(v_raw, 0.0),
-            dark_qber=dark_q, noise_qber=noise_q,
+            dark_qber=self.dark_qber, noise_qber=self.noise_qber,
             mu=self.config.params.mu, code_rate=float(self.rate),
             n_sift=self.config.n_sift, p_decoy=self.config.params.p_decoy,
             t_bob=self.config.params.t_bob,
         )
-        v_corr = (nb_sig - nd_sig) / (nb_sig + nd_sig) if nb_sig + nd_sig else 1.0
-        obs.visibility_corrected = max(min(v_corr, 1.0), 0.0)
-        return obs
-
-    def _finish_batch(self, batch_index: int, est: BatchEstimate, audit: np.ndarray,
-                      key: np.ndarray):
-        obs = self._batch_observables(est, audit)
         f_sec = secret_fraction(obs, FiniteKeyBudget.reference())
         if self.config.enforce_compression_bound and self.compression > f_sec + 1e-12:
             self.alarms.append(
@@ -414,16 +416,14 @@ class _PartyBase:
             self.pool.freeze()
             raise SessionAborted(self.alarms[-1])
         self.pool.append(key)
-        n_kept = int(audit[0])
         self.batches.append(BatchRow(
             batch=batch_index, qber_raw=est.qber_raw, qber_effective=est.qber_effective,
             visibility_raw=obs.visibility_raw,
             visibility_corrected=obs.visibility_corrected,
-            dark_qber=int(audit[2]) / n_kept if n_kept else 0.0,
-            noise_qber=int(audit[3]) / n_kept if n_kept else 0.0,
+            dark_qber=self.dark_qber, noise_qber=self.noise_qber,
             f_sec_measured=f_sec, compression=self.compression,
             n_out_bits=key.size, attempted_blocks=est.n_blocks,
-            dropped_blocks=est.n_dropped,
+            dropped_blocks=est.n_dropped, monitor_clicks=bright + dest,
         ))
         self.channel_p = min(max(est.qber_raw, 1e-4), 0.3)
 
@@ -496,7 +496,6 @@ class _Chunk:
     events: ResolvedEvents
     dmask: np.ndarray  # data events
     n_data: int
-    q0: int  # first qubit
 
 
 class BobParty(_PartyBase):
@@ -511,6 +510,7 @@ class BobParty(_PartyBase):
         # Alice answers in the order she receives them
         self._pending: deque = deque()
         self._in_flight = 0  # blocks sent for correction whose verdict is unread
+        self._monitor_disclosed = 0  # monitor events disclosed since the last seed
 
     def _run(self):
         cfg = self.config
@@ -558,18 +558,17 @@ class BobParty(_PartyBase):
     def _disclose(self) -> _Chunk:
         cfg = self.config
         n_q = cfg.chunk_qubits
-        q0 = self.total_qubits
-        chunk_view = _OffsetSource(self.source, q0)
+        chunk_view = _OffsetSource(self.source, self.total_qubits)
         # gates and qubits stay chunk-local; collision resolution does not
         # depend on where the chunk starts
         data, monitor = sample_detections(cfg.params, chunk_view, n_q, self.rng)
         events = resolve_collisions(data, monitor, self.rng)
-        self._accumulate_audit(monitor, q0)
         self.total_qubits += n_q
         payload, n_blocks = encode(events, self.mode)
         self.ep.send(CH_SIFTING, frames.encode_sift_disclosure(n_q, n_blocks, payload))
         dmask = events.data_mask()
-        chunk = _Chunk(events, dmask, int(dmask.sum()), q0)
+        chunk = _Chunk(events, dmask, int(dmask.sum()))
+        self._monitor_disclosed += len(events) - chunk.n_data
         self._pending.append((self._read_sift_verdict, chunk))
         return chunk
 
@@ -587,11 +586,9 @@ class BobParty(_PartyBase):
     def _read_sift_verdict(self, chunk: _Chunk):
         events, dmask = chunk.events, chunk.dmask
         keep = frames.decode_sift_response(self.ep.expect(CH_SIFTING), chunk.n_data)
-        kept = np.flatnonzero(dmask)[keep]  # the events Alice keeps
-        kept_bits = events.bob_bit[kept].astype(np.uint8)
+        kept_bits = events.bob_bit[dmask][keep]  # Bob's bits of the events Alice keeps
         self.total_raw += chunk.n_data
         self.total_sifted += kept_bits.size
-        self._audit_errors(events, kept, kept_bits, chunk.q0)
         self.key_bits = np.concatenate([self.key_bits, kept_bits])
 
     # EC + verification in sub-windows; a closing window sends the whole
@@ -632,39 +629,14 @@ class BobParty(_PartyBase):
         seed = make_seed(self.proto_rng, cfg.n_sift)
         self.ep.send(CH_PA_SEED, frames.encode_seed(seed, batch_index))
 
-        # exchange estimation inputs: Alice's exact mismatch count against
-        # Bob's truth-channel audit
-        mism = frames.decode_estimate(self.ep.expect(CH_CONTROL), batch_index,
-                                      self._dropped_blocks, cfg.n_sift)
-        audit = self._audit.copy()
-        self.ep.send(CH_CONTROL, frames.encode_audit(batch_index, audit))
-        self._audit[:] = 0
-
+        # Alice's estimation report covers the disclosures sent before the seed
+        mism, bright, dest = frames.decode_estimate(
+            self.ep.expect(CH_CONTROL), batch_index, self._dropped_blocks, cfg.n_sift,
+            self._monitor_disclosed)
+        self._monitor_disclosed = 0
         est = self._estimate_and_reset(mism)
-        self._finish_batch(batch_index, est, audit,
+        self._finish_batch(batch_index, est, bright, dest,
                            amplify_batch(batch_bits, seed, self.n_out, self.seed_ledger))
-
-    # truth-channel audit accumulators (simulation only)
-    def _accumulate_audit(self, monitor, q0: int):
-        if len(monitor) == 0:
-            return
-        interf = interfering_slot_mask(self.source.at, monitor.gate + 2 * q0)
-        dest = monitor.destructive
-        sig = monitor.truth == TRUTH_SIGNAL
-        self._audit[4] += int((interf & ~dest).sum())
-        self._audit[5] += int((interf & dest).sum())
-        self._audit[6] += int((interf & ~dest & sig).sum())
-        self._audit[7] += int((interf & dest & sig).sum())
-
-    def _audit_errors(self, events, kept, kept_bits, q0: int):
-        q = events.qubit[kept]
-        truth = events.truth[kept]
-        _, alice_bits = self.source.at(q + q0)
-        err = kept_bits != alice_bits
-        self._audit[0] += q.size
-        self._audit[1] += int(err.sum())
-        self._audit[2] += int((err & (truth == TRUTH_DARK)).sum())
-        self._audit[3] += int((err & (truth == TRUTH_NOISE)).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -681,6 +653,7 @@ class AliceParty(_PartyBase):
         self.qubits_seen = 0
         # mismatches of each passed block, in consumption order
         self._block_mismatches: list[int] = []
+        self._monitor = [0, 0]  # bright, destructive counted since the last seed
 
     def _run(self):
         self._handshake()
@@ -731,6 +704,8 @@ class AliceParty(_PartyBase):
         self.total_qubits += n_q
         self.total_raw += view.raw_count
         self.total_sifted += view.sifted_count
+        self._monitor[0] += view.monitor_bright
+        self._monitor[1] += view.monitor_dest
         self.key_bits = np.concatenate([self.key_bits, view.alice_key_bits])
         self.ep.send(CH_SIFTING, frames.encode_sift_response(view.keep_mask))
 
@@ -760,11 +735,12 @@ class AliceParty(_PartyBase):
         self.corrected_buffer = self.corrected_buffer[cfg.n_sift :]
         mism = sum(self._block_mismatches[: cfg.blocks_per_batch])
         del self._block_mismatches[: cfg.blocks_per_batch]
-        self.ep.send(CH_CONTROL, frames.encode_estimate(batch_index, mism, self._dropped_blocks))
-        audit = np.array(frames.decode_audit(self.ep.expect(CH_CONTROL), batch_index),
-                         dtype=np.int64)
+        bright, dest = self._monitor
+        self._monitor = [0, 0]
+        self.ep.send(CH_CONTROL, frames.encode_estimate(batch_index, mism, self._dropped_blocks,
+                                                        bright, dest))
         est = self._estimate_and_reset(mism)
-        self._finish_batch(batch_index, est, audit,
+        self._finish_batch(batch_index, est, bright, dest,
                            amplify_batch(batch_bits, seed, self.n_out, self.seed_ledger))
 
 

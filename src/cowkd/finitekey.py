@@ -273,8 +273,10 @@ def corrected_observables(qber_raw: float, qber_effective: float,
                           **kwargs) -> Observables:
     """Build observables with the trusted-detector corrections applied.
 
-    The corrected QBER removes the dark-count and background-noise
-    contributions outright. The corrected visibility removes the same
+    `dark_qber` and `noise_qber` are calibrated trusted-detector shares of
+    the QBER (a session takes them from `ChannelParams.expected_stats`),
+    not counts of which clicks were dark or noise, which no party observes.
+    The corrected QBER removes them outright. The corrected visibility removes the same
     detector-intrinsic share from the visibility deficit, using the error
     composition as the calibration proxy for the monitor channel.
     """

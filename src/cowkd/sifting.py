@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cowsim.channel import BASIS_DATA, DetectionArrays
+from .cowsim.channel import BASIS_DATA, BASIS_DECOY, DetectionArrays
 from .errors import SessionAborted
 from .randomness import RandomStream
 
@@ -71,7 +71,6 @@ class ResolvedEvents:
     qubit: np.ndarray  # int64, strictly increasing
     control: np.ndarray  # CONTROL_DATA / CONTROL_MON_*
     bob_bit: np.ndarray  # measured bit for data events, 0 otherwise
-    truth: np.ndarray
 
     def __len__(self):
         return self.qubit.size
@@ -101,10 +100,9 @@ def resolve_collisions(data: DetectionArrays, monitor: DetectionArrays,
     # qubit period (the channel emits the destructive port first on ties)
     keep_mon = ~_in_sorted(monitor.gate, dg)
     mg = monitor.gate[keep_mon]
-    mt = monitor.truth[keep_mon]
     mdest = monitor.destructive[keep_mon]
     keep2 = _first_per_qubit(mg)
-    mg, mt, mdest = mg[keep2], mt[keep2], mdest[keep2]
+    mg, mdest = mg[keep2], mdest[keep2]
 
     # both-bin collapse on the data detector
     dq = dg >> 1
@@ -116,12 +114,11 @@ def resolve_collisions(data: DetectionArrays, monitor: DetectionArrays,
         bits[np.flatnonzero(dup) - 1] = coin  # overwrite the kept (first) record
     dq_k = dq[first]
     dbits = bits[first]
-    dtruth = data.truth[first]
 
     # merge: data beats monitor within a qubit period
     mq = mg >> 1
     mon_keep = ~_in_sorted(mq, dq_k)
-    mq, mt, mdest = mq[mon_keep], mt[mon_keep], mdest[mon_keep]
+    mq, mdest = mq[mon_keep], mdest[mon_keep]
 
     q = np.concatenate([dq_k, mq])
     ctrl = np.concatenate([
@@ -129,9 +126,8 @@ def resolve_collisions(data: DetectionArrays, monitor: DetectionArrays,
         np.where(mdest, CONTROL_MON_DEST, CONTROL_MON_OTHER).astype(np.uint8),
     ])
     bob_bit = np.concatenate([dbits, np.zeros(mq.size, dtype=np.uint8)])
-    truth = np.concatenate([dtruth, mt])
     order = np.argsort(q, kind="stable")
-    return ResolvedEvents(q[order], ctrl[order], bob_bit[order], truth[order])
+    return ResolvedEvents(q[order], ctrl[order], bob_bit[order])
 
 
 def _unsorted(a: np.ndarray) -> bool:
@@ -214,6 +210,9 @@ class AliceSiftView:
     monitor_destructive: np.ndarray
     raw_count: int
     sifted_count: int
+    # monitor disclosures in periods whose two slots both interfere, by port
+    monitor_bright: int
+    monitor_dest: int
 
 
 def decode_and_sift(alice, payload: bytes, mode: SiftingMode, n_blocks: int) -> AliceSiftView:
@@ -221,23 +220,39 @@ def decode_and_sift(alice, payload: bytes, mode: SiftingMode, n_blocks: int) -> 
 
     `alice` is any object whose `at(indices)` returns the (basis, bit) arrays
     of her prepared qubits at those indices, such as her `QubitSource`.
-    Detections on decoy qubits leave the key (they only feed the coherence
-    statistics); monitor disclosures are split out with their port bit.
+    Detections on decoy qubits leave the key; monitor disclosures are split
+    out with their port bit.
+
+    A monitor disclosure names a qubit period i, not which of its two slots
+    clicked. Slot 2i+1 interferes when qubit i fills both bins (a decoy),
+    slot 2i when qubit i's early bin and qubit i-1's late bin are full (i-1
+    a decoy or a data 0). Periods where both hold count toward the monitor
+    visibility, by port. Period 0 is skipped, so every lookup stays inside
+    the chunk; the data qubits, those periods and their predecessors are
+    looked up at once.
     """
     qubits, control = decode(payload, mode, n_blocks)
     is_data = control == CONTROL_DATA
     dq = qubits[is_data]
-    basis, bits = alice.at(dq)
-    keep = basis == BASIS_DATA
     mon = ~is_data
+    counted = mon & (qubits > 0)
+    periods = qubits[counted]
+    basis, bits = alice.at(np.concatenate([dq, periods, periods - 1]))
+    n, m = dq.size, periods.size
+    keep = basis[:n] == BASIS_DATA
+    prev_late_full = (basis[n + m :] == BASIS_DECOY) | (bits[n + m :] == 0)
+    interfering = (basis[n : n + m] == BASIS_DECOY) & prev_late_full
+    n_dest = int((control[counted][interfering] == CONTROL_MON_DEST).sum())
     return AliceSiftView(
         data_qubits=dq,
         keep_mask=keep,
-        alice_key_bits=bits[keep].astype(np.uint8),
+        alice_key_bits=bits[:n][keep].astype(np.uint8),
         monitor_qubits=qubits[mon],
         monitor_destructive=control[mon] == CONTROL_MON_DEST,
         raw_count=int(dq.size),
         sifted_count=int(keep.sum()),
+        monitor_bright=int(interfering.sum()) - n_dest,
+        monitor_dest=n_dest,
     )
 
 

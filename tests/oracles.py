@@ -4,7 +4,8 @@
 polynomial MAC; `resolve_collisions_isin` resolves collisions with
 `np.isin` membership tests; `sample_detections_ref` thins each candidate
 click by its own acceptance probability, with one qubit lookup per pulse
-array, and merges click sources with `np.lexsort`; `lfsr_expand_ref` steps
+array, and merges click sources with `np.lexsort`, labelling each click
+with its source (`refsim.TRUTH_*`); `lfsr_expand_ref` steps
 the LFSR one bit at a time, `toeplitz_hash_dense` multiplies by the dense
 Toeplitz matrix and `toeplitz_hash_explicit` folds an explicit diagonal's
 product chunk by chunk (the PA hash is x[:w] XOR either's product with
@@ -41,8 +42,8 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from cowkd.auth import LIMB_BITS, UNIT_BITS, mod_p
 from cowkd.bitops import bits_to_int, pack_bits, unpack_bits
-from cowkd.cowsim import BASIS_DECOY, TRUTH_DARK, TRUTH_NOISE, TRUTH_SIGNAL, ChannelParams
-from cowkd.cowsim.channel import DetectionArrays, deadtime_mask
+from cowkd.cowsim import BASIS_DECOY, ChannelParams
+from cowkd.cowsim.channel import deadtime_mask
 from cowkd.errors import SessionAborted
 from cowkd.ldpc import BLOCK_LENGTH, Z, ParityMatrix
 from cowkd.ldpc.codec import ITERATIONS, MIN_SUM_SCALE, _syndrome_cols
@@ -68,6 +69,7 @@ from cowkd.verification import (
     estimate_from_counts,
     hash_blocks,
 )
+from refsim import TRUTH_DARK, TRUTH_NOISE, TRUTH_SIGNAL, DetectionArrays
 
 
 def limbs(message: bytes) -> list[int]:
@@ -102,14 +104,13 @@ def resolve_collisions_isin(data: DetectionArrays, monitor: DetectionArrays,
     """Collision resolution with hash-based `np.isin` membership tests."""
     if np.any(np.diff(data.gate) < 0) or np.any(np.diff(monitor.gate) < 0):
         raise SessionAborted("detection streams must be gate-sorted")
-    dg, dt = data.gate, data.truth
+    dg = data.gate
 
     keep_mon = ~np.isin(monitor.gate, dg)
     mg = monitor.gate[keep_mon]
-    mt = monitor.truth[keep_mon]
     mdest = monitor.destructive[keep_mon]
     keep2 = _first_per_qubit(mg)
-    mg, mt, mdest = mg[keep2], mt[keep2], mdest[keep2]
+    mg, mdest = mg[keep2], mdest[keep2]
 
     dq = dg >> 1
     first = _first_per_qubit(dg)
@@ -120,11 +121,10 @@ def resolve_collisions_isin(data: DetectionArrays, monitor: DetectionArrays,
         bits[np.flatnonzero(dup) - 1] = coin
     dq_k = dq[first]
     dbits = bits[first]
-    dtruth = dt[first]
 
     mq = mg >> 1
     mon_keep = ~np.isin(mq, dq_k)
-    mq, mt, mdest = mq[mon_keep], mt[mon_keep], mdest[mon_keep]
+    mq, mdest = mq[mon_keep], mdest[mon_keep]
 
     q = np.concatenate([dq_k, mq])
     ctrl = np.concatenate([
@@ -132,9 +132,8 @@ def resolve_collisions_isin(data: DetectionArrays, monitor: DetectionArrays,
         np.where(mdest, CONTROL_MON_DEST, CONTROL_MON_OTHER).astype(np.uint8),
     ])
     bob_bit = np.concatenate([dbits, np.zeros(mq.size, dtype=np.uint8)])
-    truth = np.concatenate([dtruth, mt])
     order = np.argsort(q, kind="stable")
-    return ResolvedEvents(q[order], ctrl[order], bob_bit[order], truth[order])
+    return ResolvedEvents(q[order], ctrl[order], bob_bit[order])
 
 
 def _geometric_hits_ref(rng: RandomStream, n_slots: int, p: float) -> np.ndarray:

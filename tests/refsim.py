@@ -6,9 +6,12 @@ at an upper-bound rate, then thinned) must match in distribution.
 `ground_truth_stats` audits detections against the prepared sequence: the
 true QBER and the raw and signal-only monitor visibility. `QubitSource` here
 is the engine's qubit source plus a run id and `sequence`, which
-materializes a prefix of the prepared qubits; `DetectionArrays` carries the
-run id of the sequence it was drawn from, so the audit can refuse streams of
-another run.
+materializes a prefix of the prepared qubits. `DetectionArrays` is the
+engine's detection stream plus what only a simulator knows: the `TRUTH_*`
+source of each click (signal, dark count or background noise) and the run id
+of the sequence it was drawn from, so the audit can refuse streams of another
+run. `interfering_slot_mask` is the gate-level rule of which monitor slots
+interfere.
 """
 
 from __future__ import annotations
@@ -19,18 +22,13 @@ import numpy as np
 
 from cowkd.cowsim import ChannelParams
 from cowkd.cowsim import QubitSource as _QubitSource
-from cowkd.cowsim.channel import (
-    BASIS_DATA,
-    BASIS_DECOY,
-    TRUTH_DARK,
-    TRUTH_NOISE,
-    TRUTH_SIGNAL,
-    _monitor_port_means,
-    deadtime_mask,
-    interfering_slot_mask,
-)
-from cowkd.cowsim.channel import DetectionArrays as _DetectionArrays
+from cowkd.cowsim.channel import BASIS_DATA, BASIS_DECOY, _monitor_port_means, deadtime_mask
 from cowkd.randomness import RandomStream
+
+# the source of a click
+TRUTH_SIGNAL = 0
+TRUTH_DARK = 1
+TRUTH_NOISE = 2
 
 
 class RunMismatch(ValueError):
@@ -52,10 +50,30 @@ class QubitSource(_QubitSource):
 
 
 @dataclass
-class DetectionArrays(_DetectionArrays):
-    """A detection stream tagged with the run that produced it."""
+class DetectionArrays:
+    """A gate-sorted detection stream, each click labelled with its source,
+    tagged with the run that produced it."""
 
+    gate: np.ndarray  # int64 gate indices
+    truth: np.ndarray  # TRUTH_* codes
+    destructive: np.ndarray | None = None  # monitor only
     run_id: int = 0
+
+    def __len__(self):
+        return self.gate.size
+
+
+def interfering_slot_mask(lookup, gates: np.ndarray) -> np.ndarray:
+    """True at monitor slots where two nominally non-empty half pulses meet.
+
+    The slots' half pulses and their predecessors' come from one lookup."""
+    both = np.concatenate([gates - 1, gates])
+    valid = both >= 0
+    basis, bit = lookup(np.where(valid, both >> 1, 0))
+    is_early = (both & 1) == 0
+    full = np.where(is_early, bit == 1, bit == 0)
+    nominal = ((basis == BASIS_DECOY) | full) & valid
+    return nominal[: gates.size] & nominal[gates.size :]
 
 
 @dataclass

@@ -66,7 +66,6 @@ def stream(n):
 def _events(qubits):
     q = np.asarray(qubits, dtype=np.int64)
     return ResolvedEvents(q, np.full(q.size, CONTROL_DATA, dtype=np.uint8),
-                          np.zeros(q.size, dtype=np.uint8),
                           np.zeros(q.size, dtype=np.uint8))
 
 

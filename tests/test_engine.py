@@ -40,8 +40,8 @@ SEED = "ab" * 32
 # pool and per-direction transcript digests of small_config(): a refactor
 # must not change the keys or the wire
 SMALL_CONFIG_POOL_DIGEST = "a4904d7162d4814b7db577445e26aa88bd276fc920a50646106729e5c142398e"
-SMALL_CONFIG_ALICE_TO_BOB = "233a6f677e48932a9e7ad29904829717dc7ed00251a2dac7a6210debe58ba9a9"
-SMALL_CONFIG_BOB_TO_ALICE = "6d2c5ddfe532c78b57aaa6f19d4582cc27782d9a5f69e056628e7eda26aab7bd"
+SMALL_CONFIG_ALICE_TO_BOB = "9b7f355f60e1da6019c8adf790d7435a11023e82158a4c8fde789ede5be64ecf"
+SMALL_CONFIG_BOB_TO_ALICE = "237825d035b1b9d9a03419b14e5eeb673214a3cd667b3e00681ef8dbf581e653"
 
 
 def small_config(**kw):
@@ -338,6 +338,28 @@ def test_session_over_its_compression_bound_aborts_at_batch_0():
         assert party.pool.ledger.produced == party.pool.ledger.delivered == 0
 
 
+def test_full_size_batch_over_its_compression_bound_aborts():
+    # one full 512-block batch at 1 km measures a secret fraction near 0.11,
+    # so an explicit compression of 0.2 exceeds it: both parties abort at
+    # batch 0 with frozen pools, no batch row and nothing delivered
+    cfg = SessionConfig(params=channel_params(1.0), n_batches=1, seed_hex="5e" * 32,
+                        psk=PSK, compression=0.2)
+    assert cfg.enforce_compression_bound and cfg.blocks_per_batch == 512
+    ta, tb = LoopbackTransport.pair(timeout=60)
+    alice, bob = AliceParty(cfg, ta), BobParty(cfg, tb)
+    errors = run_parties(alice, bob, 90)
+    assert set(errors) == {"alice", "bob"}
+    for party in (alice, bob):
+        err = errors[party.role]
+        assert type(err) is SessionAborted and err.exit_code == EXIT_ABORT, repr(err)
+        assert str(err).startswith("batch 0: compression 0.2000 exceeds measured secret fraction 0.1")
+        assert party.alarms == [str(err)]
+        assert party.pool.frozen
+        assert party.batches == []
+        assert party.pool.ledger.produced == party.pool.ledger.delivered == 0
+    assert str(errors["alice"]) == str(errors["bob"])  # both decide from the same counts
+
+
 @pytest.mark.parametrize("cfg, pool_digest", [
     (small_config(), SMALL_CONFIG_POOL_DIGEST),
     # rate 5/6 drops most blocks: 22 of 26 and 13 of 17
@@ -431,8 +453,8 @@ def test_bob_discloses_ahead_only_while_the_batch_needs_it(monkeypatch):
 
 # per-direction transcript digests of small_config() in 2-block sub-windows
 # with Bob one chunk ahead (MAX_UNREAD_CHUNKS = 2)
-TWO_DEEP_ALICE_TO_BOB = "3c6cb37cd35bab4e33e3176ee52c483212714b46a1623232b94942b728e45882"
-TWO_DEEP_BOB_TO_ALICE = "0a5d6d51ce68ede2677016b6aa7405f4ebb2d038b9b10ed732146311b86cfdb2"
+TWO_DEEP_ALICE_TO_BOB = "0fc98eba5569184cf48458a68cc7d36274c0a5a6b67547c7245a707b5bc8012a"
+TWO_DEEP_BOB_TO_ALICE = "e5151e72860f1013ba6e7db6e065c5bb0cf026e7cf154ea22b8d4135d7fe146d"
 
 
 def test_reading_verdicts_later_moves_only_the_frame_order(monkeypatch):

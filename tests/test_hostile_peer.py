@@ -27,8 +27,7 @@ RECORDS = {
     "syndrome": ("bob", CH_SYNDROME, b"", [(0, 4), (4, 2), (6, 1)]),
     "verify tags": ("bob", CH_VERIFY, b"", [(0, 4), (4, 2), (6, 6), (12, 6)]),
     "verify response": ("alice", CH_VERIFY, b"", [(0, 4), (4, 2), (6, 1)]),
-    "EST": ("alice", CH_CONTROL, b"EST", [(3, 4), (7, 8), (15, 8)]),
-    "AUD": ("bob", CH_CONTROL, b"AUD", [(3, 4)] + [(7 + 8 * i, 8) for i in range(8)]),
+    "EST": ("alice", CH_CONTROL, b"EST", [(3, 4), (7, 8), (15, 8), (23, 8), (31, 8)]),
     "END from bob": ("bob", CH_CONTROL, b"END", [(0, 3)]),
     "END from alice": ("alice", CH_CONTROL, b"END", [(0, 3)]),
     "PA seed": ("bob", CH_PA_SEED, b"", [(0, 1), (1, 4), (5, 4), (9, 1)]),
@@ -135,3 +134,30 @@ def test_malformed_record_raises_documented_exit(record, rewrite, party, exit_co
     err = errors[party]
     assert isinstance(err, SessionAborted) and err.exit_code == exit_code, repr(err)
     assert_clean_end(record, errors, alice, bob)
+
+
+@pytest.mark.parametrize("bright_share", [0, 1, 2])
+def test_estimate_claiming_more_monitor_clicks_than_disclosed_aborts_both(bright_share):
+    # Alice's report counts one more monitor click, split as bright_share
+    # bright and the rest destructive, than Bob disclosed monitor events
+    # before the seed: Bob aborts on reading it, and Alice on losing her peer
+    cfg = small_config(n_batches=1)
+    ta, tb = LoopbackTransport.pair(timeout=10)
+    parties = {}
+
+    def claim_one_more(payload: bytes) -> bytes:
+        batch, mismatches, dropped = (int.from_bytes(payload[a : a + n], "big")
+                                      for a, n in ((3, 4), (7, 8), (15, 8)))
+        claimed = parties["bob"]._monitor_disclosed + 1
+        bright = claimed * bright_share // 2
+        return frames.encode_estimate(batch, mismatches, dropped, bright, claimed - bright)
+
+    evil = _RewriteTransport(ta, CH_CONTROL, claim_one_more, b"EST")
+    alice, bob = AliceParty(cfg, evil), BobParty(cfg, tb)
+    parties["bob"] = bob
+    errors = run_parties(alice, bob, 30)
+    assert evil.rewritten
+    assert set(errors) == {"alice", "bob"}
+    for err in errors.values():
+        assert type(err) is SessionAborted and err.exit_code == EXIT_ABORT, repr(err)
+    assert "more monitor clicks than were disclosed" in str(errors["bob"])

@@ -1,11 +1,17 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from oracles import decode_bit_columns, encode_bit_columns, resolve_collisions_isin, sift_pair
-from refsim import prepare_sequence
+from oracles import (decode_bit_columns, encode_bit_columns, resolve_collisions_isin,
+                     sample_detections_ref, sift_pair)
+from refsim import PreparedSequence, QubitSource, interfering_slot_mask, prepare_sequence
 
-from cowkd.cowsim import ChannelParams, DetectionArrays
+from cowkd.cowsim import BASIS_DATA, BASIS_DECOY, ChannelParams, DetectionArrays
+from cowkd.finitekey import corrected_observables
+from cowkd.presets import channel_params
 from cowkd.errors import EXIT_ABORT, SessionAborted
 from cowkd.randomness import EntropySeed, new_stream
 from cowkd.sifting import (
@@ -32,14 +38,13 @@ def events_from(qubits, controls=None, bits=None):
     c = (np.full(q.size, CONTROL_DATA, dtype=np.uint8) if controls is None
          else np.asarray(controls, dtype=np.uint8))
     b = np.zeros(q.size, dtype=np.uint8) if bits is None else np.asarray(bits, dtype=np.uint8)
-    return ResolvedEvents(q, c, b, np.zeros(q.size, dtype=np.uint8))
+    return ResolvedEvents(q, c, b)
 
 
 def detarrays(gates, destructive=None):
     g = np.asarray(gates, dtype=np.int64)
-    t = np.zeros(g.size, dtype=np.uint8)
     d = None if destructive is None else np.asarray(destructive, dtype=bool)
-    return DetectionArrays(g, t, d)
+    return DetectionArrays(g, d)
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +209,8 @@ def detection_streams(draw, with_port: bool):
     # bins of one qubit and data/monitor clicks in one qubit period are common
     gates = sorted(draw(st.lists(st.integers(0, 40), max_size=30)))
     n = len(gates)
-    truth = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
     dest = draw(st.lists(st.booleans(), min_size=n, max_size=n)) if with_port else None
-    return DetectionArrays(np.asarray(gates, dtype=np.int64), np.asarray(truth, dtype=np.uint8),
+    return DetectionArrays(np.asarray(gates, dtype=np.int64),
                            None if dest is None else np.asarray(dest, dtype=bool))
 
 
@@ -219,7 +223,7 @@ def detection_streams(draw, with_port: bool):
 def test_resolve_collisions_matches_isin_oracle(data, mon):
     got = resolve_collisions(data, mon, stream(6))
     want = resolve_collisions_isin(data, mon, stream(6))
-    for name in ("qubit", "control", "bob_bit", "truth"):
+    for name in ("qubit", "control", "bob_bit"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert getattr(got, name).dtype == getattr(want, name).dtype, name
 
@@ -284,6 +288,56 @@ def test_monitor_disclosures_extracted():
     res = sift_pair(seq, ev, SiftingMode(14))
     assert res.monitor_disclosures == [(20, True), (30, False)]
 
+
+@pytest.mark.parametrize("control", [CONTROL_MON_DEST, CONTROL_MON_OTHER],
+                         ids=["destructive", "bright"])
+def test_counted_monitor_periods_are_those_whose_two_slots_interfere(control):
+    # every (basis, bit) of qubits i - 1 and i: a disclosure of period i
+    # counts toward the visibility, on its own port, exactly when both of
+    # the period's monitor slots interfere
+    qubit_states = list(itertools.product((BASIS_DATA, BASIS_DECOY), (0, 1)))
+    for prev, here in itertools.product(qubit_states, repeat=2):
+        seq = PreparedSequence(np.array([BASIS_DECOY, prev[0], here[0]], dtype=np.uint8),
+                               np.array([0, prev[1], here[1]], dtype=np.uint8))
+        payload, n_blocks = encode(events_from([2], [control]), SiftingMode(14))
+        view = decode_and_sift(seq, payload, SiftingMode(14), n_blocks)
+        both_interfere = bool(interfering_slot_mask(seq.at, np.array([4, 5])).all())
+        counted = (view.monitor_dest, view.monitor_bright)[control == CONTROL_MON_OTHER]
+        assert view.monitor_bright + view.monitor_dest == counted == both_interfere, (prev, here)
+
+
+def test_monitor_period_0_is_never_counted():
+    # its predecessor lies in the previous chunk, which Alice no longer holds
+    seq = PreparedSequence(np.full(2, BASIS_DECOY, dtype=np.uint8), np.zeros(2, dtype=np.uint8))
+    assert interfering_slot_mask(seq.at, np.array([1])).all()
+    for control in (CONTROL_MON_DEST, CONTROL_MON_OTHER):
+        payload, n_blocks = encode(events_from([0], [control]), SiftingMode(14))
+        view = decode_and_sift(seq, payload, SiftingMode(14), n_blocks)
+        assert view.monitor_bright == view.monitor_dest == 0
+
+
+def test_counted_monitor_visibility_estimates_the_interferometer():
+    # 2^28 qubits at 1 km, drawn by the per-click sampler: the counted
+    # periods' visibility, corrected by the calibrated dark and noise shares
+    # of the sifted key's measured QBER, is the interferometer's
+    p = channel_params(1.0)
+    src = QubitSource(bytes(range(32)), p.p_decoy)
+    rng = stream(11)
+    data, monitor = sample_detections_ref(p, src, 1 << 28, rng)
+    events = resolve_collisions(data, monitor, rng)
+    payload, n_blocks = encode(events, SiftingMode(14))
+    view = decode_and_sift(src, payload, SiftingMode(14), n_blocks)
+    bob_bits = events.bob_bit[events.data_mask()][view.keep_mask]
+    qber = float((bob_bits != view.alice_key_bits).mean())
+    n = view.monitor_bright + view.monitor_dest
+    v_raw = (view.monitor_bright - view.monitor_dest) / n
+    stats = p.expected_stats()
+    obs = corrected_observables(qber, qber, v_raw, stats["qber_dark"], stats["qber_noise"],
+                                p.mu, 0.75)
+    share = (stats["qber_dark"] + stats["qber_noise"]) / qber
+    sigma = (1 - share) * math.sqrt((1 - v_raw ** 2) / n)
+    assert n > 10_000
+    assert abs(obs.visibility_corrected - p.visibility_if) < 4 * sigma
 
 # ---------------------------------------------------------------------------
 # cost model
