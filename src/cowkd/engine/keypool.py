@@ -17,14 +17,15 @@ import numpy as np
 
 from ..auth import TAG_BITS, PreSharedKey
 from ..bitops import bits_to_int
+from ..errors import SessionAborted
 
 
 class InsufficientKey(RuntimeError):
     """Delivery backpressure: the pool cannot cover the request."""
 
 
-class PadsExhausted(RuntimeError):
-    """The pad stream cannot cover a requested pad index."""
+class PadsExhausted(SessionAborted):
+    """The pad stream cannot cover a requested pad index; the session ends (exit 3)."""
 
 
 class DeliveryFrozen(RuntimeError):
@@ -49,13 +50,12 @@ PAD_RESERVE_TARGET = 96
 
 
 class SecretKeyPool:
-    def __init__(self, psk: PreSharedKey, pad_reserve_target: int = PAD_RESERVE_TARGET):
+    def __init__(self, psk: PreSharedKey):
         self._psk_pads = list(psk.pads)
         self._pad_bits = np.zeros(0, dtype=np.uint8)  # reserved pad stream
         self._delivery = np.zeros(0, dtype=np.uint8)
         self._delivery_cursor = 0
         self._pads_taken: set[int] = set()
-        self._pad_reserve_target = pad_reserve_target
         self.frozen = False
         self.ledger = PoolLedger()
 
@@ -65,7 +65,7 @@ class SecretKeyPool:
         """Absorb one privacy-amplification output block."""
         bits = np.asarray(bits, dtype=np.uint8)
         self.ledger.produced += bits.size
-        want = self._pad_reserve_target * TAG_BITS
+        want = PAD_RESERVE_TARGET * TAG_BITS
         unused_pad_bits = self._pad_bits.size - self.ledger.consumed_auth
         need = max(0, want - unused_pad_bits)
         carve = min(need, bits.size)

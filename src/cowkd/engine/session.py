@@ -51,7 +51,9 @@ Alice's exact mismatch count and the batch's dropped blocks, the monitor
 visibility Alice counts from Bob's monitor disclosures since the last seed
 (`decode_and_sift`), and the dark-count and background-noise shares of the
 calibrated trusted detectors (`ChannelParams.expected_stats`). Alice sends
-her counts in the estimation report; both parties then decide alike.
+her counts in the estimation report; both parties then decide alike, in
+`_PartyBase._close_batch`: it amplifies the batch, decides it and only then
+appends its key to the pool.
 
 Every record is built and parsed by `frames`. A malformed record or a lost or
 silent peer ends the session in `SessionAborted` (exit 3), a bad tag in
@@ -75,6 +77,7 @@ from ..cowsim.channel import sample_detections
 from ..errors import EXIT_AUTH_ALARM, EXIT_CONFIG, EXIT_OK, AuthAlarm, SessionAborted
 from ..finitekey import (
     FiniteKeyBudget,
+    Observables,
     corrected_observables,
     quantize_compression,
     secret_fraction,
@@ -83,8 +86,8 @@ from ..ldpc.codec import DECODE_SLICE
 from ..ldpc.fer import fer_estimate
 from ..privamp import SeedLedger, amplify_batch, make_seed
 from ..randomness import EntropySeed, RandomStream
-from ..sifting import ResolvedEvents, SiftingMode, decode_and_sift, encode, resolve_collisions
-from ..verification import BLOCK_BITS, BatchEstimate, estimate_from_counts, make_tags, verify_batch
+from ..sifting import SiftingMode, decode_and_sift, encode, resolve_collisions
+from ..verification import BLOCK_BITS, estimate_from_counts, make_tags, verify_batch
 from . import frames
 from .frames import (
     CH_ADMIN,
@@ -165,6 +168,18 @@ class SessionConfig:
         }, sort_keys=True).encode()
         return hashlib.sha256(blob).digest()
 
+    def observables(self, qber_raw: float, qber_effective: float,
+                    visibility_raw: float) -> Observables:
+        """Finite-key observables at these rates, with the calibrated
+        dark-count and noise shares (`ChannelParams.expected_stats`)."""
+        stats = self.params.expected_stats()
+        return corrected_observables(
+            qber_raw=qber_raw, qber_effective=qber_effective, visibility_raw=visibility_raw,
+            dark_qber=stats["qber_dark"], noise_qber=stats["qber_noise"],
+            mu=self.params.mu, code_rate=float(ldpc.as_rate(self.code_rate)),
+            n_sift=self.n_sift, p_decoy=self.params.p_decoy, t_bob=self.params.t_bob,
+        )
+
     def auto_compression(self) -> float:
         """Compression from the expected operating point, with margin.
 
@@ -174,18 +189,9 @@ class SessionConfig:
         """
         if self.compression is not None:
             return quantize_compression(self.compression)[0]
-        stats = self.params.expected_stats()
-        q = stats["qber_expected"]
+        q = self.params.expected_stats()["qber_expected"]
         fer = fer_estimate(self.code_rate, q)
-        q_eff = (1 - fer) * q + 0.5 * fer
-        obs = corrected_observables(
-            qber_raw=q, qber_effective=q_eff,
-            visibility_raw=self.params.visibility_if,
-            dark_qber=stats["qber_dark"], noise_qber=stats["qber_noise"],
-            mu=self.params.mu, code_rate=float(ldpc.as_rate(self.code_rate)),
-            n_sift=self.n_sift, p_decoy=self.params.p_decoy,
-            t_bob=self.params.t_bob,
-        )
+        obs = self.observables(q, (1 - fer) * q + 0.5 * fer, self.params.visibility_if)
         obs.visibility_corrected = self.params.visibility_if
         f_sec = secret_fraction(obs, FiniteKeyBudget.reference())
         return quantize_compression(f_sec * COMPRESSION_MARGIN)[0]
@@ -364,6 +370,7 @@ class _PartyBase:
         self.seed_ledger = SeedLedger()
         self.batches: list[BatchRow] = []
         self.key_bits = np.zeros(0, dtype=np.uint8)  # kept sifted bits, FIFO
+        self.passed = np.zeros(0, dtype=np.uint8)  # bits of verified blocks, FIFO
         self.total_sifted = 0
         self.total_raw = 0
         self.total_qubits = 0
@@ -371,9 +378,6 @@ class _PartyBase:
         self.alarms: list[str] = []
         self.window = 0  # EC windows so far
         self._dropped_blocks = 0  # since the last amplification round
-        # calibrated trusted-detector shares of the QBER
-        stats = config.params.expected_stats()
-        self.dark_qber, self.noise_qber = stats["qber_dark"], stats["qber_noise"]
 
     def run(self) -> dict:
         try:
@@ -391,36 +395,33 @@ class _PartyBase:
         self.key_bits = self.key_bits[n:].copy()
         return out
 
-    def _estimate_and_reset(self, mismatches: int) -> BatchEstimate:
-        """This batch's error estimate; the drop count restarts for the next."""
+    def _close_batch(self, batch_index: int, mismatches: int, bright: int, dest: int,
+                     seed: np.ndarray):
+        """Amplify, decide and deliver the next batch of passed bits, from the
+        counts of Alice's estimation report; both parties close batches here."""
+        cfg = self.config
+        batch_bits, self.passed = self.passed[: cfg.n_sift], self.passed[cfg.n_sift :]
         dropped, self._dropped_blocks = self._dropped_blocks, 0
-        return estimate_from_counts(mismatches, self.config.blocks_per_batch, dropped)
-
-    def _finish_batch(self, batch_index: int, est: BatchEstimate, bright: int, dest: int,
-                      key: np.ndarray):
+        est = estimate_from_counts(mismatches, cfg.blocks_per_batch, dropped)
+        key = amplify_batch(batch_bits, seed, self.n_out, self.seed_ledger)
         # no monitor click is no evidence of coherence: visibility 0
         v_raw = (bright - dest) / (bright + dest) if bright + dest else 0.0
-        obs = corrected_observables(
-            qber_raw=min(est.qber_raw, 1.0), qber_effective=min(est.qber_effective, 1.0),
-            visibility_raw=max(v_raw, 0.0),
-            dark_qber=self.dark_qber, noise_qber=self.noise_qber,
-            mu=self.config.params.mu, code_rate=float(self.rate),
-            n_sift=self.config.n_sift, p_decoy=self.config.params.p_decoy,
-            t_bob=self.config.params.t_bob,
-        )
+        obs = cfg.observables(min(est.qber_raw, 1.0), min(est.qber_effective, 1.0),
+                              max(v_raw, 0.0))
         f_sec = secret_fraction(obs, FiniteKeyBudget.reference())
-        if self.config.enforce_compression_bound and self.compression > f_sec + 1e-12:
+        if cfg.enforce_compression_bound and self.compression > f_sec + 1e-12:
             self.alarms.append(
                 f"batch {batch_index}: compression {self.compression:.4f} "
                 f"exceeds measured secret fraction {f_sec:.4f}")
             self.pool.freeze()
             raise SessionAborted(self.alarms[-1])
         self.pool.append(key)
+        stats = cfg.params.expected_stats()
         self.batches.append(BatchRow(
             batch=batch_index, qber_raw=est.qber_raw, qber_effective=est.qber_effective,
             visibility_raw=obs.visibility_raw,
             visibility_corrected=obs.visibility_corrected,
-            dark_qber=self.dark_qber, noise_qber=self.noise_qber,
+            dark_qber=stats["qber_dark"], noise_qber=stats["qber_noise"],
             f_sec_measured=f_sec, compression=self.compression,
             n_out_bits=key.size, attempted_blocks=est.n_blocks,
             dropped_blocks=est.n_dropped, monitor_clicks=bright + dest,
@@ -489,15 +490,6 @@ class _PartyBase:
 # Bob: detector side, drives the pipeline
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Chunk:
-    """A disclosed sifting chunk whose verdict Bob has not read yet."""
-
-    events: ResolvedEvents
-    dmask: np.ndarray  # data events
-    n_data: int
-
-
 class BobParty(_PartyBase):
     role = "bob"
 
@@ -505,7 +497,6 @@ class BobParty(_PartyBase):
         super().__init__(config, transport, out_dir=1)
         self.rng: RandomStream | None = None
         self.source: QubitSource | None = None
-        self.pa_buffer = np.zeros(0, dtype=np.uint8)  # verified key bits
         # requests whose reply is unread, oldest first, as (reader, request);
         # Alice answers in the order she receives them
         self._pending: deque = deque()
@@ -516,15 +507,16 @@ class BobParty(_PartyBase):
         cfg = self.config
         self._handshake()
         batch = 0
-        unread: deque[_Chunk] = deque()  # disclosed chunks whose verdict is unread
+        unread: deque[np.ndarray] = deque()  # data bits of chunks whose verdict is unread
         while batch < cfg.n_batches:
             if not unread:
                 unread.append(self._disclose())
-            while len(unread) < MAX_UNREAD_CHUNKS and self._batch_needs_next(unread):
+            while (len(unread) < MAX_UNREAD_CHUNKS
+                   and self._short_of_batch(sum(bits.size for bits in unread))):
                 unread.append(self._disclose())
             self._read_replies(until=unread.popleft())
             self._ec_window()
-            while self.pa_buffer.size >= cfg.n_sift and batch < cfg.n_batches:
+            while self.passed.size >= cfg.n_sift and batch < cfg.n_batches:
                 self._pa_round(batch)
                 batch += 1
         self.ep.send(CH_CONTROL, frames.END)
@@ -554,8 +546,9 @@ class BobParty(_PartyBase):
             if request is until:
                 return
 
-    # one sifting chunk: simulate and disclose; Alice's verdict is read later
-    def _disclose(self) -> _Chunk:
+    def _disclose(self) -> np.ndarray:
+        """Simulate and disclose one chunk; return Bob's bits of its data events,
+        which wait for Alice's verdict."""
         cfg = self.config
         n_q = cfg.chunk_qubits
         chunk_view = _OffsetSource(self.source, self.total_qubits)
@@ -566,28 +559,22 @@ class BobParty(_PartyBase):
         self.total_qubits += n_q
         payload, n_blocks = encode(events, self.mode)
         self.ep.send(CH_SIFTING, frames.encode_sift_disclosure(n_q, n_blocks, payload))
-        dmask = events.data_mask()
-        chunk = _Chunk(events, dmask, int(dmask.sum()))
-        self._monitor_disclosed += len(events) - chunk.n_data
-        self._pending.append((self._read_sift_verdict, chunk))
-        return chunk
+        bits = events.bob_bit[events.data_mask()]
+        self._monitor_disclosed += len(events) - bits.size
+        self._pending.append((self._read_sift_verdict, bits))
+        return bits
 
-    def _batch_needs_next(self, unread: deque[_Chunk]) -> bool:
-        """Whether the batch needs the next chunk whatever Alice keeps of `unread`.
-
-        It does when all the data bits of the chunks whose verdict is unread
-        would still leave the queued, in-flight and passed blocks short of
-        the batch.
-        """
-        held = self.key_bits.size + sum(chunk.n_data for chunk in unread)
-        blocks = held // BLOCK_BITS + self._in_flight + self.pa_buffer.size // BLOCK_BITS
+    def _short_of_batch(self, unread_bits: int = 0) -> bool:
+        """Whether the queued, in-flight and passed blocks, with `unread_bits`
+        more sifted bits, fall short of the batch (see the module docstring)."""
+        blocks = ((self.key_bits.size + unread_bits) // BLOCK_BITS + self._in_flight
+                  + self.passed.size // BLOCK_BITS)
         return blocks < self.config.blocks_per_batch
 
-    def _read_sift_verdict(self, chunk: _Chunk):
-        events, dmask = chunk.events, chunk.dmask
-        keep = frames.decode_sift_response(self.ep.expect(CH_SIFTING), chunk.n_data)
-        kept_bits = events.bob_bit[dmask][keep]  # Bob's bits of the events Alice keeps
-        self.total_raw += chunk.n_data
+    def _read_sift_verdict(self, bits: np.ndarray):
+        keep = frames.decode_sift_response(self.ep.expect(CH_SIFTING), bits.size)
+        kept_bits = bits[keep]  # Bob's bits of the events Alice keeps
+        self.total_raw += bits.size
         self.total_sifted += kept_bits.size
         self.key_bits = np.concatenate([self.key_bits, kept_bits])
 
@@ -595,8 +582,7 @@ class BobParty(_PartyBase):
     # queue and reads every outstanding verdict (see the module docstring)
     def _ec_window(self):
         queued = self.key_bits.size // BLOCK_BITS
-        closing = (queued + self._in_flight + self.pa_buffer.size // BLOCK_BITS
-                   >= self.config.blocks_per_batch)
+        closing = not self._short_of_batch()
         while queued >= SUB_WINDOW_BLOCKS or (closing and queued):
             n_blocks = min(queued, SUB_WINDOW_BLOCKS)
             self._send_window(n_blocks)
@@ -618,25 +604,20 @@ class BobParty(_PartyBase):
         window, blocks = window_blocks
         n_blocks = blocks.shape[0]
         flags = frames.decode_verify_response(self.ep.expect(CH_VERIFY), window, n_blocks)
-        self.pa_buffer = np.concatenate([self.pa_buffer, blocks[flags].reshape(-1)])
+        self.passed = np.concatenate([self.passed, blocks[flags].reshape(-1)])
         self._dropped_blocks += int(n_blocks - flags.sum())
         self._in_flight -= n_blocks
 
     def _pa_round(self, batch_index: int):
         cfg = self.config
-        batch_bits = self.pa_buffer[: cfg.n_sift]
-        self.pa_buffer = self.pa_buffer[cfg.n_sift :]
         seed = make_seed(self.proto_rng, cfg.n_sift)
         self.ep.send(CH_PA_SEED, frames.encode_seed(seed, batch_index))
-
         # Alice's estimation report covers the disclosures sent before the seed
         mism, bright, dest = frames.decode_estimate(
             self.ep.expect(CH_CONTROL), batch_index, self._dropped_blocks, cfg.n_sift,
             self._monitor_disclosed)
         self._monitor_disclosed = 0
-        est = self._estimate_and_reset(mism)
-        self._finish_batch(batch_index, est, bright, dest,
-                           amplify_batch(batch_bits, seed, self.n_out, self.seed_ledger))
+        self._close_batch(batch_index, mism, bright, dest, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -649,8 +630,6 @@ class AliceParty(_PartyBase):
     def __init__(self, config: SessionConfig, transport):
         super().__init__(config, transport, out_dir=0)
         self.source: QubitSource | None = None
-        self.corrected_buffer = np.zeros(0, dtype=np.uint8)
-        self.qubits_seen = 0
         # mismatches of each passed block, in consumption order
         self._block_mismatches: list[int] = []
         self._monitor = [0, 0]  # bright, destructive counted since the last seed
@@ -696,11 +675,10 @@ class AliceParty(_PartyBase):
     def _sift_round(self, payload: bytes):
         cfg = self.config
         n_q, n_blocks, blocks = frames.decode_sift_disclosure(payload, cfg.chunk_qubits)
-        view = decode_and_sift(_OffsetSource(self.source, self.qubits_seen),
+        view = decode_and_sift(_OffsetSource(self.source, self.total_qubits),
                                blocks, self.mode, n_blocks)
         if any(q[-1] >= n_q for q in (view.data_qubits, view.monitor_qubits) if q.size):
             raise SessionAborted("sifting disclosure runs past its chunk")
-        self.qubits_seen += n_q
         self.total_qubits += n_q
         self.total_raw += view.raw_count
         self.total_sifted += view.sifted_count
@@ -720,8 +698,7 @@ class AliceParty(_PartyBase):
         passed = verify_batch(corrected, tags) & ok
         self.ep.send(CH_VERIFY, frames.encode_verify_response(self.window, passed))
         self.window += 1
-        self.corrected_buffer = np.concatenate(
-            [self.corrected_buffer, corrected[passed].reshape(-1)])
+        self.passed = np.concatenate([self.passed, corrected[passed].reshape(-1)])
         per_block = (mine[passed] ^ corrected[passed]).sum(axis=1)
         self._block_mismatches.extend(int(v) for v in per_block)
         self._dropped_blocks += int(n_blocks - passed.sum())
@@ -729,19 +706,15 @@ class AliceParty(_PartyBase):
     def _pa_round(self, payload: bytes, batch_index: int):
         cfg = self.config
         seed = frames.decode_pa_seed(payload, batch_index, cfg.n_sift)
-        if self.corrected_buffer.size < cfg.n_sift:
+        if self.passed.size < cfg.n_sift:
             raise SessionAborted("privacy amplification seed before its batch is complete")
-        batch_bits = self.corrected_buffer[: cfg.n_sift]
-        self.corrected_buffer = self.corrected_buffer[cfg.n_sift :]
         mism = sum(self._block_mismatches[: cfg.blocks_per_batch])
         del self._block_mismatches[: cfg.blocks_per_batch]
         bright, dest = self._monitor
         self._monitor = [0, 0]
         self.ep.send(CH_CONTROL, frames.encode_estimate(batch_index, mism, self._dropped_blocks,
                                                         bright, dest))
-        est = self._estimate_and_reset(mism)
-        self._finish_batch(batch_index, est, bright, dest,
-                           amplify_batch(batch_bits, seed, self.n_out, self.seed_ledger))
+        self._close_batch(batch_index, mism, bright, dest, seed)
 
 
 class _OffsetSource:

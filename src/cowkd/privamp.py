@@ -16,11 +16,11 @@ uniform.
 
 T.x[w:] is folded over the key in chunks: each chunk is one cyclic float
 FFT product against the diagonal window it reaches, at `size` points, the
-smallest 2^k, 3*2^k or 5^5*2^k covering 2w (at least `_DIRECT_LIMIT`), so
-a chunk holds size - w + 1 bits. At n_out = 99,035 that is nine products
-of 200,000 points, over chunks of 100,966 bits. Each product's output is
-checked to be safely integral before reduction mod 2, so the result is
-exact or the call fails loudly.
+smallest 2^k, 3*2^k or 5^5*2^k covering 2w (at least `_MIN_TRANSFORM`),
+so a chunk holds size - w + 1 bits. At n_out = 99,035 that is nine products
+of 200,000 points, over chunks of 100,966 bits. Every product, however
+small, takes this one path: its output is checked to be safely integral
+before reduction mod 2, so the result is exact or the call fails loudly.
 
 Each hash call owns its transform buffers (`_Transforms`): inputs are
 written into one float buffer, spectra and products land in reused ones,
@@ -37,7 +37,7 @@ import numpy as np
 
 from .randomness import RandomStream
 
-_DIRECT_LIMIT = 1 << 11  # below this work product, use exact integer convolve
+_MIN_TRANSFORM = 1 << 11  # smallest transform a hash folds its key with
 _FFT_FACTORS = (1, 3, 5 ** 5)  # transform sizes are one of these times 2^k
 _ROUNDER = 1.5 * 2.0 ** 52  # see `_Transforms.parity`
 
@@ -116,9 +116,6 @@ def _toeplitz_product(d: np.ndarray, x: np.ndarray, n_out: int,
     more.
     """
     n_in = x.size
-    if n_in * d.size <= _DIRECT_LIMIT ** 2:
-        out = np.convolve(d.astype(np.int64), x.astype(np.int64))[n_in - 1 : n_in - 1 + n_out]
-        return (out & 1).astype(np.uint8)
     size = _fft_size(d.size)
     t = transforms or _Transforms(size)
     return t.parity(x, d, size, n_in - 1, n_in - 1 + n_out)
@@ -129,10 +126,10 @@ def _chunking(w: int) -> tuple[int, int]:
 
     A chunk of c bits reaches c + w - 1 diagonal bits, so c = size - w + 1
     fills the transform; size >= 2w keeps a chunk longer than the output,
-    and size >= `_DIRECT_LIMIT` keeps a narrow output from splitting the
+    and size >= `_MIN_TRANSFORM` keeps a narrow output from splitting the
     key into many tiny products.
     """
-    size = _fft_size(max(2 * w, _DIRECT_LIMIT))
+    size = _fft_size(max(2 * w, _MIN_TRANSFORM))
     return size, size - w + 1
 
 

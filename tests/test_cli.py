@@ -104,6 +104,19 @@ def test_gen_psk(tmp_path, capsys):
     assert path.stat().st_size == 2048
 
 
+def test_run_with_a_psk_too_short_for_the_first_batch_exits_3(tmp_path, capsys):
+    # the shortest valid key, 128 bytes, holds 7 pads; a full 1 km batch
+    # needs more before its pool holds key
+    path = tmp_path / "psk.bin"
+    assert main(["gen-psk", str(path), "--bytes", "128"]) == 0
+    capsys.readouterr()
+    code = main(["run", "--psk", str(path), "--batches", "1", "--seed", SEED,
+                 "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("session aborted: "), err
+
+
 @pytest.mark.slow
 def test_console_entrypoint_subprocess(tmp_path):
     proc = subprocess.run(

@@ -31,6 +31,7 @@ from cowkd.engine.frames import (
     CH_VERIFY,
     HEADER_BYTES,
 )
+from cowkd.engine.keypool import PAD_RESERVE_TARGET
 from cowkd.engine.session import AliceParty, BobParty
 from cowkd.presets import channel_params
 from cowkd.verification import BLOCK_BITS
@@ -168,12 +169,20 @@ def test_tcp_recv_exact_close_mid_frame_raises():
 # key pool
 # ---------------------------------------------------------------------------
 
-def make_pool(**kw):
-    return SecretKeyPool(parse_psk(PSK), **kw)
+def make_pool():
+    return SecretKeyPool(parse_psk(PSK))
+
+
+def delivering_pool():
+    """A pool whose pad reserve is already full, so that it delivers all it absorbs next."""
+    pool = make_pool()
+    pool.append(np.zeros(PAD_RESERVE_TARGET * TAG_BITS, dtype=np.uint8))
+    assert pool.deliverable_bits == 0
+    return pool
 
 
 def test_pool_psk_pads_then_reserved_stream():
-    pool = make_pool(pad_reserve_target=4)
+    pool = make_pool()
     n_psk = (len(PSK) - 16) // 16
     p0 = pool.take_pad(0)
     assert 0 <= p0 < (1 << 127)
@@ -205,7 +214,7 @@ def test_pool_pad_order_independence():
 
 
 def test_pool_delivery_disjoint_and_zeroized():
-    pool = make_pool(pad_reserve_target=0)
+    pool = delivering_pool()
     rng = np.random.default_rng(5)
     pool.append(rng.integers(0, 2, size=4096).astype(np.uint8))
     k1 = pool.deliver(128)
@@ -215,12 +224,12 @@ def test_pool_delivery_disjoint_and_zeroized():
     # a second pool fed the same key and asked later must not see k1 again
     with pytest.raises(InsufficientKey):
         pool.deliver(1 << 20)
-    assert pool.ledger.remaining == 4096 - 256
+    assert pool.ledger.remaining == PAD_RESERVE_TARGET * TAG_BITS + 4096 - 256
 
 
 def test_pool_delivery_cadence_identity():
     # 30 fresh 128-bit keys per second needs exactly 3840 bps of delivery
-    pool = make_pool(pad_reserve_target=0)
+    pool = delivering_pool()
     rng = np.random.default_rng(6)
     pool.append(rng.integers(0, 2, size=3840).astype(np.uint8))
     for _ in range(30):
@@ -230,7 +239,7 @@ def test_pool_delivery_cadence_identity():
 
 
 def test_pool_freeze_blocks_delivery():
-    pool = make_pool(pad_reserve_target=0)
+    pool = delivering_pool()
     pool.append(np.ones(512, dtype=np.uint8))
     pool.freeze()
     with pytest.raises(DeliveryFrozen):
@@ -379,6 +388,38 @@ def test_sub_windows_keep_keys_and_drops(monkeypatch, cfg, pool_digest):
     patched = alice.report()
     assert patched["pool_digest"] == bob.report()["pool_digest"] == ra["pool_digest"] == pool_digest
     assert patched["per_batch"] == ra["per_batch"]  # attempted and dropped blocks included
+
+
+@pytest.mark.parametrize("cfg", [
+    small_config(),
+    small_config(code_rate="5/6", n_batches=2, blocks_per_batch=4),
+    small_config(params=channel_params(25.0), blocks_per_batch=16),
+], ids=["small", "heavy drops", "25 km"])
+def test_both_parties_close_each_batch_alike(cfg):
+    # both parties cut, estimate, amplify and decide each batch on one path,
+    # from the same counts, so their batch rows agree field by field
+    ra, rb = run_session(cfg)
+    assert len(ra["per_batch"]) == cfg.n_batches
+    assert ra["per_batch"] == rb["per_batch"]
+
+
+def test_psk_too_short_for_the_first_batch_aborts_both_with_exit_3():
+    # a 128-byte key holds 7 pads; a full 1 km batch tags more units than
+    # that before the pool holds any key, so both parties end in exit 3 with
+    # live pools, never in a stray exception or an authentication alarm
+    cfg = SessionConfig(params=channel_params(1.0), n_batches=1, seed_hex="5e" * 32,
+                        psk=PSK[:128])
+    assert len(parse_psk(cfg.psk).pads) == 7
+    ta, tb = LoopbackTransport.pair(timeout=20)
+    alice, bob = AliceParty(cfg, ta), BobParty(cfg, tb)
+    errors = run_parties(alice, bob, 30)
+    assert set(errors) == {"alice", "bob"}
+    assert isinstance(errors["bob"], PadsExhausted), repr(errors["bob"])
+    for party in (alice, bob):
+        err = errors[party.role]
+        assert isinstance(err, SessionAborted) and not isinstance(err, AuthAlarm), repr(err)
+        assert err.exit_code == EXIT_ABORT
+        assert not party.pool.frozen and party.batches == []
 
 
 class _RecordingTransport:
@@ -586,7 +627,7 @@ def test_sifting_disclosure_of_another_length_aborts_alice():
     err = errors["alice"]
     assert type(err) is SessionAborted and err.exit_code == EXIT_ABORT, repr(err)
     assert "sifting disclosure out of step" in str(err)
-    assert alice.qubits_seen == 0
+    assert alice.total_qubits == 0
 
 
 def _bump_window(payload: bytes) -> bytes:
@@ -670,8 +711,8 @@ def test_config_validation():
 
 
 def test_pool_otp_utility_round_trip():
-    a = make_pool(pad_reserve_target=0)
-    b = make_pool(pad_reserve_target=0)
+    a = delivering_pool()
+    b = delivering_pool()
     rng = np.random.default_rng(9)
     bits = rng.integers(0, 2, size=4096).astype(np.uint8)
     a.append(bits)
