@@ -3,6 +3,8 @@
 Bit strings are numpy uint8 arrays holding one bit per element (values 0/1).
 Packed wire representations use big-endian bit order within each byte,
 matching numpy's packbits/unpackbits default.
+`words48` and `bytes48` convert between bytes and arrays of 48-bit
+big-endian words, the verification seeds and tags.
 """
 
 from __future__ import annotations
@@ -38,3 +40,17 @@ def bits_to_int(bits: np.ndarray) -> int:
         value = (value << 1) | int(b)
     return value
 
+
+def words48(data: bytes) -> np.ndarray:
+    """Consecutive 6-byte big-endian words of `data` (a multiple of 6 bytes)
+    as a uint64 array."""
+    words = np.frombuffer(data, dtype=np.uint8).reshape(-1, 6)
+    raw = np.zeros((words.shape[0], 8), dtype=np.uint8)
+    raw[:, 2:] = words
+    return raw.view(">u8").ravel().astype(np.uint64)
+
+
+def bytes48(values: np.ndarray) -> bytes:
+    """Inverse of `words48`: each value below 2^48 as 6 big-endian bytes."""
+    raw = np.asarray(values, dtype=">u8").reshape(-1, 1).view(np.uint8)
+    return raw[:, 2:].tobytes()

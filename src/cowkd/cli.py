@@ -210,35 +210,32 @@ def cmd_sweep(args) -> int:
         print(f"wrote {path}")
         return EXIT_OK
 
-    if args.param == "fibre-km":
-        path = out_dir / "fibre_sweep.csv"
-        rows = []
-        for km in values:
-            sub = argparse.Namespace(**vars(args))
-            sub.fibre_km = km
-            sub.out = str(out_dir / f"run_{km:g}km")
-            sub.transport = "loopback"
-            code = cmd_run(sub)
-            if code != EXIT_OK:
-                return code
-            report = json.loads((Path(sub.out) / "report_bob.json").read_text())
-            rows.append([km, report["sifted_rate_bps"], report["secret_rate_bps"],
-                         report["authenticated_rate_bps"], report["qber_raw"],
-                         report["qber_effective"], report["visibility_raw"],
-                         report["compression"],
-                         report["classical_bits_per_secret_bit"]])
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["fibre_km", "sifted_rate_bps", "secret_rate_bps",
-                        "authenticated_rate_bps", "qber_raw", "qber_effective",
-                        "visibility_raw", "compression",
-                        "classical_bits_per_secret_bit"])
-            w.writerows(rows)
-        print(f"wrote {path}")
-        return EXIT_OK
-
-    print(f"unknown sweep parameter {args.param}", file=sys.stderr)
-    return EXIT_CONFIG
+    # --param is fibre-km, the only other choice
+    path = out_dir / "fibre_sweep.csv"
+    rows = []
+    for km in values:
+        sub = argparse.Namespace(**vars(args))
+        sub.fibre_km = km
+        sub.out = str(out_dir / f"run_{km:g}km")
+        sub.transport = "loopback"
+        code = cmd_run(sub)
+        if code != EXIT_OK:
+            return code
+        report = json.loads((Path(sub.out) / "report_bob.json").read_text())
+        rows.append([km, report["sifted_rate_bps"], report["secret_rate_bps"],
+                     report["authenticated_rate_bps"], report["qber_raw"],
+                     report["qber_effective"], report["visibility_raw"],
+                     report["compression"],
+                     report["classical_bits_per_secret_bit"]])
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["fibre_km", "sifted_rate_bps", "secret_rate_bps",
+                    "authenticated_rate_bps", "qber_raw", "qber_effective",
+                    "visibility_raw", "compression",
+                    "classical_bits_per_secret_bit"])
+        w.writerows(rows)
+    print(f"wrote {path}")
+    return EXIT_OK
 
 
 def cmd_finite_key(args) -> int:

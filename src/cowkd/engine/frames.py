@@ -1,11 +1,13 @@
 """Service-channel framing and the codec of every session record.
 
 This is the only module that knows a record's byte layout: the layouts below
-list each record's fields, big-endian. The session builds each payload with
-an `encode_*` function and reads it with the matching `decode_*`, which is
-strict: exact length (a bit field of n bits takes exactly ceil(n/8) bytes,
-padding bits zero), and counts and indices that agree with what the
-receiver holds. Anything else raises `SessionAborted` (exit 3).
+list each record's fields, big-endian. A record is a fixed head, then a body
+of packed bit fields or of one array (the sifting blocks, the verification
+tags). The session builds each payload with an `encode_*` function and reads
+it with the matching `decode_*`, which is strict: exact length (a bit field
+of n bits takes exactly ceil(n/8) bytes, padding bits zero), and constants,
+counts and indices in the head that agree with what the receiver holds.
+Anything else raises `SessionAborted` (exit 3).
 
 Frames: 1-byte channel id, 3-byte big-endian length, payload. All channels
 except `admin` count toward authentication: their bytes (frame headers
@@ -21,10 +23,9 @@ from fractions import Fraction
 import numpy as np
 
 from ..auth import TAG_BITS, AuthTag
-from ..bitops import pack_bits, unpack_bits
+from ..bitops import bytes48, pack_bits, unpack_bits, words48
 from ..errors import EXIT_ABORT, EXIT_CONFIG, SessionAborted
 from ..ldpc import syndrome_length
-from ..verification import VerificationTag
 
 CH_SIFTING = 1
 CH_SYNDROME = 2
@@ -69,27 +70,24 @@ def decode_header(header: bytes) -> tuple[int, int]:
 
 
 class _Layout:
-    """A record: optional magic bytes, a fixed head, then packed bit fields."""
+    """A record: a fixed head, then packed bit fields or one array."""
 
-    def __init__(self, name: str, head: str, magic: bytes = b""):
+    def __init__(self, name: str, head: str):
         self.name = name
-        self.magic = magic
         self.head = struct.Struct(">" + head)
 
     def pack(self, *head, bits=()) -> bytes:
-        return self.magic + self.head.pack(*head) + b"".join(pack_bits(b) for b in bits)
+        return self.head.pack(*head) + b"".join(pack_bits(b) for b in bits)
 
     def unpack(self, payload, expect=(), sizes=None, rest=False) -> tuple:
         """Head fields, then one bit array per length in `sizes(*head)`, then
         (with `rest`) a view of the remaining bytes. Each head field must
         equal its entry in `expect` unless that entry is None."""
         view = memoryview(payload)
-        pos = len(self.magic) + self.head.size
-        if view[: len(self.magic)] != self.magic:
-            raise SessionAborted(f"expected {self.name}")
+        pos = self.head.size
         if len(view) < pos:
             raise SessionAborted(f"{self.name} has the wrong length")
-        head = self.head.unpack(view[len(self.magic) : pos])
+        head = self.head.unpack(view[:pos])
         if any(want is not None and want != got for want, got in zip(expect, head)):
             raise SessionAborted(f"{self.name} out of step: {head} where {expect} was due")
         fields = []
@@ -118,15 +116,14 @@ _SIFT = _Layout("sifting disclosure", "QI")
 _SIFT_RESPONSE = _Layout("sifting response", "I")
 # window | blocks n | syndromes bits[n * m], m from the configured code rate
 _SYNDROME = _Layout("syndrome frame", "IH")
-# window | blocks n | n verification tag records, in block order
+# window | blocks n | n (48-bit seed, 48-bit tag) pairs in block order, one
+# array of 2n 48-bit words
 _TAGS = _Layout("verification tag frame", "IH")
-# 48-bit seed | 48-bit tag
-_VERIFICATION_TAG = _Layout("verification tag record", "6s6s")
 # window | blocks n | pass flags bits[n]
 _VERIFY_RESPONSE = _Layout("verify response", "IH")
-# batch | mismatches | dropped blocks | bright | destructive monitor clicks
-# counted toward the visibility
-_ESTIMATE = _Layout("estimation report", "IQQQQ", b"EST")
+# "EST" | batch | mismatches | dropped blocks | bright | destructive monitor
+# clicks counted toward the visibility
+_ESTIMATE = _Layout("estimation report", "3sIQQQQ")
 # mode, always SEED_MODE_TOEPLITZ | batch | bit count n | diagonal bits[n]
 _SEED = _Layout("privacy amplification seed", "BII")
 # the only seed mode: a modified Toeplitz diagonal; modes 0 (an explicit
@@ -181,25 +178,16 @@ def decode_syndrome(payload: bytes, window: int, rate: Fraction, max_blocks: int
     return syndromes.reshape(n, m)
 
 
-def encode_verification_tag(tag: VerificationTag) -> bytes:
-    return _VERIFICATION_TAG.pack(tag.seed.to_bytes(6, "big"), tag.tag.to_bytes(6, "big"))
+def encode_tags(window: int, seeds: np.ndarray, tags: np.ndarray) -> bytes:
+    return _TAGS.pack(window, len(tags)) + bytes48(np.column_stack([seeds, tags]))
 
 
-def decode_verification_tag(data: bytes) -> VerificationTag:
-    seed, tag = _VERIFICATION_TAG.unpack(data)
-    return VerificationTag(int.from_bytes(seed, "big"), int.from_bytes(tag, "big"))
-
-
-def encode_tags(window: int, tags: list[VerificationTag]) -> bytes:
-    return _TAGS.pack(window, len(tags)) + b"".join(encode_verification_tag(t) for t in tags)
-
-
-def decode_tags(payload: bytes, window: int, n_blocks: int) -> list[VerificationTag]:
-    """One tag per block of the window, in block order."""
-    records = _TAGS.unpack(payload, (window, n_blocks), rest=True)[2]
-    size = _VERIFICATION_TAG.head.size
-    _check(len(records) == size * n_blocks, "verification tag frame has the wrong length")
-    return [decode_verification_tag(records[size * i : size * (i + 1)]) for i in range(n_blocks)]
+def decode_tags(payload: bytes, window: int, n_blocks: int) -> tuple[np.ndarray, np.ndarray]:
+    """(seeds, tags) of the window's blocks, in block order."""
+    body = _TAGS.unpack(payload, (window, n_blocks), rest=True)[2]
+    _check(len(body) == 12 * n_blocks, "verification tag frame has the wrong length")
+    words = words48(body)
+    return words[0::2], words[1::2]
 
 
 def encode_verify_response(window: int, flags: np.ndarray) -> bytes:
@@ -213,7 +201,7 @@ def decode_verify_response(payload: bytes, window: int, n_blocks: int) -> np.nda
 # -- estimation and amplification ---------------------------------------------------
 
 def encode_estimate(batch: int, mismatches: int, dropped: int, bright: int, dest: int) -> bytes:
-    return _ESTIMATE.pack(batch, mismatches, dropped, bright, dest)
+    return _ESTIMATE.pack(b"EST", batch, mismatches, dropped, bright, dest)
 
 
 def decode_estimate(payload: bytes, batch: int, dropped: int, max_mismatches: int,
@@ -221,7 +209,7 @@ def decode_estimate(payload: bytes, batch: int, dropped: int, max_mismatches: in
     """Alice's (mismatches, bright, destructive) for `batch`. Her drop count
     must equal ours, and her monitor clicks cannot outnumber the `max_monitor`
     monitor events disclosed since the last seed."""
-    _, mismatches, _, bright, dest = _ESTIMATE.unpack(payload, (batch, None, dropped))
+    _, _, mismatches, _, bright, dest = _ESTIMATE.unpack(payload, (b"EST", batch, None, dropped))
     _check(mismatches <= max_mismatches, "estimation report exceeds the batch size")
     _check(bright + dest <= max_monitor,
            "estimation report claims more monitor clicks than were disclosed")
@@ -232,21 +220,10 @@ def encode_seed(seed: np.ndarray, batch_id: int) -> bytes:
     return _SEED.pack(SEED_MODE_TOEPLITZ, batch_id, seed.size, bits=[seed])
 
 
-def _seed_sizes(mode: int, batch: int, n: int) -> list[int]:
-    _check(mode == SEED_MODE_TOEPLITZ, f"unknown seed mode {mode}")
-    return [n]
-
-
-def decode_seed(data: bytes) -> tuple[np.ndarray, int]:
-    """(diagonal, batch id); any mode but the modified Toeplitz one aborts."""
-    _, batch_id, _, seed = _SEED.unpack(data, sizes=_seed_sizes)
-    return seed, batch_id
-
-
 def decode_pa_seed(payload: bytes, batch: int, n_sift: int) -> np.ndarray:
-    """The diagonal of `batch`, n_sift - 1 bits for an n_sift-bit key."""
-    seed, batch_id = decode_seed(payload)
-    _check(batch_id == batch, "privacy amplification batches out of step")
+    """The diagonal of `batch`, n_sift - 1 bits for an n_sift-bit key; any
+    mode but the modified Toeplitz one aborts."""
+    seed = _SEED.unpack(payload, (SEED_MODE_TOEPLITZ, batch), lambda mode, batch_id, n: [n])[3]
     _check(seed.size == n_sift - 1, f"seed is not a diagonal of {n_sift - 1} bits")
     return seed
 

@@ -144,6 +144,12 @@ class SessionConfig:
                 "sifting chunk exceeds Alice's preparation buffer", EXIT_CONFIG)
         if not self.psk:
             raise SessionAborted("pre-shared key required", EXIT_CONFIG)
+        try:
+            parse_psk(self.psk)
+            if self.compression is not None:
+                quantize_compression(self.compression)
+        except ValueError as exc:  # a short key or a ratio outside [0, 1]
+            raise SessionAborted(str(exc), EXIT_CONFIG) from exc
 
     @property
     def n_sift(self) -> int:
@@ -223,7 +229,6 @@ class _Endpoint:
         self.bytes_in: dict[int, int] = {c: 0 for c in CHANNEL_NAMES}
         self._out_hash = hashlib.sha256()
         self._in_hash = hashlib.sha256()
-        self.alarm: str | None = None
 
     def _io(self, call, *args):
         try:
@@ -312,9 +317,8 @@ class _Endpoint:
         except (SessionAborted, PadScheduleError) as exc:  # malformed or out of schedule
             ok, problem = False, str(exc)
         if not ok:
-            self.alarm = f"authentication failed on unit {unit}: {problem}"
             self.pool.freeze()
-            raise AuthAlarm(self.alarm)
+            raise AuthAlarm(f"authentication failed on unit {unit}: {problem}")
 
     # -- accounting --------------------------------------------------------------
 
@@ -594,8 +598,8 @@ class BobParty(_PartyBase):
         blocks = self._take_key_bits(n_blocks * BLOCK_BITS).reshape(n_blocks, BLOCK_BITS)
         synd = ldpc.syndrome_batch(blocks, self.rate)
         self.ep.send(CH_SYNDROME, frames.encode_syndrome(self.window, synd))
-        tags = make_tags(blocks, self.proto_rng)
-        self.ep.send(CH_VERIFY, frames.encode_tags(self.window, tags))
+        seeds, tags = make_tags(blocks, self.proto_rng)
+        self.ep.send(CH_VERIFY, frames.encode_tags(self.window, seeds, tags))
         self._pending.append((self._read_ec_verdict, (self.window, blocks)))
         self._in_flight += n_blocks
         self.window += 1
@@ -694,8 +698,8 @@ class AliceParty(_PartyBase):
         mine = self._take_key_bits(n_blocks * BLOCK_BITS).reshape(n_blocks, BLOCK_BITS)
         corrected, ok, _ = ldpc.decode_batch(mine, synd, self.rate,
                                              channel_p=self.channel_p)
-        tags = frames.decode_tags(self.ep.expect(CH_VERIFY), self.window, n_blocks)
-        passed = verify_batch(corrected, tags) & ok
+        seeds, tags = frames.decode_tags(self.ep.expect(CH_VERIFY), self.window, n_blocks)
+        passed = verify_batch(corrected, seeds, tags) & ok
         self.ep.send(CH_VERIFY, frames.encode_verify_response(self.window, passed))
         self.window += 1
         self.passed = np.concatenate([self.passed, corrected[passed].reshape(-1)])

@@ -119,8 +119,7 @@ def channel_params(fibre_km: float, **overrides):
     # split the visibility deficit like the error budget: the detector-share
     # of it comes from monitor background clicks (diluting the raw contrast
     # evenly on both ports), the rest is intrinsic interferometer contrast
-    share = (point.dark_qber + point.dwdm_qber) / point.qber_raw
-    v_corrected = 1.0 - (1.0 - point.visibility_raw) * (1.0 - share)
+    v_corrected = point.observables().visibility_corrected
     b = max(1.0 - point.visibility_raw / v_corrected, 0.0)
     sig_per_slot = 1.0 - math.exp(-point.mu * params.t_monitor_line * params.eta_det_mon)
     bkg_per_port = sig_per_slot * b / (1.0 - b) / 2.0

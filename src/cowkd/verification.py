@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bitops import words48
 from .errors import SessionAborted
 from .randomness import RandomStream
 
@@ -109,41 +110,26 @@ def hash_blocks(blocks: np.ndarray, seeds: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# protocol records
+# tags
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VerificationTag:
-    """One block's tag; a window's tags travel in block order."""
-
-    seed: int  # 48 bits
-    tag: int  # 48 bits
-
-
-def make_tags(blocks: np.ndarray, rng: RandomStream) -> list[VerificationTag]:
-    """Hash every block under a fresh 48-bit seed drawn from `rng`.
+def make_tags(blocks: np.ndarray, rng: RandomStream) -> tuple[np.ndarray, np.ndarray]:
+    """(seeds, tags): every block hashed under a fresh 48-bit seed from `rng`.
 
     Block i's seed is the i-th 48 bits of one draw, read big-endian.
     """
     blocks = np.atleast_2d(np.asarray(blocks, dtype=np.uint8))
-    n = blocks.shape[0]
-    raw = np.zeros((n, 8), dtype=np.uint8)
-    raw[:, 2:] = np.frombuffer(rng.draw_bytes(6 * n), dtype=np.uint8).reshape(n, 6)
-    seeds = raw.view(">u8").ravel().astype(np.uint64)
-    tags = hash_blocks(blocks, seeds)
-    return [VerificationTag(s, t) for s, t in zip(seeds.tolist(), tags.tolist())]
+    seeds = words48(rng.draw_bytes(6 * blocks.shape[0]))
+    return seeds, hash_blocks(blocks, seeds)
 
 
-def verify_batch(blocks: np.ndarray, tags: list[VerificationTag]) -> np.ndarray:
+def verify_batch(blocks: np.ndarray, seeds: np.ndarray, tags: np.ndarray) -> np.ndarray:
     """Recompute tags on local blocks; True where the received tag matches."""
     blocks = np.atleast_2d(np.asarray(blocks, dtype=np.uint8))
-    if blocks.shape[0] != len(tags):
+    if not blocks.shape[0] == len(seeds) == len(tags):
         raise SessionAborted(
             f"tag count mismatch: {len(tags)} tags for {blocks.shape[0]} blocks")
-    seeds = np.array([t.seed for t in tags], dtype=np.uint64)
-    local = hash_blocks(blocks, seeds)
-    received = np.array([t.tag for t in tags], dtype=np.uint64)
-    return local == received
+    return hash_blocks(blocks, seeds) == tags
 
 
 def eps_ver_bound(n_blocks: int = 512, n_chunks: int = N_LIMBS) -> float:

@@ -65,7 +65,6 @@ from cowkd.verification import (
     PADDED_BITS,
     TAG_MASK,
     BatchEstimate,
-    VerificationTag,
     estimate_from_counts,
     hash_blocks,
 )
@@ -467,13 +466,12 @@ def poly_hash48(message_bits: np.ndarray, seed: int) -> int:
     return gf48_mul(acc, seed)
 
 
-def make_tags_per_block(blocks: np.ndarray, rng: RandomStream) -> list[VerificationTag]:
-    """Verification tags with one 48-bit seed draw per block, in block order."""
+def make_tags_per_block(blocks: np.ndarray, rng: RandomStream) -> tuple[np.ndarray, np.ndarray]:
+    """(seeds, tags) with one 48-bit seed draw per block, in block order."""
     blocks = np.atleast_2d(np.asarray(blocks, dtype=np.uint8))
     seeds = np.array([bits_to_int(rng.draw_bits(48)) for _ in range(blocks.shape[0])],
                      dtype=np.uint64)
-    tags = hash_blocks(blocks, seeds)
-    return [VerificationTag(int(s), int(t)) for s, t in zip(seeds, tags)]
+    return seeds, hash_blocks(blocks, seeds)
 
 
 def estimate_qber(alice_original: np.ndarray, alice_corrected: np.ndarray,

@@ -201,6 +201,12 @@ def _channel_json_list(tmp_path):
     return path
 
 
+def _psk_of_100_bytes(tmp_path):
+    path = tmp_path / "short.psk"
+    path.write_bytes(bytes(100))
+    return path
+
+
 def _run_config_naming_the_handler(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"func": 1}))
@@ -213,8 +219,10 @@ def _run_config_naming_the_handler(tmp_path):
     ("--channel-config", _channel_json_with_unknown_key),
     ("--channel-config", _channel_json_list),
     ("--config", _run_config_naming_the_handler),
+    ("--psk", _psk_of_100_bytes),
+    ("--compression", lambda tmp_path: "150"),  # percent, so a ratio of 1.5
 ], ids=["missing psk file", "missing channel file", "unknown channel key", "channel list",
-        "non-flag config key"])
+        "non-flag config key", "psk too short", "compression over 100 percent"])
 def test_bad_input_file_is_one_line_config_error(flag, make_file, tmp_path, capsys):
     code = main(run_args(tmp_path / "o", flag, str(make_file(tmp_path))))
     err = capsys.readouterr().err

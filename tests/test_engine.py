@@ -708,6 +708,12 @@ def test_config_validation():
         SessionConfig(psk=b"")  # missing pre-shared key
     with pytest.raises(SessionAborted):
         small_config(chunk_qubits=session_mod.ALICE_BUFFER_QUBITS + 1)
+    # a key too short to parse, and a ratio outside [0, 1], end before any
+    # connection as configuration errors
+    for kw in (dict(psk=PSK[:100]), dict(compression=1.5)):
+        with pytest.raises(SessionAborted) as info:
+            small_config(**kw)
+        assert info.value.exit_code == EXIT_CONFIG
 
 
 def test_pool_otp_utility_round_trip():

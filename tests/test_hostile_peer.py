@@ -108,7 +108,7 @@ def _replace(offset: int, value: bytes):
 def _diagonal_one_bit_short(payload: bytes) -> bytes:
     """A well-formed seed record whose diagonal lacks its last bit; for
     n_sift = 15,552 it takes as many bytes as the n_sift - 1 bits due."""
-    seed, batch = frames.decode_seed(payload)
+    _, batch, _, seed = frames._SEED.unpack(payload, sizes=lambda mode, batch, n: [n])
     return frames.encode_seed(seed[:-1], batch)
 
 

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import lfsr_expand_ref, toeplitz_hash_dense, toeplitz_hash_explicit
-from cowkd.engine.frames import _SEED, decode_pa_seed, decode_seed, encode_seed
+from cowkd.engine.frames import _SEED, decode_pa_seed, encode_seed
 from cowkd.errors import EXIT_ABORT, SessionAborted
 from cowkd.finitekey import N_SIFT_BLOCK, quantize_compression
 from cowkd.privamp import (
@@ -397,10 +397,9 @@ def test_seed_wire_roundtrip():
     blob = encode_seed(seed, batch_id=7)
     assert blob[0] == 2  # the mode byte
     assert len(blob) == 9 + 7  # mode, batch, bit count, 49 bits
-    back, bid = decode_seed(blob)
-    assert bid == 7
-    assert np.array_equal(back, seed)
     assert np.array_equal(decode_pa_seed(blob, 7, 50), seed)
+    with pytest.raises(SessionAborted, match="out of step"):
+        decode_pa_seed(blob, 8, 50)  # the seed of another batch
 
 
 def test_decode_seed_rejects_explicit_diagonal_mode():
@@ -408,7 +407,7 @@ def test_decode_seed_rejects_explicit_diagonal_mode():
     d = stream(15).draw_bits(249)
     blob = _SEED.pack(0, 7, d.size, bits=[d])
     with pytest.raises(SessionAborted) as info:
-        decode_seed(blob)
+        decode_pa_seed(blob, 7, 250)
     assert info.value.exit_code == EXIT_ABORT
 
 
@@ -416,7 +415,6 @@ def test_decode_seed_rejects_explicit_diagonal_mode():
 def test_decode_pa_seed_rejects_diagonal_of_another_length(n_bits):
     # the diagonal of a 50-bit key is 49 bits
     blob = encode_seed(stream(19).draw_bits(n_bits), batch_id=3)
-    assert decode_seed(blob)[0].size == n_bits
     with pytest.raises(SessionAborted, match="not a diagonal of 49 bits") as info:
         decode_pa_seed(blob, 3, 50)
     assert info.value.exit_code == EXIT_ABORT

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import estimate_qber, gf48_mul, make_tags_per_block, poly_hash48
 
-from cowkd.engine.frames import decode_verification_tag, encode_verification_tag
+from cowkd.engine.frames import decode_tags, encode_tags
 from cowkd.errors import SessionAborted
 from cowkd.randomness import EntropySeed, new_stream
 from cowkd.verification import (
@@ -12,7 +12,6 @@ from cowkd.verification import (
     FIELD_POLY,
     N_LIMBS,
     PADDED_BITS,
-    VerificationTag,
     eps_ver_bound,
     gf48_mul_vec,
     hash_blocks,
@@ -135,26 +134,32 @@ def test_verification_epsilon_bound():
 
 
 def test_tag_wire_roundtrip():
-    t = VerificationTag(seed=0xABCDEF012345, tag=0x123456789ABC)
-    assert decode_verification_tag(encode_verification_tag(t)) == t
-    with pytest.raises(SessionAborted):
-        decode_verification_tag(b"short")
+    # window | blocks | (seed, tag) per block, each 48 bits big-endian
+    seeds = np.array([0xABCDEF012345, 1], dtype=np.uint64)
+    tags = np.array([0x123456789ABC, (1 << 48) - 1], dtype=np.uint64)
+    blob = encode_tags(7, seeds, tags)
+    assert blob.hex() == ("00000007" "0002" "abcdef012345" "123456789abc"
+                          "000000000001" "ffffffffffff")
+    back_seeds, back_tags = decode_tags(blob, 7, 2)
+    assert np.array_equal(back_seeds, seeds) and np.array_equal(back_tags, tags)
+    with pytest.raises(SessionAborted, match="wrong length"):
+        decode_tags(blob[:-1], 7, 2)
 
 
 def test_identical_blocks_all_pass():
     rng = stream(4)
     blocks = rng.draw_bits(8 * BLOCK_BITS).reshape(8, BLOCK_BITS)
-    tags = make_tags(blocks, stream(9))
-    assert verify_batch(blocks, tags).all()
+    seeds, tags = make_tags(blocks, stream(9))
+    assert verify_batch(blocks, seeds, tags).all()
 
 
 def test_flipped_bit_drops_only_that_block():
     rng = stream(6)
     blocks = rng.draw_bits(8 * BLOCK_BITS).reshape(8, BLOCK_BITS)
-    tags = make_tags(blocks, stream(10))
+    seeds, tags = make_tags(blocks, stream(10))
     tampered = blocks.copy()
     tampered[3, 1000] ^= 1
-    flags = verify_batch(tampered, tags)
+    flags = verify_batch(tampered, seeds, tags)
     assert not flags[3]
     assert flags.sum() == 7
 
@@ -162,9 +167,9 @@ def test_flipped_bit_drops_only_that_block():
 def test_tag_count_mismatch_aborts():
     rng = stream(8)
     blocks = rng.draw_bits(4 * BLOCK_BITS).reshape(4, BLOCK_BITS)
-    tags = make_tags(blocks, stream(11))
+    seeds, tags = make_tags(blocks, stream(11))
     with pytest.raises(SessionAborted):
-        verify_batch(blocks[:3], tags)
+        verify_batch(blocks[:3], seeds, tags)
 
 
 @settings(max_examples=25, deadline=None)
@@ -177,15 +182,15 @@ def test_make_tags_matches_per_block_draws(n, skip, seed):
     fast, ref = stream(seed), stream(seed)
     fast.draw_bits(skip)
     ref.draw_bits(skip)
-    assert make_tags(blocks, fast) == make_tags_per_block(blocks, ref)
+    for got, want in zip(make_tags(blocks, fast), make_tags_per_block(blocks, ref)):
+        assert got.dtype == np.uint64 and np.array_equal(got, want)
     assert np.array_equal(fast.draw_bits(64), ref.draw_bits(64))
 
 
 def test_seeds_are_fresh_per_block():
     blocks = np.zeros((64, BLOCK_BITS), dtype=np.uint8)
-    tags = make_tags(blocks, stream(12))
-    seeds = [t.seed for t in tags]
-    assert len(set(seeds)) == len(seeds)
+    seeds, _ = make_tags(blocks, stream(12))
+    assert np.unique(seeds).size == seeds.size
 
 
 # ---------------------------------------------------------------------------
