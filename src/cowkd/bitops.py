@@ -1,8 +1,9 @@
 """Bit-array helpers shared across the package.
 
 Bit strings are numpy uint8 arrays holding one bit per element (values 0/1).
-Packed wire representations use big-endian bit order within each byte,
-matching numpy's packbits/unpackbits default.
+Packed wire representations, and key material held packed, use big-endian
+bit order within each byte, matching numpy's packbits/unpackbits default;
+`unpack_range` reads a slice of a packed string.
 `words48` and `bytes48` convert between bytes and arrays of 48-bit
 big-endian words, the verification seeds and tags.
 """
@@ -31,6 +32,14 @@ def unpack_bits(data: bytes, n_bits: int) -> np.ndarray:
     if bits[n_bits:].any():
         raise SessionAborted(f"{n_bits}-bit field has nonzero padding bits")
     return bits[:n_bits]
+
+
+def unpack_range(packed: np.ndarray, start: int, n: int) -> np.ndarray:
+    """Bits start..start+n-1 of a packed bit string, one per byte; only the
+    bytes holding them are unpacked."""
+    first = start // 8
+    window = np.unpackbits(packed[first : (start + n + 7) // 8])
+    return window[start - 8 * first : start - 8 * first + n]
 
 
 def bits_to_int(bits: np.ndarray) -> int:

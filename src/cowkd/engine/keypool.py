@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..auth import TAG_BITS, PreSharedKey
-from ..bitops import bits_to_int
+from ..bitops import bits_to_int, unpack_range
 from ..errors import SessionAborted
 
 
@@ -49,11 +49,35 @@ class PoolLedger:
 PAD_RESERVE_TARGET = 96
 
 
+class _PackedBits:
+    """Append-only bit string, packed into a buffer that doubles when full."""
+
+    def __init__(self):
+        self.buf = np.zeros(0, dtype=np.uint8)  # zero past the last bit
+        self.size = 0  # bits
+
+    def append(self, bits: np.ndarray):
+        end = self.size + bits.size
+        n_bytes = (end + 7) // 8
+        if n_bytes > self.buf.size:
+            grown = np.zeros(max(n_bytes, 2 * self.buf.size), dtype=np.uint8)
+            grown[: self.buf.size] = self.buf
+            self.buf = grown
+        first, held = divmod(self.size, 8)
+        if held:  # the first byte's leading bits are already held
+            bits = np.concatenate([unpack_range(self.buf, 8 * first, held), bits])
+        self.buf[first:n_bytes] = np.packbits(bits)
+        self.size = end
+
+    def packed(self) -> bytes:
+        return self.buf[: (self.size + 7) // 8].tobytes()
+
+
 class SecretKeyPool:
     def __init__(self, psk: PreSharedKey):
         self._psk_pads = list(psk.pads)
-        self._pad_bits = np.zeros(0, dtype=np.uint8)  # reserved pad stream
-        self._delivery = np.zeros(0, dtype=np.uint8)
+        self._pad_bits = _PackedBits()  # reserved pad stream
+        self._delivery = _PackedBits()
         self._delivery_cursor = 0
         self._pads_taken: set[int] = set()
         self.frozen = False
@@ -62,7 +86,7 @@ class SecretKeyPool:
     # -- production -------------------------------------------------------
 
     def append(self, bits: np.ndarray):
-        """Absorb one privacy-amplification output block."""
+        """Absorb one privacy-amplification output block (one bit per byte)."""
         bits = np.asarray(bits, dtype=np.uint8)
         self.ledger.produced += bits.size
         want = PAD_RESERVE_TARGET * TAG_BITS
@@ -70,9 +94,9 @@ class SecretKeyPool:
         need = max(0, want - unused_pad_bits)
         carve = min(need, bits.size)
         if carve:
-            self._pad_bits = np.concatenate([self._pad_bits, bits[:carve]])
+            self._pad_bits.append(bits[:carve])
             self.ledger.reserved_auth += carve
-        self._delivery = np.concatenate([self._delivery, bits[carve:]])
+        self._delivery.append(bits[carve:])
 
     # -- authentication pads ------------------------------------------------
 
@@ -90,7 +114,7 @@ class SecretKeyPool:
                 f"pad {pad_index} beyond reserved stream ({self._pad_bits.size} bits)")
         self._pads_taken.add(pad_index)
         self.ledger.consumed_auth += TAG_BITS
-        return bits_to_int(self._pad_bits[start : start + TAG_BITS])
+        return bits_to_int(unpack_range(self._pad_bits.buf, start, TAG_BITS))
 
     # -- delivery -----------------------------------------------------------
 
@@ -107,10 +131,10 @@ class SecretKeyPool:
         if n_bits > self.deliverable_bits:
             raise InsufficientKey(
                 f"need {n_bits} bits, pool holds {self.deliverable_bits}")
-        start = self._delivery_cursor
-        chunk = self._delivery[start : start + n_bits]
-        out = np.packbits(chunk).tobytes()
-        self._delivery[start : start + n_bits] = 0
+        start = self._delivery_cursor // 8
+        region = self._delivery.buf[start : start + n_bits // 8]
+        out = region.tobytes()
+        region[:] = 0
         self._delivery_cursor += n_bits
         self.ledger.delivered += n_bits
         return out
@@ -132,9 +156,9 @@ class SecretKeyPool:
     def digest(self) -> str:
         """Fingerprint of all produced key material (order-sensitive)."""
         h = hashlib.sha256()
-        h.update(np.packbits(self._pad_bits).tobytes())
+        h.update(self._pad_bits.packed())
         h.update(b"|")
-        h.update(np.packbits(self._delivery).tobytes())
+        h.update(self._delivery.packed())
         return h.hexdigest()
 
     def summary(self) -> dict:

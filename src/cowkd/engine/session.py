@@ -55,6 +55,14 @@ her counts in the estimation report; both parties then decide alike, in
 `_PartyBase._close_batch`: it amplifies the batch, decides it and only then
 appends its key to the pool.
 
+Key material waits packed, 8 bits per byte in `np.packbits` order. Each EC
+window's verified blocks join the passed-block FIFO as 243 bytes per block,
+one array per window, joined once when a batch closes (`_PassedBlocks`); the
+FIFO is counted in blocks. The PA seed is packed as soon as Bob has sent it
+or Alice has decoded it, and the batch is amplified from the packed key and
+seed. Sifted bits waiting for error correction and the PA output are held
+one bit per byte.
+
 Every record is built and parsed by `frames`. A malformed record or a lost or
 silent peer ends the session in `SessionAborted` (exit 3), a bad tag in
 `AuthAlarm` (exit 4).
@@ -139,6 +147,10 @@ class SessionConfig:
     enforce_compression_bound: bool = True
 
     def __post_init__(self):
+        for name in ("chunk_qubits", "blocks_per_batch", "n_batches"):
+            if getattr(self, name) < 1:
+                raise SessionAborted(f"{name} must be at least 1, not {getattr(self, name)}",
+                                     EXIT_CONFIG)
         if self.chunk_qubits > ALICE_BUFFER_QUBITS:
             raise SessionAborted(
                 "sifting chunk exceeds Alice's preparation buffer", EXIT_CONFIG)
@@ -374,7 +386,7 @@ class _PartyBase:
         self.seed_ledger = SeedLedger()
         self.batches: list[BatchRow] = []
         self.key_bits = np.zeros(0, dtype=np.uint8)  # kept sifted bits, FIFO
-        self.passed = np.zeros(0, dtype=np.uint8)  # bits of verified blocks, FIFO
+        self.passed = _PassedBlocks()
         self.total_sifted = 0
         self.total_raw = 0
         self.total_qubits = 0
@@ -401,13 +413,14 @@ class _PartyBase:
 
     def _close_batch(self, batch_index: int, mismatches: int, bright: int, dest: int,
                      seed: np.ndarray):
-        """Amplify, decide and deliver the next batch of passed bits, from the
-        counts of Alice's estimation report; both parties close batches here."""
+        """Amplify under the packed `seed`, decide and deliver the next batch
+        of passed blocks, from the counts of Alice's estimation report; both
+        parties close batches here."""
         cfg = self.config
-        batch_bits, self.passed = self.passed[: cfg.n_sift], self.passed[cfg.n_sift :]
+        batch_key = self.passed.take(cfg.blocks_per_batch)
         dropped, self._dropped_blocks = self._dropped_blocks, 0
         est = estimate_from_counts(mismatches, cfg.blocks_per_batch, dropped)
-        key = amplify_batch(batch_bits, seed, self.n_out, self.seed_ledger)
+        key = amplify_batch(batch_key, seed, cfg.n_sift, self.n_out, self.seed_ledger)
         # no monitor click is no evidence of coherence: visibility 0
         v_raw = (bright - dest) / (bright + dest) if bright + dest else 0.0
         obs = cfg.observables(min(est.qber_raw, 1.0), min(est.qber_effective, 1.0),
@@ -520,7 +533,7 @@ class BobParty(_PartyBase):
                 unread.append(self._disclose())
             self._read_replies(until=unread.popleft())
             self._ec_window()
-            while self.passed.size >= cfg.n_sift and batch < cfg.n_batches:
+            while self.passed.blocks >= cfg.blocks_per_batch and batch < cfg.n_batches:
                 self._pa_round(batch)
                 batch += 1
         self.ep.send(CH_CONTROL, frames.END)
@@ -572,7 +585,7 @@ class BobParty(_PartyBase):
         """Whether the queued, in-flight and passed blocks, with `unread_bits`
         more sifted bits, fall short of the batch (see the module docstring)."""
         blocks = ((self.key_bits.size + unread_bits) // BLOCK_BITS + self._in_flight
-                  + self.passed.size // BLOCK_BITS)
+                  + self.passed.blocks)
         return blocks < self.config.blocks_per_batch
 
     def _read_sift_verdict(self, bits: np.ndarray):
@@ -608,7 +621,7 @@ class BobParty(_PartyBase):
         window, blocks = window_blocks
         n_blocks = blocks.shape[0]
         flags = frames.decode_verify_response(self.ep.expect(CH_VERIFY), window, n_blocks)
-        self.passed = np.concatenate([self.passed, blocks[flags].reshape(-1)])
+        self.passed.append(blocks[flags])
         self._dropped_blocks += int(n_blocks - flags.sum())
         self._in_flight -= n_blocks
 
@@ -616,6 +629,7 @@ class BobParty(_PartyBase):
         cfg = self.config
         seed = make_seed(self.proto_rng, cfg.n_sift)
         self.ep.send(CH_PA_SEED, frames.encode_seed(seed, batch_index))
+        seed = np.packbits(seed)
         # Alice's estimation report covers the disclosures sent before the seed
         mism, bright, dest = frames.decode_estimate(
             self.ep.expect(CH_CONTROL), batch_index, self._dropped_blocks, cfg.n_sift,
@@ -702,15 +716,15 @@ class AliceParty(_PartyBase):
         passed = verify_batch(corrected, seeds, tags) & ok
         self.ep.send(CH_VERIFY, frames.encode_verify_response(self.window, passed))
         self.window += 1
-        self.passed = np.concatenate([self.passed, corrected[passed].reshape(-1)])
+        self.passed.append(corrected[passed])
         per_block = (mine[passed] ^ corrected[passed]).sum(axis=1)
         self._block_mismatches.extend(int(v) for v in per_block)
         self._dropped_blocks += int(n_blocks - passed.sum())
 
     def _pa_round(self, payload: bytes, batch_index: int):
         cfg = self.config
-        seed = frames.decode_pa_seed(payload, batch_index, cfg.n_sift)
-        if self.passed.size < cfg.n_sift:
+        seed = np.packbits(frames.decode_pa_seed(payload, batch_index, cfg.n_sift))
+        if self.passed.blocks < cfg.blocks_per_batch:
             raise SessionAborted("privacy amplification seed before its batch is complete")
         mism = sum(self._block_mismatches[: cfg.blocks_per_batch])
         del self._block_mismatches[: cfg.blocks_per_batch]
@@ -719,6 +733,29 @@ class AliceParty(_PartyBase):
         self.ep.send(CH_CONTROL, frames.encode_estimate(batch_index, mism, self._dropped_blocks,
                                                         bright, dest))
         self._close_batch(batch_index, mism, bright, dest, seed)
+
+
+class _PassedBlocks:
+    """Verified blocks awaiting amplification, in order: one array of
+    (blocks, 243) packed bytes per EC window, joined once per batch."""
+
+    def __init__(self):
+        self._windows: list[np.ndarray] = []
+        self.blocks = 0
+
+    def append(self, blocks: np.ndarray):
+        """Queue a window's verified blocks, one bit per byte."""
+        if blocks.shape[0]:
+            self._windows.append(np.packbits(blocks, axis=1))
+            self.blocks += blocks.shape[0]
+
+    def take(self, n: int) -> np.ndarray:
+        """The oldest n blocks, packed end to end."""
+        joined = np.concatenate(self._windows)
+        rest = joined[n:]
+        self._windows = [rest.copy()] if rest.size else []
+        self.blocks -= n
+        return joined[:n].reshape(-1)
 
 
 class _OffsetSource:

@@ -22,11 +22,18 @@ of 200,000 points, over chunks of 100,966 bits. Every product, however
 small, takes this one path: its output is checked to be safely integral
 before reduction mod 2, so the result is exact or the call fails loudly.
 
-Each hash call owns its transform buffers (`_Transforms`): inputs are
-written into one float buffer, spectra and products land in reused ones,
-and only parities leave a product, read from the rounded float's mantissa
-after the integrality check. The buffers go with the call, so concurrent
-hashes never share them.
+The key and the diagonal arrive packed, 8 bits per byte in `np.packbits`
+order with zero filler bits (a nonzero one is refused), next to the key's
+bit count n_in: a full batch is 124,416 bytes of key and as much of seed.
+Each product unpacks only the key chunk and the diagonal window it reads.
+The hash returns n_out bits, one per byte.
+
+Each hash call owns two transform buffers (`_Transforms`): one float buffer
+the inputs are written into and the product is transformed back into, and
+the two half spectra. Only parities leave a product, read from the rounded
+float's mantissa after the integrality check; the rounding runs in the
+second spectrum's memory, free once the product is formed. The buffers go
+with the call, so concurrent hashes never share them.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ import hashlib
 
 import numpy as np
 
+from .bitops import unpack_range
 from .randomness import RandomStream
 
 _MIN_TRANSFORM = 1 << 11  # smallest transform a hash folds its key with
@@ -67,15 +75,15 @@ def _fft_size(n: int) -> int:
 class _Transforms:
     """Exact binary convolutions by float FFT, through reused buffers.
 
-    The buffers hold transforms of up to `size` points. One hash call makes
-    its own, reuses them for every product and then drops them, so threads
-    hashing at once never share one.
+    The buffers hold transforms of up to `size` points: one float buffer
+    and the two half spectra. One hash call makes its own, reuses them for
+    every product and then drops them, so threads hashing at once never
+    share one.
     """
 
     def __init__(self, size: int):
         self._real = np.empty(size)
         self._spec = np.empty((2, size // 2 + 1), dtype=complex)
-        self._raw = np.empty(size)
 
     def _spectrum(self, a: np.ndarray, size: int, k: int) -> np.ndarray:
         """rfft of the integer sequence `a`, zero-padded to `size` points,
@@ -91,12 +99,14 @@ class _Transforms:
         integer.
 
         Adding 1.5 * 2^52 rounds an entry to the nearest integer (ties to
-        even, as `np.rint`), held in the low mantissa bits.
+        even, as `np.rint`), held in the low mantissa bits. The product is
+        transformed back into the float buffer and rounded into spectrum
+        buffer 1, which the product no longer needs.
         """
         spec = self._spectrum(a, size, 0)
         spec *= self._spectrum(b, size, 1)
-        raw = np.fft.irfft(spec, size, out=self._raw[:size])[lo:hi]
-        rounded = np.add(raw, _ROUNDER, out=self._real[: hi - lo])
+        raw = np.fft.irfft(spec, size, out=self._real[:size])[lo:hi]
+        rounded = np.add(raw, _ROUNDER, out=self._spec[1].view(np.float64)[: hi - lo])
         bits = np.bitwise_and(rounded.view(np.uint64), 1, casting="unsafe",
                               out=np.empty(hi - lo, dtype=np.uint8))
         rounded -= _ROUNDER
@@ -142,25 +152,45 @@ def make_seed(rng: RandomStream, n_in: int) -> np.ndarray:
     return rng.draw_bits(n_in - 1)
 
 
-def toeplitz_hash(input_bits: np.ndarray, seed: np.ndarray, n_out: int) -> np.ndarray:
-    """x[:w] ^ T.x[w:] over GF(2), T the w x (n_in - w) Toeplitz matrix on
-    the seed's diagonal, w = n_out (module docstring)."""
-    x = np.asarray(input_bits, dtype=np.uint8)
-    d = np.asarray(seed, dtype=np.uint8)
-    if n_out > x.size:
+def _packed(bits: np.ndarray, n: int, what: str) -> np.ndarray:
+    """`bits` as the 1-D packed form of an n-bit string, or ValueError: it
+    must hold exactly ceil(n / 8) bytes, and its filler bits must be zero."""
+    packed = np.asarray(bits, dtype=np.uint8)
+    if packed.ndim != 1 or packed.size != (n + 7) // 8:
+        raise ValueError(f"{what} must be {n} bits packed into {(n + 7) // 8} bytes")
+    if n % 8 and packed[-1] & (0xFF >> n % 8):
+        raise ValueError(f"{what} has nonzero filler bits")
+    return packed
+
+
+def _inputs(key: np.ndarray, seed: np.ndarray, n_in: int, n_out: int):
+    """The packed key and diagonal of a hash to n_out bits, checked."""
+    if n_in < 1:
+        raise ValueError("the key must hold at least one bit")
+    if n_out > n_in:
         raise ValueError("cannot extract more bits than supplied")
-    if d.ndim != 1 or d.size != x.size - 1:
-        raise ValueError(f"seed must be {x.size - 1} bits for a {x.size}-bit key")
-    out = x[:n_out].copy()
-    right = x[n_out:]
+    return _packed(key, n_in, "key"), _packed(seed, n_in - 1, "seed")
+
+
+def toeplitz_hash(key: np.ndarray, seed: np.ndarray, n_in: int, n_out: int) -> np.ndarray:
+    """x[:w] ^ T.x[w:] over GF(2), T the w x (n_in - w) Toeplitz matrix on
+    the seed's diagonal, w = n_out (module docstring).
+
+    `key` is the n_in-bit key x and `seed` its (n_in - 1)-bit diagonal, both
+    packed; the result is n_out bits, one per byte.
+    """
+    x, d = _inputs(key, seed, n_in, n_out)
+    out = unpack_range(x, 0, n_out)
     if n_out == 0:
         return out
+    n_right = n_in - n_out
     size, chunk = _chunking(n_out)
     transforms = _Transforms(size)
-    for a in range(0, right.size, chunk):
-        part = right[a : a + chunk]
-        lo = right.size - a - part.size
-        out ^= _toeplitz_product(d[lo : lo + part.size + n_out - 1], part, n_out, transforms)
+    for a in range(0, n_right, chunk):
+        n = min(chunk, n_right - a)
+        lo = n_right - a - n
+        window = unpack_range(d, lo, n + n_out - 1)
+        out ^= _toeplitz_product(window, unpack_range(x, n_out + a, n), n_out, transforms)
     return out
 
 
@@ -190,14 +220,19 @@ class SeedLedger:
         self._seen: set[bytes] = set()
 
     def register(self, seed: np.ndarray):
-        fp = hashlib.sha256(np.packbits(seed).tobytes()).digest()
+        """Record a packed seed, fingerprinted by its bytes."""
+        fp = hashlib.sha256(np.asarray(seed, dtype=np.uint8).tobytes()).digest()
         if fp in self._seen:
             raise SeedReuseError("privacy amplification seed already used this session")
         self._seen.add(fp)
 
 
-def amplify_batch(bits: np.ndarray, seed: np.ndarray, n_out: int, ledger: SeedLedger) -> np.ndarray:
-    """Compress one verified batch into its n_out secret key bits, refusing
-    a seed `ledger` has seen before."""
-    ledger.register(seed)
-    return toeplitz_hash(bits, seed, n_out)
+def amplify_batch(key: np.ndarray, seed: np.ndarray, n_in: int, n_out: int,
+                  ledger: SeedLedger) -> np.ndarray:
+    """Compress one verified batch of n_in bits into its n_out secret key
+    bits, refusing a seed `ledger` has seen before; key and seed are packed
+    (`toeplitz_hash`). Malformed inputs, a seed with nonzero filler bits
+    among them, are refused before the ledger fingerprints the seed, so one
+    diagonal has one fingerprint."""
+    ledger.register(_inputs(key, seed, n_in, n_out)[1])
+    return toeplitz_hash(key, seed, n_in, n_out)

@@ -30,20 +30,32 @@ bit for bit.
 `sift_pair` runs both sides of one disclosure round trip, and
 `estimate_qber` counts errors from the bits themselves, as
 `cowkd.verification.estimate_from_counts` does from the counts.
+`SecretKeyPoolRef` keeps the key pool's two streams one bit per byte and
+concatenates them on every append; `cowkd.engine.keypool.SecretKeyPool`,
+which holds them packed, must hand out the same pads and bytes and keep the
+same ledger, summary and digest.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from cowkd.auth import LIMB_BITS, UNIT_BITS, mod_p
+from cowkd.auth import LIMB_BITS, TAG_BITS, UNIT_BITS, PreSharedKey, mod_p
 from cowkd.bitops import bits_to_int, pack_bits, unpack_bits
 from cowkd.cowsim import BASIS_DECOY, ChannelParams
 from cowkd.cowsim.channel import deadtime_mask
+from cowkd.engine.keypool import (
+    PAD_RESERVE_TARGET,
+    DeliveryFrozen,
+    InsufficientKey,
+    PadsExhausted,
+    PoolLedger,
+)
 from cowkd.errors import SessionAborted
 from cowkd.ldpc import BLOCK_LENGTH, Z, ParityMatrix
 from cowkd.ldpc.codec import ITERATIONS, MIN_SUM_SCALE, _syndrome_cols
@@ -517,3 +529,85 @@ def sift_pair(alice, events: ResolvedEvents, mode: SiftingMode) -> SiftResult:
         raw_count=view.raw_count,
         sifted_count=view.sifted_count,
     )
+
+
+class SecretKeyPoolRef:
+    """The key pool with both streams one bit per byte, grown by
+    concatenation (`cowkd.engine.keypool.SecretKeyPool`'s reference)."""
+
+    def __init__(self, psk: PreSharedKey):
+        self._psk_pads = list(psk.pads)
+        self._pad_bits = np.zeros(0, dtype=np.uint8)  # reserved pad stream
+        self._delivery = np.zeros(0, dtype=np.uint8)
+        self._delivery_cursor = 0
+        self._pads_taken: set[int] = set()
+        self.frozen = False
+        self.ledger = PoolLedger()
+
+    def append(self, bits: np.ndarray):
+        bits = np.asarray(bits, dtype=np.uint8)
+        self.ledger.produced += bits.size
+        want = PAD_RESERVE_TARGET * TAG_BITS
+        unused_pad_bits = self._pad_bits.size - self.ledger.consumed_auth
+        need = max(0, want - unused_pad_bits)
+        carve = min(need, bits.size)
+        if carve:
+            self._pad_bits = np.concatenate([self._pad_bits, bits[:carve]])
+            self.ledger.reserved_auth += carve
+        self._delivery = np.concatenate([self._delivery, bits[carve:]])
+
+    def take_pad(self, pad_index: int) -> int:
+        if pad_index in self._pads_taken:
+            raise PadsExhausted(f"pad {pad_index} already taken")
+        if pad_index < len(self._psk_pads):
+            self._pads_taken.add(pad_index)
+            return self._psk_pads[pad_index]
+        slot = pad_index - len(self._psk_pads)
+        start = slot * TAG_BITS
+        if start + TAG_BITS > self._pad_bits.size:
+            raise PadsExhausted(
+                f"pad {pad_index} beyond reserved stream ({self._pad_bits.size} bits)")
+        self._pads_taken.add(pad_index)
+        self.ledger.consumed_auth += TAG_BITS
+        return bits_to_int(self._pad_bits[start : start + TAG_BITS])
+
+    @property
+    def deliverable_bits(self) -> int:
+        return self._delivery.size - self._delivery_cursor
+
+    def deliver(self, n_bits: int) -> bytes:
+        if self.frozen:
+            raise DeliveryFrozen("authentication alarm active")
+        if n_bits % 8:
+            raise ValueError("delivery granularity is bytes")
+        if n_bits > self.deliverable_bits:
+            raise InsufficientKey(
+                f"need {n_bits} bits, pool holds {self.deliverable_bits}")
+        start = self._delivery_cursor
+        chunk = self._delivery[start : start + n_bits]
+        out = np.packbits(chunk).tobytes()
+        self._delivery[start : start + n_bits] = 0
+        self._delivery_cursor += n_bits
+        self.ledger.delivered += n_bits
+        return out
+
+    def freeze(self):
+        self.frozen = True
+
+    def digest(self) -> str:
+        h = hashlib.sha256()
+        h.update(np.packbits(self._pad_bits).tobytes())
+        h.update(b"|")
+        h.update(np.packbits(self._delivery).tobytes())
+        return h.hexdigest()
+
+    def summary(self) -> dict:
+        return {
+            "produced_bits": self.ledger.produced,
+            "consumed_auth_bits": self.ledger.consumed_auth,
+            "delivered_bits": self.ledger.delivered,
+            "reserved_auth_bits": self.ledger.reserved_auth,
+            "deliverable_bits": self.deliverable_bits,
+            "pads_taken": len(self._pads_taken),
+            "frozen": self.frozen,
+        }

@@ -208,19 +208,20 @@ def test_criterion_07_privacy_amplification():
         seed = make_seed(rng, n_in)
         want = (x[:n_out] ^ toeplitz_hash_dense(x[n_out:], seed, n_out) if n_out
                 else np.zeros(0, dtype=np.uint8))
-        assert np.array_equal(toeplitz_hash(x, seed, n_out), want)
+        assert np.array_equal(toeplitz_hash(np.packbits(x), np.packbits(seed), n_in, n_out), want)
     # the chunked hash equals the product with the whole explicit diagonal
     n_in, n_out = 4000, 900
     x = rng.draw_bits(n_in)
     seed = make_seed(rng, n_in)
-    assert np.array_equal(toeplitz_hash(x, seed, n_out),
+    assert np.array_equal(toeplitz_hash(np.packbits(x), np.packbits(seed), n_in, n_out),
                           x[:n_out] ^ toeplitz_hash_explicit(x[n_out:], seed, n_out))
     # throughput on a full batch
     bits = rng.draw_bits(N_SIFT_BLOCK)
     n_out = quantize_compression(0.115)[1]
     seed = make_seed(rng, N_SIFT_BLOCK)
+    bits, seed = np.packbits(bits), np.packbits(seed)
     t0 = time.time()
-    out = amplify_batch(bits, seed, n_out, SeedLedger())
+    out = amplify_batch(bits, seed, N_SIFT_BLOCK, n_out, SeedLedger())
     rate = N_SIFT_BLOCK / (time.time() - t0)
     assert out.size == 114_463
     assert rate > 1e6, rate

@@ -47,6 +47,17 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     code = main(["run", "--compression", "banana", "--out", str(tmp_path)])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
+    # session sizes below one end before any qubit, each in one line: a zero
+    # chunk used to hang, the others to end in a traceback or in exit 0
+    for flags in (["--blocks-per-batch", "0"],
+                  ["--compression", "11.5", "--blocks-per-batch", "-3"],
+                  ["--compression", "11.5", "--blocks-per-batch", "4", "--batches", "0"],
+                  ["--compression", "11.5", "--blocks-per-batch", "4", "--chunk-qubits", "-5"],
+                  ["--compression", "11.5", "--blocks-per-batch", "4", "--chunk-qubits", "0"]):
+        code = main(["run", *flags, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2, flags
+        assert err.startswith("configuration error: ") and err.count("\n") == 1, err
 
 
 def test_finite_key_preset_outputs_budget(capsys):

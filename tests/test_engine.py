@@ -714,6 +714,12 @@ def test_config_validation():
         with pytest.raises(SessionAborted) as info:
             small_config(**kw)
         assert info.value.exit_code == EXIT_CONFIG
+    # so do session sizes below one, a chunk of zero qubits included
+    for kw in (dict(chunk_qubits=0), dict(chunk_qubits=-5), dict(blocks_per_batch=0),
+               dict(blocks_per_batch=-3), dict(n_batches=0)):
+        with pytest.raises(SessionAborted) as info:
+            small_config(**kw)
+        assert info.value.exit_code == EXIT_CONFIG, kw
 
 
 def test_pool_otp_utility_round_trip():

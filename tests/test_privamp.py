@@ -29,6 +29,11 @@ def stream(n=1):
     return new_stream(EntropySeed.from_int(100 + n))
 
 
+def packed(x: np.ndarray, d: np.ndarray, n_out: int) -> tuple:
+    """`toeplitz_hash`'s arguments for the 0/1 key x and diagonal d."""
+    return np.packbits(x), np.packbits(d), x.size, n_out
+
+
 def modified_dense(x: np.ndarray, d: np.ndarray, n_out: int) -> np.ndarray:
     """x[:w] ^ T.x[w:] with T the dense Toeplitz matrix on d, w = n_out."""
     if n_out == 0:
@@ -39,7 +44,7 @@ def modified_dense(x: np.ndarray, d: np.ndarray, n_out: int) -> np.ndarray:
 def test_zero_input_hashes_to_zero():
     rng = stream(1)
     seed = make_seed(rng, 24)
-    out = toeplitz_hash(np.zeros(24, dtype=np.uint8), seed, 8)
+    out = toeplitz_hash(*packed(np.zeros(24, dtype=np.uint8), seed, 8))
     assert not out.any()
 
 
@@ -49,9 +54,9 @@ def test_identity_toeplitz():
     d = np.zeros(15, dtype=np.uint8)
     d[7] = 1
     x = np.array([1, 0, 1, 1, 0, 0, 1, 0, 0, 1, 1, 0, 1, 0, 0, 0], dtype=np.uint8)
-    assert np.array_equal(toeplitz_hash(x, d, 8), x[:8] ^ x[8:])
+    assert np.array_equal(toeplitz_hash(*packed(x, d, 8)), x[:8] ^ x[8:])
     # the zero diagonal keeps the left part alone
-    assert np.array_equal(toeplitz_hash(x, np.zeros(15, dtype=np.uint8), 8), x[:8])
+    assert np.array_equal(toeplitz_hash(*packed(x, np.zeros(15, dtype=np.uint8), 8)), x[:8])
 
 
 def test_matches_dense_oracle_spec_example():
@@ -59,7 +64,7 @@ def test_matches_dense_oracle_spec_example():
     x = rng.draw_bits(24)
     seed = make_seed(rng, 24)
     assert seed.size == 23
-    assert np.array_equal(toeplitz_hash(x, seed, 8), modified_dense(x, seed, 8))
+    assert np.array_equal(toeplitz_hash(*packed(x, seed, 8)), modified_dense(x, seed, 8))
 
 
 def test_matches_dense_oracle_all_dims_up_to_64():
@@ -71,7 +76,7 @@ def test_matches_dense_oracle_all_dims_up_to_64():
         n_out = int(dims.integers(0, n_in + 1))
         x = rng.draw_bits(n_in)
         seed = make_seed(rng, n_in)
-        assert np.array_equal(toeplitz_hash(x, seed, n_out), modified_dense(x, seed, n_out))
+        assert np.array_equal(toeplitz_hash(*packed(x, seed, n_out)), modified_dense(x, seed, n_out))
 
 
 def test_linearity():
@@ -80,9 +85,9 @@ def test_linearity():
     for _ in range(50):
         x = rng.draw_bits(100)
         y = rng.draw_bits(100)
-        hxy = toeplitz_hash(x ^ y, seed, 40)
-        hx = toeplitz_hash(x, seed, 40)
-        hy = toeplitz_hash(y, seed, 40)
+        hxy = toeplitz_hash(*packed(x ^ y, seed, 40))
+        hx = toeplitz_hash(*packed(x, seed, 40))
+        hy = toeplitz_hash(*packed(y, seed, 40))
         assert np.array_equal(hxy, hx ^ hy)
 
 
@@ -97,7 +102,7 @@ def test_family_is_two_universal_exhaustively(n_in, w):
     # key e_j, here as a w-bit integer
     weights = 1 << np.arange(w)
     units = np.eye(n_in, dtype=np.uint8)
-    cols = np.array([[toeplitz_hash(e, d, w) @ weights for e in units] for d in seeds],
+    cols = np.array([[toeplitz_hash(*packed(e, d, w)) @ weights for e in units] for d in seeds],
                     dtype=np.uint8)
     zeros = np.zeros(1 << n_in, dtype=np.int64)  # seeds mapping key x to 0; bit j of x is x[j]
     for block in np.array_split(cols, 16):
@@ -207,9 +212,9 @@ def test_hash_rejects_seed_of_wrong_size(n_in, seed_bits):
     rng = stream(12)
     n = {0: 0, "n_in - 2": n_in - 2, "n_in": n_in}[seed_bits]
     with pytest.raises(ValueError):
-        toeplitz_hash(rng.draw_bits(n_in), rng.draw_bits(n), 20)
+        toeplitz_hash(np.packbits(rng.draw_bits(n_in)), rng.draw_bits(n), n_in, 20)
     with pytest.raises(ValueError):  # an output wider than the key
-        toeplitz_hash(rng.draw_bits(n_in), make_seed(rng, n_in), n_in + 1)
+        toeplitz_hash(*packed(rng.draw_bits(n_in), make_seed(rng, n_in), n_in + 1))
 
 
 @pytest.mark.parametrize("n_in", [50, 200])
@@ -226,7 +231,7 @@ def test_lfsr_hash_rejects_bad_seed(n_in, state_bits, tap_bits, taps_nonzero):
     taps = np.ones(tap_bits, dtype=np.uint8) if taps_nonzero else np.zeros(tap_bits, dtype=np.uint8)
     seed = (rng.draw_bits(state_bits), taps)
     with pytest.raises(ValueError):
-        toeplitz_hash(rng.draw_bits(n_in), seed, 50)
+        toeplitz_hash(np.packbits(rng.draw_bits(n_in)), seed, n_in, 50)
 
 
 def _case(w, extra, seed):
@@ -255,7 +260,7 @@ def hash_cases(draw):
 @example(_case(600, _chunking(600)[1] + 1, 4))
 def test_hash_matches_dense_oracle(case):
     x, d, n_out = case
-    assert np.array_equal(toeplitz_hash(x, d, n_out), modified_dense(x, d, n_out))
+    assert np.array_equal(toeplitz_hash(*packed(x, d, n_out)), modified_dense(x, d, n_out))
 
 
 # SHA-256 of the packed output for a full batch, equal to that of
@@ -268,7 +273,7 @@ def test_full_batch_hash_digest_pinned(n_out, seed_int, digest):
     rng = new_stream(EntropySeed.from_int(seed_int))
     x = rng.draw_bits(N_SIFT_BLOCK)
     seed = make_seed(rng, N_SIFT_BLOCK)
-    out = toeplitz_hash(x, seed, n_out)
+    out = toeplitz_hash(*packed(x, seed, n_out))
     assert hashlib.sha256(np.packbits(out).tobytes()).hexdigest() == digest
 
 
@@ -278,7 +283,7 @@ def test_hash_equals_explicit_product():
     x = rng.draw_bits(n_in)
     seed = make_seed(rng, n_in)
     want = x[:n_out] ^ toeplitz_hash_explicit(x[n_out:], seed, n_out)
-    assert np.array_equal(toeplitz_hash(x, seed, n_out), want)
+    assert np.array_equal(toeplitz_hash(*packed(x, seed, n_out)), want)
 
 
 @pytest.mark.parametrize("w, size", [
@@ -291,7 +296,7 @@ def test_hash_matches_dense_oracle_in_each_transform_size_family(w, size):
     # the key's right part spans two chunks, the second one partial
     assert _chunking(w) == (size, size - w + 1)
     x, d, n_out = _case(w, size - w + 8, w)
-    assert np.array_equal(toeplitz_hash(x, d, n_out), modified_dense(x, d, n_out))
+    assert np.array_equal(toeplitz_hash(*packed(x, d, n_out)), modified_dense(x, d, n_out))
 
 
 def test_full_size_hash_equals_explicit_product():
@@ -302,11 +307,11 @@ def test_full_size_hash_equals_explicit_product():
     x = rng.draw_bits(n_in)
     seed = make_seed(rng, n_in)
     want = x[:n_out] ^ toeplitz_hash_explicit(x[n_out:], seed, n_out)
-    assert np.array_equal(toeplitz_hash(x, seed, n_out), want)
+    assert np.array_equal(toeplitz_hash(*packed(x, seed, n_out)), want)
 
 
 def _hash_cases(rng, shapes):
-    return [(rng.draw_bits(n_in), make_seed(rng, n_in), n_out) for n_in, n_out in shapes]
+    return [packed(rng.draw_bits(n_in), make_seed(rng, n_in), n_out) for n_in, n_out in shapes]
 
 
 def test_hash_result_survives_later_hashes_of_other_sizes():
@@ -367,16 +372,17 @@ def test_amplify_batch_and_seed_freshness():
     n_out = quantize_compression(0.01)[1]
     seed = make_seed(rng, N_SIFT_BLOCK)
     ledger = SeedLedger()
-    out = amplify_batch(bits, seed, n_out, ledger)
+    out = amplify_batch(np.packbits(bits), np.packbits(seed), N_SIFT_BLOCK, n_out, ledger)
     assert out.size == n_out
     with pytest.raises(SeedReuseError):
-        amplify_batch(bits, seed, n_out, ledger)
+        amplify_batch(np.packbits(bits), np.packbits(seed), N_SIFT_BLOCK, n_out, ledger)
 
 
 def test_amplify_ratio_zero_gives_empty_key():
     rng = stream(9)
     seed = make_seed(rng, N_SIFT_BLOCK)
-    assert amplify_batch(rng.draw_bits(N_SIFT_BLOCK), seed, 0, SeedLedger()).size == 0
+    assert amplify_batch(np.packbits(rng.draw_bits(N_SIFT_BLOCK)), np.packbits(seed),
+                         N_SIFT_BLOCK, 0, SeedLedger()).size == 0
 
 
 def test_full_batch_throughput_floor():
@@ -384,8 +390,9 @@ def test_full_batch_throughput_floor():
     bits = rng.draw_bits(N_SIFT_BLOCK)
     n_out = quantize_compression(0.115)[1]
     seed = make_seed(rng, N_SIFT_BLOCK)
+    bits, seed = np.packbits(bits), np.packbits(seed)
     t0 = time.time()
-    out = amplify_batch(bits, seed, n_out, SeedLedger())
+    out = amplify_batch(bits, seed, N_SIFT_BLOCK, n_out, SeedLedger())
     elapsed = time.time() - t0
     assert out.size == 114_463
     assert N_SIFT_BLOCK / elapsed > 1e6, f"only {N_SIFT_BLOCK / elapsed:.0f} bits/s"
@@ -419,3 +426,70 @@ def test_decode_pa_seed_rejects_diagonal_of_another_length(n_bits):
         decode_pa_seed(blob, 3, 50)
     assert info.value.exit_code == EXIT_ABORT
 
+
+
+# ---------------------------------------------------------------------------
+# packed inputs
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n_in, n_out", [
+    (N_SIFT_BLOCK, 99_035),
+    (N_SIFT_BLOCK, 77_138),
+    (N_SIFT_BLOCK, 0),
+    (N_SIFT_BLOCK, 1),
+    (N_SIFT_BLOCK, N_SIFT_BLOCK - 1),
+    (N_SIFT_BLOCK - 3, 99_035),  # a key that ends mid-byte
+])
+def test_packed_full_size_hash_equals_explicit_product(n_in, n_out):
+    rng = stream(20)
+    x = rng.draw_bits(n_in)
+    seed = make_seed(rng, n_in)
+    want = (x[:n_out] ^ toeplitz_hash_explicit(x[n_out:], seed, n_out) if n_out
+            else np.zeros(0, dtype=np.uint8))
+    got = toeplitz_hash(np.packbits(x), np.packbits(seed), n_in, n_out)
+    assert got.dtype == np.uint8 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n_in", [1, 2, 9, 1_003])
+def test_packed_hash_at_output_edges_equals_both_oracles(n_in):
+    # n_out = 0, 1 and n_in - 1, keys that are not a whole number of bytes
+    rng = stream(21)
+    x = rng.draw_bits(n_in)
+    seed = make_seed(rng, n_in)
+    for n_out in sorted({0, 1, n_in - 1}):
+        got = toeplitz_hash(np.packbits(x), np.packbits(seed), n_in, n_out)
+        assert np.array_equal(got, modified_dense(x, seed, n_out)), n_out
+        if n_out:
+            explicit = x[:n_out] ^ toeplitz_hash_explicit(x[n_out:], seed, n_out)
+            assert np.array_equal(got, explicit), n_out
+
+
+def test_packed_key_and_seed_with_nonzero_filler_bits_are_rejected():
+    # a 50-bit key packs into 7 bytes with 6 filler bits, its 49-bit
+    # diagonal into 7 bytes with 7; a nonzero filler bit is refused, by the
+    # hash and by amplify_batch before its ledger fingerprints the seed, so
+    # one diagonal has one fingerprint
+    rng = stream(22)
+    n_in = 50
+    x = rng.draw_bits(n_in)
+    seed = make_seed(rng, n_in)
+    key, diagonal = np.packbits(x), np.packbits(seed)
+    bad_key, bad_seed = key.copy(), diagonal.copy()
+    bad_key[-1] |= 1
+    bad_seed[-1] |= 1
+    ledger = SeedLedger()
+    for args in ((bad_key, diagonal), (key, bad_seed)):
+        with pytest.raises(ValueError, match="filler"):
+            toeplitz_hash(*args, n_in, 20)
+    with pytest.raises(ValueError, match="filler"):
+        amplify_batch(key, bad_seed, n_in, 20, ledger)
+    out = amplify_batch(key, diagonal, n_in, 20, ledger)
+    assert np.array_equal(out, modified_dense(x, seed, 20))
+    assert ledger._seen == {hashlib.sha256(np.packbits(seed).tobytes()).digest()}
+    with pytest.raises(SeedReuseError):
+        amplify_batch(key, diagonal, n_in, 20, ledger)
+    # packed arrays a byte short or long, or not flat, are refused as well
+    for args in ((key[:-1], diagonal), (key, diagonal[:-1]), (np.r_[key, 0], diagonal),
+                 (key, np.r_[diagonal, 0]), (key[None], diagonal)):
+        with pytest.raises(ValueError):
+            toeplitz_hash(*args, n_in, 20)
