@@ -55,13 +55,15 @@ her counts in the estimation report; both parties then decide alike, in
 `_PartyBase._close_batch`: it amplifies the batch, decides it and only then
 appends its key to the pool.
 
-Key material waits packed, 8 bits per byte in `np.packbits` order. Each EC
-window's verified blocks join the passed-block FIFO as 243 bytes per block,
-one array per window, joined once when a batch closes (`_PassedBlocks`); the
-FIFO is counted in blocks. The PA seed is packed as soon as Bob has sent it
-or Alice has decoded it, and the batch is amplified from the packed key and
-seed. Sifted bits waiting for error correction and the PA output are held
-one bit per byte.
+Key material in flight waits in one kind of queue, `_Fifo`: arrays queued
+in order, counted in rows and joined only when rows are taken, so no queued
+piece is copied while it waits. Each party keeps one for its sifted bits
+(one bit per byte, taken a window at a time for error correction) and one
+for its verified blocks (packed, 243 bytes per block, taken a batch at a
+time for amplification); Alice keeps a third for the mismatch count of each
+verified block, summed when the batch closes. The PA seed is packed as soon
+as Bob has sent it or Alice has decoded it, and the batch is amplified from
+the packed key and seed; its output is held one bit per byte.
 
 Every record is built and parsed by `frames`. A malformed record or a lost or
 silent peer ends the session in `SessionAborted` (exit 3), a bad tag in
@@ -385,8 +387,8 @@ class _PartyBase:
                 EXIT_CONFIG)
         self.seed_ledger = SeedLedger()
         self.batches: list[BatchRow] = []
-        self.key_bits = np.zeros(0, dtype=np.uint8)  # kept sifted bits, FIFO
-        self.passed = _PassedBlocks()
+        self.sifted = _Fifo()  # sifted bits awaiting error correction, one per byte
+        self.passed = _Fifo()  # verified blocks awaiting amplification, packed rows
         self.total_sifted = 0
         self.total_raw = 0
         self.total_qubits = 0
@@ -402,22 +404,13 @@ class _PartyBase:
             self.ep.transport.close()
         return self.report()
 
-    # small helpers ---------------------------------------------------------
-
-    def _take_key_bits(self, n: int) -> np.ndarray:
-        out = self.key_bits[:n]
-        # copy the remainder (under a block) so a taken window's buffer is
-        # freed with the window, before privacy amplification allocates
-        self.key_bits = self.key_bits[n:].copy()
-        return out
-
     def _close_batch(self, batch_index: int, mismatches: int, bright: int, dest: int,
                      seed: np.ndarray):
         """Amplify under the packed `seed`, decide and deliver the next batch
         of passed blocks, from the counts of Alice's estimation report; both
         parties close batches here."""
         cfg = self.config
-        batch_key = self.passed.take(cfg.blocks_per_batch)
+        batch_key = self.passed.take(cfg.blocks_per_batch).reshape(-1)
         dropped, self._dropped_blocks = self._dropped_blocks, 0
         est = estimate_from_counts(mismatches, cfg.blocks_per_batch, dropped)
         key = amplify_batch(batch_key, seed, cfg.n_sift, self.n_out, self.seed_ledger)
@@ -533,7 +526,7 @@ class BobParty(_PartyBase):
                 unread.append(self._disclose())
             self._read_replies(until=unread.popleft())
             self._ec_window()
-            while self.passed.blocks >= cfg.blocks_per_batch and batch < cfg.n_batches:
+            while self.passed.size >= cfg.blocks_per_batch and batch < cfg.n_batches:
                 self._pa_round(batch)
                 batch += 1
         self.ep.send(CH_CONTROL, frames.END)
@@ -584,8 +577,8 @@ class BobParty(_PartyBase):
     def _short_of_batch(self, unread_bits: int = 0) -> bool:
         """Whether the queued, in-flight and passed blocks, with `unread_bits`
         more sifted bits, fall short of the batch (see the module docstring)."""
-        blocks = ((self.key_bits.size + unread_bits) // BLOCK_BITS + self._in_flight
-                  + self.passed.blocks)
+        blocks = ((self.sifted.size + unread_bits) // BLOCK_BITS + self._in_flight
+                  + self.passed.size)
         return blocks < self.config.blocks_per_batch
 
     def _read_sift_verdict(self, bits: np.ndarray):
@@ -593,12 +586,12 @@ class BobParty(_PartyBase):
         kept_bits = bits[keep]  # Bob's bits of the events Alice keeps
         self.total_raw += bits.size
         self.total_sifted += kept_bits.size
-        self.key_bits = np.concatenate([self.key_bits, kept_bits])
+        self.sifted.append(kept_bits)
 
     # EC + verification in sub-windows; a closing window sends the whole
     # queue and reads every outstanding verdict (see the module docstring)
     def _ec_window(self):
-        queued = self.key_bits.size // BLOCK_BITS
+        queued = self.sifted.size // BLOCK_BITS
         closing = not self._short_of_batch()
         while queued >= SUB_WINDOW_BLOCKS or (closing and queued):
             n_blocks = min(queued, SUB_WINDOW_BLOCKS)
@@ -608,7 +601,7 @@ class BobParty(_PartyBase):
             self._read_replies()
 
     def _send_window(self, n_blocks: int):
-        blocks = self._take_key_bits(n_blocks * BLOCK_BITS).reshape(n_blocks, BLOCK_BITS)
+        blocks = self.sifted.take(n_blocks * BLOCK_BITS).reshape(n_blocks, BLOCK_BITS)
         synd = ldpc.syndrome_batch(blocks, self.rate)
         self.ep.send(CH_SYNDROME, frames.encode_syndrome(self.window, synd))
         seeds, tags = make_tags(blocks, self.proto_rng)
@@ -621,7 +614,7 @@ class BobParty(_PartyBase):
         window, blocks = window_blocks
         n_blocks = blocks.shape[0]
         flags = frames.decode_verify_response(self.ep.expect(CH_VERIFY), window, n_blocks)
-        self.passed.append(blocks[flags])
+        self.passed.append(np.packbits(blocks[flags], axis=1))
         self._dropped_blocks += int(n_blocks - flags.sum())
         self._in_flight -= n_blocks
 
@@ -648,8 +641,7 @@ class AliceParty(_PartyBase):
     def __init__(self, config: SessionConfig, transport):
         super().__init__(config, transport, out_dir=0)
         self.source: QubitSource | None = None
-        # mismatches of each passed block, in consumption order
-        self._block_mismatches: list[int] = []
+        self._mismatches = _Fifo()  # mismatch count of each passed block
         self._monitor = [0, 0]  # bright, destructive counted since the last seed
 
     def _run(self):
@@ -694,40 +686,36 @@ class AliceParty(_PartyBase):
         cfg = self.config
         n_q, n_blocks, blocks = frames.decode_sift_disclosure(payload, cfg.chunk_qubits)
         view = decode_and_sift(_OffsetSource(self.source, self.total_qubits),
-                               blocks, self.mode, n_blocks)
-        if any(q[-1] >= n_q for q in (view.data_qubits, view.monitor_qubits) if q.size):
-            raise SessionAborted("sifting disclosure runs past its chunk")
+                               blocks, self.mode, n_blocks, n_q)
         self.total_qubits += n_q
         self.total_raw += view.raw_count
         self.total_sifted += view.sifted_count
         self._monitor[0] += view.monitor_bright
         self._monitor[1] += view.monitor_dest
-        self.key_bits = np.concatenate([self.key_bits, view.alice_key_bits])
+        self.sifted.append(view.alice_key_bits)
         self.ep.send(CH_SIFTING, frames.encode_sift_response(view.keep_mask))
 
     def _ec_round(self, payload: bytes):
         synd = frames.decode_syndrome(payload, self.window, self.rate,
-                                      self.key_bits.size // BLOCK_BITS)
+                                      self.sifted.size // BLOCK_BITS)
         n_blocks = synd.shape[0]
-        mine = self._take_key_bits(n_blocks * BLOCK_BITS).reshape(n_blocks, BLOCK_BITS)
+        mine = self.sifted.take(n_blocks * BLOCK_BITS).reshape(n_blocks, BLOCK_BITS)
         corrected, ok, _ = ldpc.decode_batch(mine, synd, self.rate,
                                              channel_p=self.channel_p)
         seeds, tags = frames.decode_tags(self.ep.expect(CH_VERIFY), self.window, n_blocks)
         passed = verify_batch(corrected, seeds, tags) & ok
         self.ep.send(CH_VERIFY, frames.encode_verify_response(self.window, passed))
         self.window += 1
-        self.passed.append(corrected[passed])
-        per_block = (mine[passed] ^ corrected[passed]).sum(axis=1)
-        self._block_mismatches.extend(int(v) for v in per_block)
+        self.passed.append(np.packbits(corrected[passed], axis=1))
+        self._mismatches.append((mine[passed] ^ corrected[passed]).sum(axis=1))
         self._dropped_blocks += int(n_blocks - passed.sum())
 
     def _pa_round(self, payload: bytes, batch_index: int):
         cfg = self.config
         seed = np.packbits(frames.decode_pa_seed(payload, batch_index, cfg.n_sift))
-        if self.passed.blocks < cfg.blocks_per_batch:
+        if self.passed.size < cfg.blocks_per_batch:
             raise SessionAborted("privacy amplification seed before its batch is complete")
-        mism = sum(self._block_mismatches[: cfg.blocks_per_batch])
-        del self._block_mismatches[: cfg.blocks_per_batch]
+        mism = int(self._mismatches.take(cfg.blocks_per_batch).sum())
         bright, dest = self._monitor
         self._monitor = [0, 0]
         self.ep.send(CH_CONTROL, frames.encode_estimate(batch_index, mism, self._dropped_blocks,
@@ -735,27 +723,31 @@ class AliceParty(_PartyBase):
         self._close_batch(batch_index, mism, bright, dest, seed)
 
 
-class _PassedBlocks:
-    """Verified blocks awaiting amplification, in order: one array of
-    (blocks, 243) packed bytes per EC window, joined once per batch."""
+class _Fifo:
+    """Arrays queued in order and counted in rows along axis 0. Rows are
+    joined only when taken; a partial take leaves a view of the head array."""
 
     def __init__(self):
-        self._windows: list[np.ndarray] = []
-        self.blocks = 0
+        self._pieces: deque[np.ndarray] = deque()
+        self.size = 0  # rows queued
 
-    def append(self, blocks: np.ndarray):
-        """Queue a window's verified blocks, one bit per byte."""
-        if blocks.shape[0]:
-            self._windows.append(np.packbits(blocks, axis=1))
-            self.blocks += blocks.shape[0]
+    def append(self, rows: np.ndarray):
+        if len(rows):
+            self._pieces.append(rows)
+            self.size += len(rows)
 
     def take(self, n: int) -> np.ndarray:
-        """The oldest n blocks, packed end to end."""
-        joined = np.concatenate(self._windows)
-        rest = joined[n:]
-        self._windows = [rest.copy()] if rest.size else []
-        self.blocks -= n
-        return joined[:n].reshape(-1)
+        """The oldest n rows, 1 <= n <= size, joined."""
+        taken = []
+        self.size -= n
+        while n:
+            head = self._pieces.popleft()
+            if len(head) > n:
+                self._pieces.appendleft(head[n:])
+                head = head[:n]
+            taken.append(head)
+            n -= len(head)
+        return np.concatenate(taken)
 
 
 class _OffsetSource:

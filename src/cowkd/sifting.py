@@ -203,11 +203,8 @@ def decode(payload: bytes, mode: SiftingMode, n_blocks: int) -> tuple[np.ndarray
 class AliceSiftView:
     """Alice's verdicts on one sifting chunk."""
 
-    data_qubits: np.ndarray  # disclosed data-basis detections, in order
-    keep_mask: np.ndarray  # True where the detection hit a data-basis qubit
+    keep_mask: np.ndarray  # per disclosed data detection: it hit a data-basis qubit
     alice_key_bits: np.ndarray  # her bits for the kept detections
-    monitor_qubits: np.ndarray
-    monitor_destructive: np.ndarray
     raw_count: int
     sifted_count: int
     # monitor disclosures in periods whose two slots both interfere, by port
@@ -215,27 +212,31 @@ class AliceSiftView:
     monitor_dest: int
 
 
-def decode_and_sift(alice, payload: bytes, mode: SiftingMode, n_blocks: int) -> AliceSiftView:
-    """Decode Bob's blocks and decide keep/discard per data detection.
+def decode_and_sift(alice, payload: bytes, mode: SiftingMode, n_blocks: int,
+                    n_qubits: int) -> AliceSiftView:
+    """Decode Bob's blocks of one `n_qubits`-qubit chunk and decide
+    keep/discard per data detection.
 
     `alice` is any object whose `at(indices)` returns the (basis, bit) arrays
     of her prepared qubits at those indices, such as her `QubitSource`.
     Detections on decoy qubits leave the key; monitor disclosures are split
-    out with their port bit.
+    out with their port bit. A disclosure whose last event lies past the
+    chunk is refused before any lookup (events are strictly increasing).
 
     A monitor disclosure names a qubit period i, not which of its two slots
     clicked. Slot 2i+1 interferes when qubit i fills both bins (a decoy),
     slot 2i when qubit i's early bin and qubit i-1's late bin are full (i-1
     a decoy or a data 0). Periods where both hold count toward the monitor
-    visibility, by port. Period 0 is skipped, so every lookup stays inside
+    visibility, by port. Period 0 is skipped, so no lookup falls before
     the chunk; the data qubits, those periods and their predecessors are
     looked up at once.
     """
     qubits, control = decode(payload, mode, n_blocks)
+    if qubits.size and qubits[-1] >= n_qubits:
+        raise SessionAborted("sifting disclosure runs past its chunk")
     is_data = control == CONTROL_DATA
     dq = qubits[is_data]
-    mon = ~is_data
-    counted = mon & (qubits > 0)
+    counted = ~is_data & (qubits > 0)
     periods = qubits[counted]
     basis, bits = alice.at(np.concatenate([dq, periods, periods - 1]))
     n, m = dq.size, periods.size
@@ -244,11 +245,8 @@ def decode_and_sift(alice, payload: bytes, mode: SiftingMode, n_blocks: int) -> 
     interfering = (basis[n : n + m] == BASIS_DECOY) & prev_late_full
     n_dest = int((control[counted][interfering] == CONTROL_MON_DEST).sum())
     return AliceSiftView(
-        data_qubits=dq,
         keep_mask=keep,
         alice_key_bits=bits[:n][keep].astype(np.uint8),
-        monitor_qubits=qubits[mon],
-        monitor_destructive=control[mon] == CONTROL_MON_DEST,
         raw_count=int(dq.size),
         sifted_count=int(keep.sum()),
         monitor_bright=int(interfering.sum()) - n_dest,

@@ -69,6 +69,7 @@ from cowkd.sifting import (
     ResolvedEvents,
     SiftingMode,
     _first_per_qubit,
+    decode,
     decode_and_sift,
     encode,
 )
@@ -518,14 +519,16 @@ class SiftResult:
 def sift_pair(alice, events: ResolvedEvents, mode: SiftingMode) -> SiftResult:
     """Run the full disclosure round trip for one chunk, both sides."""
     payload, n_blocks = encode(events, mode)
-    view = decode_and_sift(alice, payload, mode, n_blocks)
+    view = decode_and_sift(alice, payload, mode, n_blocks, len(alice))
     data = events.data_mask()
     bob_bits = events.bob_bit[data][view.keep_mask]
+    qubits, control = decode(payload, mode, n_blocks)
+    mon = control != CONTROL_DATA
     return SiftResult(
         alice_key_bits=view.alice_key_bits,
         bob_key_bits=bob_bits.astype(np.uint8),
-        monitor_disclosures=list(zip(view.monitor_qubits.tolist(),
-                                     view.monitor_destructive.tolist())),
+        monitor_disclosures=list(zip(qubits[mon].tolist(),
+                                     (control[mon] == CONTROL_MON_DEST).tolist())),
         raw_count=view.raw_count,
         sifted_count=view.sifted_count,
     )

@@ -101,7 +101,7 @@ def test_criterion_02_sifted_fraction():
     qubits = np.flatnonzero(hit).astype(np.int64)
     assert qubits.size >= 1_000_000
     payload, n_blocks = encode(_events(qubits), SiftingMode(14))
-    view = decode_and_sift(src, payload, SiftingMode(14), n_blocks)
+    view = decode_and_sift(src, payload, SiftingMode(14), n_blocks, n)
     ratio = view.sifted_count / view.raw_count
     expected = (1 - 0.155) / (1 + 0.155)
     assert abs(ratio - expected) < 0.005, ratio

@@ -34,6 +34,7 @@ from cowkd.engine.frames import (
 from cowkd.engine.keypool import PAD_RESERVE_TARGET
 from cowkd.engine.session import AliceParty, BobParty
 from cowkd.presets import channel_params
+from cowkd.sifting import CONTROL_DATA, SiftingMode
 from cowkd.verification import BLOCK_BITS
 
 PSK = bytes(range(256)) * 32  # 8 KiB deterministic test PSK
@@ -628,6 +629,27 @@ def test_sifting_disclosure_of_another_length_aborts_alice():
     assert type(err) is SessionAborted and err.exit_code == EXIT_ABORT, repr(err)
     assert "sifting disclosure out of step" in str(err)
     assert alice.total_qubits == 0
+
+
+def test_sifting_disclosure_past_its_chunk_aborts_alice():
+    # a well-formed disclosure whose one data event lies past the chunk:
+    # 129 overflow blocks advance 129 x 16,383 = 2,113,407 qubits > 2^21
+    cfg = small_config(n_batches=1)
+    mode = SiftingMode(cfg.sift_bits)
+    words = np.full(130, mode.overflow_marker << 2, dtype=mode.word_dtype)
+    words[-1] = CONTROL_DATA  # no further gap, a data detection
+    assert 129 * mode.overflow_marker >= cfg.chunk_qubits
+    overrun = frames.encode_sift_disclosure(cfg.chunk_qubits, words.size, words.tobytes())
+    ta, tb = LoopbackTransport.pair(timeout=20)
+    evil = _RewriteTransport(tb, CH_SIFTING, lambda p: overrun)
+    alice = AliceParty(cfg, ta)
+    errors = run_parties(alice, BobParty(cfg, evil), 30)
+    assert evil.rewritten
+    err = errors["alice"]
+    assert type(err) is SessionAborted and err.exit_code == EXIT_ABORT, repr(err)
+    assert "runs past its chunk" in str(err)
+    assert alice.total_qubits == 0
+    assert errors["bob"].exit_code == EXIT_ABORT, repr(errors["bob"])
 
 
 def _bump_window(payload: bytes) -> bytes:

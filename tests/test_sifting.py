@@ -246,7 +246,7 @@ def test_decoy_detections_leave_key_but_are_counted():
     qubits = np.arange(0, 2000, 7)
     ev = events_from(qubits)
     payload, n_blocks = encode(ev, SiftingMode(14))
-    view = decode_and_sift(seq, payload, SiftingMode(14), n_blocks)
+    view = decode_and_sift(seq, payload, SiftingMode(14), n_blocks, len(seq))
     decoy_hits = (seq.basis[qubits] == 1).sum()
     assert view.raw_count == qubits.size
     assert view.sifted_count == qubits.size - decoy_hits
@@ -281,6 +281,24 @@ def test_alignment_alice_bob_same_qubits():
     assert np.array_equal(res.alice_key_bits, res.bob_key_bits)
 
 
+class _NoLookup:
+    def at(self, indices):
+        raise AssertionError("looked up a qubit")
+
+
+def test_disclosure_past_its_chunk_is_refused_before_any_lookup():
+    # events at 10 and 20 need a chunk of at least 21 qubits; the last
+    # event's index alone decides, since events are strictly increasing
+    ev = events_from([10, 20], [CONTROL_DATA, CONTROL_MON_DEST])
+    payload, n_blocks = encode(ev, SiftingMode(14))
+    for n_qubits in (0, 11, 20):
+        with pytest.raises(SessionAborted, match="runs past its chunk") as info:
+            decode_and_sift(_NoLookup(), payload, SiftingMode(14), n_blocks, n_qubits)
+        assert info.value.exit_code == EXIT_ABORT
+    seq = prepare_sequence(ChannelParams(p_decoy=0.155), 21, stream(12))
+    assert decode_and_sift(seq, payload, SiftingMode(14), n_blocks, 21).raw_count == 1
+
+
 def test_monitor_disclosures_extracted():
     params = ChannelParams(p_decoy=0.155)
     seq = prepare_sequence(params, 1000, stream(10))
@@ -300,7 +318,7 @@ def test_counted_monitor_periods_are_those_whose_two_slots_interfere(control):
         seq = PreparedSequence(np.array([BASIS_DECOY, prev[0], here[0]], dtype=np.uint8),
                                np.array([0, prev[1], here[1]], dtype=np.uint8))
         payload, n_blocks = encode(events_from([2], [control]), SiftingMode(14))
-        view = decode_and_sift(seq, payload, SiftingMode(14), n_blocks)
+        view = decode_and_sift(seq, payload, SiftingMode(14), n_blocks, len(seq))
         both_interfere = bool(interfering_slot_mask(seq.at, np.array([4, 5])).all())
         counted = (view.monitor_dest, view.monitor_bright)[control == CONTROL_MON_OTHER]
         assert view.monitor_bright + view.monitor_dest == counted == both_interfere, (prev, here)
@@ -312,7 +330,7 @@ def test_monitor_period_0_is_never_counted():
     assert interfering_slot_mask(seq.at, np.array([1])).all()
     for control in (CONTROL_MON_DEST, CONTROL_MON_OTHER):
         payload, n_blocks = encode(events_from([0], [control]), SiftingMode(14))
-        view = decode_and_sift(seq, payload, SiftingMode(14), n_blocks)
+        view = decode_and_sift(seq, payload, SiftingMode(14), n_blocks, len(seq))
         assert view.monitor_bright == view.monitor_dest == 0
 
 
@@ -326,7 +344,7 @@ def test_counted_monitor_visibility_estimates_the_interferometer():
     data, monitor = sample_detections_ref(p, src, 1 << 28, rng)
     events = resolve_collisions(data, monitor, rng)
     payload, n_blocks = encode(events, SiftingMode(14))
-    view = decode_and_sift(src, payload, SiftingMode(14), n_blocks)
+    view = decode_and_sift(src, payload, SiftingMode(14), n_blocks, 1 << 28)
     bob_bits = events.bob_bit[events.data_mask()][view.keep_mask]
     qber = float((bob_bits != view.alice_key_bits).mean())
     n = view.monitor_bright + view.monitor_dest
