@@ -16,6 +16,10 @@ product sums the piece products over all limbs. With n <= MAX_LIMBS = 8,324
 every entry is below 8,324 * 2^42 < 2^56, so int64 cannot overflow; the 42
 entries are shifted into place and reduced mod p once. `AuthKeyState` keeps
 the key powers for the key's lifetime, grown only as far as a unit needs.
+
+`tag` and `verify` are arithmetic on (message, key, pad) alone: which pad
+serves which unit, and that none serves twice, is the key pool's business
+(`engine.keypool`).
 """
 
 from __future__ import annotations
@@ -40,14 +44,6 @@ _GROUP_BYTES = _GROUP_PIECES * PIECE_BITS // 8
 # piece k of a group sits 5k bits lower in its 64-bit word than piece 0 (see _pieces)
 _PIECE_SHIFTS = np.array([64 - PIECE_BITS - 5 * k for k in range(_GROUP_PIECES)],
                          dtype=np.uint64)
-
-
-class PadReuseError(RuntimeError):
-    """A one-time pad index was presented twice."""
-
-
-class PadScheduleError(RuntimeError):
-    """Both sides disagree about which pad applies to a unit."""
 
 
 def mod_p(x: int) -> int:
@@ -101,18 +97,11 @@ def poly_mac(message: bytes, state: AuthKeyState) -> int:
                      for j, row in enumerate(cross.tolist()) for l, c in enumerate(row)))
 
 
-@dataclass(frozen=True)
-class AuthTag:
-    message_unit_index: int  # the pad index
-    tag: int  # 127-bit OTP-encrypted hash
-
-
 @dataclass
 class AuthKeyState:
-    """Long-lived polynomial key plus the pad consumption ledger."""
+    """Long-lived polynomial key and the table of its powers."""
 
     poly_key: int
-    _used_pads: set = field(default_factory=set, repr=False)
     _powers: np.ndarray = field(  # rows of `_power_pieces` for k^0, k^1, ...
         default_factory=lambda: np.zeros((0, _POWER_PIECES), dtype=np.int64),
         repr=False, compare=False)
@@ -128,32 +117,15 @@ class AuthKeyState:
             self._powers = np.concatenate([self._powers, _power_pieces(grown)])
         return self._powers[:n]
 
-    def _claim(self, pad_index: int):
-        if pad_index in self._used_pads:
-            raise PadReuseError(f"pad {pad_index} already consumed")
-        self._used_pads.add(pad_index)
 
-    @property
-    def pads_consumed(self) -> int:
-        return len(self._used_pads)
+def tag(message: bytes, state: AuthKeyState, pad: int) -> int:
+    """The 127-bit tag of one message unit under a fresh pad."""
+    return poly_mac(message, state) ^ pad
 
 
-def tag(message: bytes, state: AuthKeyState, pad: int, pad_index: int) -> AuthTag:
-    """Authenticate one message unit under a fresh pad."""
-    state._claim(pad_index)
-    core = poly_mac(message, state)
-    return AuthTag(pad_index, core ^ pad)
-
-
-def verify(message: bytes, received: AuthTag, state: AuthKeyState,
-           pad: int, pad_index: int) -> bool:
+def verify(message: bytes, received: int, state: AuthKeyState, pad: int) -> bool:
     """Accept only if the locally computed tag matches the received one."""
-    if received.message_unit_index != pad_index:
-        raise PadScheduleError(
-            f"unit {received.message_unit_index} arrived while expecting {pad_index}")
-    state._claim(pad_index)
-    core = poly_mac(message, state)
-    return (core ^ pad) == received.tag
+    return (poly_mac(message, state) ^ pad) == received
 
 
 def deception_bound() -> float:
@@ -180,7 +152,11 @@ def consumption_fraction(classical_bits_per_secret_bit: float) -> float:
 # pre-shared key file
 # ---------------------------------------------------------------------------
 
-PSK_MIN_BYTES = 128  # 1024 bits
+# a 16-byte polynomial key and 64 pads. A full-size (512-block) first batch
+# spends up to 54 pads before its pool holds key (pad index 53 at 12.5 and
+# 25 km, 51 at 1 km, over two seeds); the other 10 pads, five units of
+# traffic, are margin. A shorter key is a configuration error.
+PSK_MIN_BYTES = 16 + 64 * 16
 
 
 @dataclass(frozen=True)

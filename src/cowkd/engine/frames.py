@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ..auth import TAG_BITS, AuthTag
+from ..auth import TAG_BITS
 from ..bitops import bytes48, pack_bits, unpack_bits, words48
 from ..errors import EXIT_ABORT, EXIT_CONFIG, SessionAborted
 from ..ldpc import syndrome_length
@@ -230,12 +230,13 @@ def decode_pa_seed(payload: bytes, batch: int, n_sift: int) -> np.ndarray:
 
 # -- authentication -----------------------------------------------------------------
 
-def encode_auth_tag(tag: AuthTag) -> bytes:
-    return _AUTH_TAG.pack(tag.message_unit_index, tag.tag.to_bytes(16, "big"))
+def encode_auth_tag(pad_index: int, tag: int) -> bytes:
+    return _AUTH_TAG.pack(pad_index, tag.to_bytes(16, "big"))
 
 
-def decode_auth_tag(data: bytes) -> AuthTag:
-    index, raw = _AUTH_TAG.unpack(data)
-    tag = AuthTag(index, int.from_bytes(raw, "big"))
-    _check(tag.tag >> TAG_BITS == 0, "auth tag exceeds 127 bits")
+def decode_auth_tag(payload: bytes, pad_index: int) -> int:
+    """The tag of a record that must name pad `pad_index`, the one the
+    receiver's schedule holds due."""
+    tag = int.from_bytes(_AUTH_TAG.unpack(payload, (pad_index,))[1], "big")
+    _check(tag >> TAG_BITS == 0, "auth tag exceeds 127 bits")
     return tag

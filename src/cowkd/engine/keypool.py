@@ -1,11 +1,20 @@
-"""Distilled-key store with exact consumption bookkeeping.
+"""Distilled-key store with exact consumption bookkeeping: the only ledger
+of authentication pads.
 
 The pool splits produced key between a pad stream feeding tag encryption and
 a delivery stream for external consumers. Pads are addressed by a global pad
-index (pre-shared pads first, then 127-bit slices of the reserved stream in
-order), so two parties replaying the same production/consumption schedule
-hold bit-identical pools regardless of the order the two directions request
-pads in. Delivered bytes are zeroized in place and never handed out twice.
+index, pre-shared pads first, then 127-bit slices of the pad stream in
+order. `take_pad` issues each index once: a repeat, or an index past the
+carved stream, raises `PadsExhausted` (exit 3).
+
+Each append carves the head of its block into the pad stream until the
+stream covers every index below `next_pad` plus `PAD_RESERVE_TARGET` pads
+ahead, and delivers the rest. `next_pad` is a position in the pad schedule
+that both parties reach at the same append, not a count of pads taken: the
+two take their pads at different times, the peer's tags still in flight. So
+two pools given the same appends and `next_pad`s carve alike and hold
+bit-identical streams whichever pads each has taken, in whatever order.
+Delivered bytes are zeroized in place and never handed out twice.
 """
 
 from __future__ import annotations
@@ -37,7 +46,6 @@ class PoolLedger:
     produced: int = 0  # bits appended from privacy amplification
     consumed_auth: int = 0  # bits consumed as tag pads (pool share only)
     delivered: int = 0  # bits handed to consumers
-    reserved_auth: int = 0  # bits carved for the pad stream so far
 
     @property
     def remaining(self) -> int:
@@ -85,23 +93,21 @@ class SecretKeyPool:
 
     # -- production -------------------------------------------------------
 
-    def append(self, bits: np.ndarray):
-        """Absorb one privacy-amplification output block (one bit per byte)."""
+    def append(self, bits: np.ndarray, next_pad: int):
+        """Absorb one privacy-amplification output block (one bit per byte),
+        carving pads for every index below `next_pad` and the reserve ahead."""
         bits = np.asarray(bits, dtype=np.uint8)
         self.ledger.produced += bits.size
-        want = PAD_RESERVE_TARGET * TAG_BITS
-        unused_pad_bits = self._pad_bits.size - self.ledger.consumed_auth
-        need = max(0, want - unused_pad_bits)
-        carve = min(need, bits.size)
+        want = (max(next_pad - len(self._psk_pads), 0) + PAD_RESERVE_TARGET) * TAG_BITS
+        carve = min(max(want - self._pad_bits.size, 0), bits.size)
         if carve:
             self._pad_bits.append(bits[:carve])
-            self.ledger.reserved_auth += carve
         self._delivery.append(bits[carve:])
 
     # -- authentication pads ------------------------------------------------
 
     def take_pad(self, pad_index: int) -> int:
-        """127-bit pad at a fixed global index (idempotent refusal on reuse)."""
+        """127-bit pad at a fixed global index, issued once."""
         if pad_index in self._pads_taken:
             raise PadsExhausted(f"pad {pad_index} already taken")
         if pad_index < len(self._psk_pads):
@@ -166,7 +172,7 @@ class SecretKeyPool:
             "produced_bits": self.ledger.produced,
             "consumed_auth_bits": self.ledger.consumed_auth,
             "delivered_bits": self.ledger.delivered,
-            "reserved_auth_bits": self.ledger.reserved_auth,
+            "reserved_auth_bits": self._pad_bits.size,
             "deliverable_bits": self.deliverable_bits,
             "pads_taken": len(self._pads_taken),
             "frozen": self.frozen,

@@ -41,9 +41,14 @@ stream, another domain of the same seed. Given the same session seed and
 configuration, transcripts and pools are bit-identical run to run.
 
 Per-direction authentication: every non-admin frame byte enters a 2^20-bit
-unit stream; each filled unit is tagged (pad index = 2*unit + direction) and
-the receiver re-verifies against its mirrored stream. A mismatch freezes key
-delivery and aborts the session.
+unit stream; each filled unit is tagged under pad index 2*unit + direction
+and the receiver re-verifies against its mirrored stream. A mismatch freezes
+key delivery and aborts the session. The key pool alone issues pads, each
+index once (`SecretKeyPool.take_pad`). Each batch's append carves pads up to
+`_Endpoint.next_pad`: the index past both directions' units through the last
+frame sent and the last frame read. At an append those are Bob's PA seed and
+Alice's estimation report on both sides, so the two pools carve alike,
+although each has yet to verify tags the other has already sent.
 
 Each batch is delivered only if its measured secret fraction covers the
 applied compression. The measurement uses what the two parties observe:
@@ -81,7 +86,7 @@ import numpy as np
 
 from .. import auth as auth_mod
 from .. import ldpc
-from ..auth import UNIT_BITS, AuthKeyState, PadScheduleError, parse_psk
+from ..auth import UNIT_BITS, AuthKeyState, parse_psk
 from ..cowsim import ChannelParams, QubitSource
 from ..cowsim.channel import sample_detections
 from ..errors import EXIT_AUTH_ALARM, EXIT_CONFIG, EXIT_OK, AuthAlarm, SessionAborted
@@ -239,6 +244,8 @@ class _Endpoint:
         self._in_buf = bytearray()
         self._out_units = 0
         self._in_units = 0
+        self._sent = 0  # stream bytes through the last frame sent, not the tags it triggers
+        self._read = 0  # stream bytes through the last frame read
         self.bytes_out: dict[int, int] = {c: 0 for c in CHANNEL_NAMES}
         self.bytes_in: dict[int, int] = {c: 0 for c in CHANNEL_NAMES}
         self._out_hash = hashlib.sha256()
@@ -254,6 +261,7 @@ class _Endpoint:
 
     def send(self, channel_id: int, payload: bytes):
         self._write(channel_id, encode_frame(channel_id, payload))
+        self._sent = self._out_units * _UNIT_BYTES + len(self._out_buf)
         # tag each unit the stream fills; a tag frame joins the stream too
         while len(self._out_buf) >= _UNIT_BYTES:
             unit = bytes(self._out_buf[:_UNIT_BYTES])
@@ -270,8 +278,8 @@ class _Endpoint:
     def _emit_tag(self, unit: bytes):
         pad_index = 2 * self._out_units + self.out_dir
         self._out_units += 1
-        tag = auth_mod.tag(unit, self.auth_state, self.pool.take_pad(pad_index), pad_index)
-        self._write(CH_AUTH_TAG, encode_frame(CH_AUTH_TAG, frames.encode_auth_tag(tag)))
+        tag = auth_mod.tag(unit, self.auth_state, self.pool.take_pad(pad_index))
+        self._write(CH_AUTH_TAG, encode_frame(CH_AUTH_TAG, frames.encode_auth_tag(pad_index, tag)))
 
     def flush_final_tag(self):
         """Tag whatever remains of the outbound stream (possibly empty)."""
@@ -300,6 +308,7 @@ class _Endpoint:
                 self._in_buf += header
                 self._in_buf += payload
             if channel_id != CH_AUTH_TAG:
+                self._read = self._in_units * _UNIT_BYTES + len(self._in_buf)
                 return channel_id, payload
 
     def expect(self, channel_id: int) -> bytes:
@@ -326,13 +335,18 @@ class _Endpoint:
         pad_index = 2 * unit + self.in_dir
         pad = self.pool.take_pad(pad_index)
         try:
-            tag = frames.decode_auth_tag(payload)
-            ok, problem = auth_mod.verify(message, tag, self.auth_state, pad, pad_index), "mismatch"
-        except (SessionAborted, PadScheduleError) as exc:  # malformed or out of schedule
+            tag = frames.decode_auth_tag(payload, pad_index)
+            ok, problem = auth_mod.verify(message, tag, self.auth_state, pad), "mismatch"
+        except SessionAborted as exc:  # malformed, or under another unit's pad
             ok, problem = False, str(exc)
         if not ok:
             self.pool.freeze()
             raise AuthAlarm(f"authentication failed on unit {unit}: {problem}")
+
+    def next_pad(self) -> int:
+        """The pad index past both directions' units through the last frame
+        sent and the last frame read: where the pool's carve reaches."""
+        return 2 * (max(self._sent, self._read) // _UNIT_BYTES) + 2
 
     # -- accounting --------------------------------------------------------------
 
@@ -425,7 +439,7 @@ class _PartyBase:
                 f"exceeds measured secret fraction {f_sec:.4f}")
             self.pool.freeze()
             raise SessionAborted(self.alarms[-1])
-        self.pool.append(key)
+        self.pool.append(key, self.ep.next_pad())
         stats = cfg.params.expected_stats()
         self.batches.append(BatchRow(
             batch=batch_index, qber_raw=est.qber_raw, qber_effective=est.qber_effective,

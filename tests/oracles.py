@@ -547,16 +547,16 @@ class SecretKeyPoolRef:
         self.frozen = False
         self.ledger = PoolLedger()
 
-    def append(self, bits: np.ndarray):
+    def append(self, bits: np.ndarray, next_pad: int):
+        """Carve pads until the stream covers every index below `next_pad`
+        and `PAD_RESERVE_TARGET` pads more; deliver the rest."""
         bits = np.asarray(bits, dtype=np.uint8)
         self.ledger.produced += bits.size
-        want = PAD_RESERVE_TARGET * TAG_BITS
-        unused_pad_bits = self._pad_bits.size - self.ledger.consumed_auth
-        need = max(0, want - unused_pad_bits)
+        stream_pads = max(next_pad - len(self._psk_pads), 0) + PAD_RESERVE_TARGET
+        need = max(0, stream_pads * TAG_BITS - self._pad_bits.size)
         carve = min(need, bits.size)
         if carve:
             self._pad_bits = np.concatenate([self._pad_bits, bits[:carve]])
-            self.ledger.reserved_auth += carve
         self._delivery = np.concatenate([self._delivery, bits[carve:]])
 
     def take_pad(self, pad_index: int) -> int:
@@ -609,7 +609,7 @@ class SecretKeyPoolRef:
             "produced_bits": self.ledger.produced,
             "consumed_auth_bits": self.ledger.consumed_auth,
             "delivered_bits": self.ledger.delivered,
-            "reserved_auth_bits": self.ledger.reserved_auth,
+            "reserved_auth_bits": self._pad_bits.size,
             "deliverable_bits": self.deliverable_bits,
             "pads_taken": len(self._pads_taken),
             "frozen": self.frozen,

@@ -9,12 +9,9 @@ from oracles import poly_mac_horner
 from cowkd.auth import (
     MAX_LIMBS,
     P127,
-    TAG_BITS,
+    PSK_MIN_BYTES,
     UNIT_BITS,
     AuthKeyState,
-    AuthTag,
-    PadReuseError,
-    PadScheduleError,
     PreSharedKey,
     consumption_fraction,
     consumption_report,
@@ -27,6 +24,7 @@ from cowkd.auth import (
     verify,
 )
 from cowkd.engine.frames import decode_auth_tag, encode_auth_tag
+from cowkd.errors import SessionAborted
 
 
 def test_field_mul_matches_bigint_oracle():
@@ -47,16 +45,15 @@ def test_mod_p_edge_cases():
 def test_empty_message_tag_equals_pad():
     state = AuthKeyState(poly_key=1234567)
     pad = 0x7FEDCBA987654321
-    t = tag(b"", state, pad, pad_index=0)
-    assert t.tag == pad
+    assert tag(b"", state, pad) == pad
 
 
 def test_same_message_two_pads_differ_by_pad_xor():
     state = AuthKeyState(poly_key=987654321)
     msg = b"service channel bytes"
-    t1 = tag(msg, state, 0x1111, 0)
-    t2 = tag(msg, state, 0x2222, 1)
-    assert t1.tag ^ t2.tag == 0x1111 ^ 0x2222
+    t1 = tag(msg, state, 0x1111)
+    t2 = tag(msg, state, 0x2222)
+    assert t1 ^ t2 == 0x1111 ^ 0x2222
 
 
 def test_deception_bound_below_1e33():
@@ -69,8 +66,9 @@ def test_verify_accepts_unmodified():
     state_b = AuthKeyState(poly_key=31337)
     msg = bytes(range(256)) * 4
     pad = (1 << 126) | 777
-    t = tag(msg, state_a, pad, 5)
-    assert verify(msg, t, state_b, pad, 5)
+    t = tag(msg, state_a, pad)
+    assert verify(msg, t, state_b, pad)
+    assert not verify(msg, t, state_b, pad ^ 1)
 
 
 def test_verify_rejects_single_bit_flip_monte_carlo():
@@ -92,22 +90,16 @@ def test_verify_rejects_truncation():
     state_a = AuthKeyState(poly_key=101)
     state_b = AuthKeyState(poly_key=101)
     msg = b"\x00" * 100  # truncating zeros only changes the length limb
-    t = tag(msg, state_a, 42, 0)
-    assert not verify(msg[:-1], t, state_b, 42, 0)
-
-
-def test_pad_reuse_is_hard_failure():
-    state = AuthKeyState(poly_key=999)
-    tag(b"a", state, 1, 0)
-    with pytest.raises(PadReuseError):
-        tag(b"b", state, 2, 0)
+    t = tag(msg, state_a, 42)
+    assert not verify(msg[:-1], t, state_b, 42)
 
 
 def test_pad_schedule_desync_aborts():
-    state = AuthKeyState(poly_key=999)
-    t = AuthTag(message_unit_index=3, tag=0)
-    with pytest.raises(PadScheduleError):
-        verify(b"x", t, state, 0, pad_index=4)
+    # the wire's pad index is a head field the receiver's schedule fixes;
+    # pad reuse is the key pool's to refuse (tests/test_engine.py,
+    # tests/test_packed_pool.py)
+    with pytest.raises(SessionAborted, match="out of step"):
+        decode_auth_tag(encode_auth_tag(3, 0), 4)
 
 
 def test_consumption_report_reference_points():
@@ -124,20 +116,14 @@ def test_consumption_fraction_at_217_bits_per_secret_bit():
     assert frac == 217 * 127 / 2**20
 
 
-def test_pad_ledger_matches_consumption():
-    state = AuthKeyState(poly_key=5)
-    sent_bits = 0
-    for i in range(7):
-        msg = bytes(1000 * (i + 1))
-        tag(msg, state, i + 10, i)
-        sent_bits += 8 * len(msg)
-    # every unit here is partial, so one pad per message
-    assert state.pads_consumed * TAG_BITS == 7 * 127
-
-
 def test_tag_wire_roundtrip():
-    t = AuthTag(9, (1 << 126) | 12345)
-    assert decode_auth_tag(encode_auth_tag(t)) == t
+    t = (1 << 126) | 12345
+    record = encode_auth_tag(9, t)
+    # pad index, 4 bytes, then the tag in 16 bytes, big-endian
+    assert record == bytes.fromhex("00000009" "40" + "00" * 13 + "3039")
+    assert decode_auth_tag(record, 9) == t
+    with pytest.raises(SessionAborted, match="exceeds 127 bits"):
+        decode_auth_tag(encode_auth_tag(9, 1 << 127), 9)
 
 
 def test_poly_mac_rejects_oversized_unit():
@@ -146,14 +132,15 @@ def test_poly_mac_rejects_oversized_unit():
 
 
 def test_psk_parsing():
-    raw = bytes(range(256)) * 1  # 256 bytes: 16 key + 15 pads
+    raw = (bytes(range(256)) * 5)[:PSK_MIN_BYTES]  # 1,040 bytes: 16 key + 64 pads
     psk = parse_psk(raw)
     assert isinstance(psk, PreSharedKey)
     assert 0 <= psk.poly_key < P127
-    assert len(psk.pads) == 15
+    assert len(psk.pads) == 64
     assert all(0 <= p < (1 << 127) for p in psk.pads)
-    with pytest.raises(ValueError):
-        parse_psk(b"short")
+    for short in (b"short", raw[:-1]):
+        with pytest.raises(ValueError):
+            parse_psk(short)
 
 
 def test_poly_mac_unit_speed():
@@ -195,11 +182,11 @@ def test_key_powers_grow_from_short_to_full_unit():
     key, pad = (1 << 126) | 0xABCDEF, 0x5A5A
     state = AuthKeyState(poly_key=key)
     short, full = b"short unit", np.random.default_rng(3).bytes(UNIT_BYTES)
-    assert tag(short, state, pad, 0).tag ^ pad == poly_mac_horner(short, key)
+    assert tag(short, state, pad) ^ pad == poly_mac_horner(short, key)
     assert state._powers.shape[0] == 2  # a length limb and one message limb
-    assert tag(full, state, pad, 1).tag ^ pad == poly_mac_horner(full, key)
+    assert tag(full, state, pad) ^ pad == poly_mac_horner(full, key)
     assert state._powers.shape[0] == MAX_LIMBS
-    assert tag(short, state, pad, 2).tag ^ pad == poly_mac_horner(short, key)
+    assert tag(short, state, pad) ^ pad == poly_mac_horner(short, key)
 
 
 @given(st.binary(max_size=3000), st.integers(0, P127 - 1))

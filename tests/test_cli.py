@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from cowkd.auth import PSK_MIN_BYTES
 from cowkd.cli import main
 
 SEED = "cd" * 32
@@ -116,13 +117,13 @@ def test_gen_psk(tmp_path, capsys):
 
 
 def test_run_with_a_psk_too_short_for_the_first_batch_exits_3(tmp_path, capsys):
-    # the shortest valid key, 128 bytes, holds 7 pads; a full 1 km batch
-    # needs more before its pool holds key
+    # the shortest valid key holds 64 pads, enough for a full-size first
+    # batch; a 1,024-block batch at 1 km needs more before its pool holds key
     path = tmp_path / "psk.bin"
-    assert main(["gen-psk", str(path), "--bytes", "128"]) == 0
+    assert main(["gen-psk", str(path), "--bytes", str(PSK_MIN_BYTES)]) == 0
     capsys.readouterr()
-    code = main(["run", "--psk", str(path), "--batches", "1", "--seed", SEED,
-                 "--out", str(tmp_path / "out")])
+    code = main(["run", "--psk", str(path), "--batches", "1", "--blocks-per-batch", "1024",
+                 "--seed", SEED, "--out", str(tmp_path / "out")])
     assert code == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("session aborted: "), err
@@ -212,9 +213,9 @@ def _channel_json_list(tmp_path):
     return path
 
 
-def _psk_of_100_bytes(tmp_path):
+def _psk_one_byte_short(tmp_path):
     path = tmp_path / "short.psk"
-    path.write_bytes(bytes(100))
+    path.write_bytes(bytes(PSK_MIN_BYTES - 1))
     return path
 
 
@@ -230,7 +231,7 @@ def _run_config_naming_the_handler(tmp_path):
     ("--channel-config", _channel_json_with_unknown_key),
     ("--channel-config", _channel_json_list),
     ("--config", _run_config_naming_the_handler),
-    ("--psk", _psk_of_100_bytes),
+    ("--psk", _psk_one_byte_short),
     ("--compression", lambda tmp_path: "150"),  # percent, so a ratio of 1.5
 ], ids=["missing psk file", "missing channel file", "unknown channel key", "channel list",
         "non-flag config key", "psk too short", "compression over 100 percent"])

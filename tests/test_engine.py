@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from cowkd.auth import TAG_BITS, parse_psk
+from cowkd.auth import PSK_MIN_BYTES, TAG_BITS, parse_psk
 from cowkd.engine import (
     EXIT_ABORT,
     EXIT_CONFIG,
@@ -175,9 +175,10 @@ def make_pool():
 
 
 def delivering_pool():
-    """A pool whose pad reserve is already full, so that it delivers all it absorbs next."""
+    """A pool whose pad reserve is already full, so that it delivers all it
+    absorbs next while no pad index passes the pre-shared pads (next_pad 0)."""
     pool = make_pool()
-    pool.append(np.zeros(PAD_RESERVE_TARGET * TAG_BITS, dtype=np.uint8))
+    pool.append(np.zeros(PAD_RESERVE_TARGET * TAG_BITS, dtype=np.uint8), next_pad=0)
     assert pool.deliverable_bits == 0
     return pool
 
@@ -192,10 +193,12 @@ def test_pool_psk_pads_then_reserved_stream():
     with pytest.raises(PadsExhausted):
         pool.take_pad(n_psk)  # nothing produced yet
     rng = np.random.default_rng(3)
-    pool.append(rng.integers(0, 2, size=2000).astype(np.uint8))
+    pool.append(rng.integers(0, 2, size=2000).astype(np.uint8), next_pad=0)
     v1 = pool.take_pad(n_psk)
     v2 = pool.take_pad(n_psk + 1)
     assert v1 != v2
+    with pytest.raises(PadsExhausted):
+        pool.take_pad(n_psk)  # a carved pad is single use too
     assert pool.ledger.consumed_auth == 2 * TAG_BITS
 
 
@@ -204,8 +207,8 @@ def test_pool_pad_order_independence():
     bits = rng.integers(0, 2, size=3000).astype(np.uint8)
     a = make_pool()
     b = make_pool()
-    a.append(bits)
-    b.append(bits)
+    a.append(bits, next_pad=0)
+    b.append(bits, next_pad=0)
     n_psk = (len(PSK) - 16) // 16
     idx = [n_psk, n_psk + 2, n_psk + 1]
     vals_a = [a.take_pad(i) for i in idx]
@@ -214,10 +217,39 @@ def test_pool_pad_order_independence():
     assert a.digest() == b.digest()
 
 
+def test_pools_carve_alike_whenever_their_pads_are_taken():
+    # in a session each party takes the pads of its own tags at once and the
+    # peer's only when their tags arrive; both append under the same
+    # next_pad, so both pools carve alike and hand out the same pads
+    n_psk = len(parse_psk(PSK).pads)
+    rng = np.random.default_rng(12)
+    a, b = make_pool(), make_pool()
+    pads_a, pads_b, late = {}, {}, []
+    start = n_psk - 60
+    for next_pad in (n_psk - 30, n_psk + 50, n_psk + 140, n_psk + 230):
+        block = rng.integers(0, 2, 40_000, dtype=np.uint8)
+        a.append(block, next_pad)
+        b.append(block, next_pad)
+        assert a.digest() == b.digest()
+        for i in reversed(late):  # b's pads of the last round, after the append
+            pads_b[i] = b.take_pad(i)
+        due = range(start, next_pad + PAD_RESERVE_TARGET // 2)
+        for i in due:
+            pads_a[i] = a.take_pad(i)
+        for i in due[::2]:
+            pads_b[i] = b.take_pad(i)
+        late, start = list(due[1::2]), due.stop
+    for i in late:
+        pads_b[i] = b.take_pad(i)
+    assert pads_a == pads_b
+    assert a.summary() == b.summary()
+    assert a.summary()["reserved_auth_bits"] == (230 + PAD_RESERVE_TARGET) * TAG_BITS
+
+
 def test_pool_delivery_disjoint_and_zeroized():
     pool = delivering_pool()
     rng = np.random.default_rng(5)
-    pool.append(rng.integers(0, 2, size=4096).astype(np.uint8))
+    pool.append(rng.integers(0, 2, size=4096).astype(np.uint8), next_pad=0)
     k1 = pool.deliver(128)
     k2 = pool.deliver(128)
     assert k1 != k2
@@ -232,7 +264,7 @@ def test_pool_delivery_cadence_identity():
     # 30 fresh 128-bit keys per second needs exactly 3840 bps of delivery
     pool = delivering_pool()
     rng = np.random.default_rng(6)
-    pool.append(rng.integers(0, 2, size=3840).astype(np.uint8))
+    pool.append(rng.integers(0, 2, size=3840).astype(np.uint8), next_pad=0)
     for _ in range(30):
         pool.deliver(128)
     assert pool.deliverable_bits == 0
@@ -241,7 +273,7 @@ def test_pool_delivery_cadence_identity():
 
 def test_pool_freeze_blocks_delivery():
     pool = delivering_pool()
-    pool.append(np.ones(512, dtype=np.uint8))
+    pool.append(np.ones(512, dtype=np.uint8), next_pad=0)
     pool.freeze()
     with pytest.raises(DeliveryFrozen):
         pool.deliver(128)
@@ -316,6 +348,9 @@ def test_session_auth_reconciliation():
     n_psk = (len(PSK) - 16) // 16
     pool_pads = max(0, ra["pool"]["pads_taken"] - n_psk)
     assert ra["pool"]["consumed_auth_bits"] == pool_pads * TAG_BITS
+    # the pool issues one pad per unit tagged or verified, and no other
+    for report in (ra, rb):
+        assert report["pool"]["pads_taken"] == report["auth_units"]
 
 
 def test_session_with_heavy_drops_still_agrees():
@@ -404,13 +439,34 @@ def test_both_parties_close_each_batch_alike(cfg):
     assert ra["per_batch"] == rb["per_batch"]
 
 
+@pytest.mark.parametrize("km, n_batches, blocks, chunk", [
+    (1.0, 40, 64, 1 << 23),  # was an authentication alarm on unit 81
+    (1.0, 60, 32, 1 << 22),  # was exit 0 with different pools
+    (25.0, 16, 64, 1 << 23),  # was exit 0 with different pools
+], ids=["1 km 40x64", "1 km 60x32", "25 km 16x64"])
+def test_sessions_past_the_pre_shared_pads_keep_equal_pools(km, n_batches, blocks, chunk):
+    # on the shortest valid key the pads soon come from the pool's stream.
+    # Each party has taken its own tags' pads by an append but not yet those
+    # of the peer's tags in flight; both carve from the schedule position
+    # they share, so the pools stay equal and every tag verifies
+    cfg = small_config(params=channel_params(km), n_batches=n_batches, blocks_per_batch=blocks,
+                       chunk_qubits=chunk, seed_hex="5e" * 32, psk=PSK[:PSK_MIN_BYTES])
+    ra, rb = run_session(cfg)
+    assert ra["pool_digest"] == rb["pool_digest"]
+    for report in (ra, rb):
+        assert report["exit_code"] == 0 and report["alarms"] == []
+        assert report["batches"] == n_batches
+        assert report["pool"]["consumed_auth_bits"] > 0  # pads past the pre-shared ones
+
+
 def test_psk_too_short_for_the_first_batch_aborts_both_with_exit_3():
-    # a 128-byte key holds 7 pads; a full 1 km batch tags more units than
-    # that before the pool holds any key, so both parties end in exit 3 with
-    # live pools, never in a stray exception or an authentication alarm
-    cfg = SessionConfig(params=channel_params(1.0), n_batches=1, seed_hex="5e" * 32,
-                        psk=PSK[:128])
-    assert len(parse_psk(cfg.psk).pads) == 7
+    # the shortest valid key holds 64 pads, enough for a full-size first
+    # batch; a 1,024-block batch at 1 km tags more units than that before
+    # the pool holds any key, so both parties end in exit 3 with live
+    # pools, never in a stray exception or an authentication alarm
+    cfg = SessionConfig(params=channel_params(1.0), n_batches=1, blocks_per_batch=1024,
+                        seed_hex="5e" * 32, psk=PSK[:PSK_MIN_BYTES])
+    assert len(parse_psk(cfg.psk).pads) == 64
     ta, tb = LoopbackTransport.pair(timeout=20)
     alice, bob = AliceParty(cfg, ta), BobParty(cfg, tb)
     errors = run_parties(alice, bob, 30)
@@ -749,8 +805,8 @@ def test_pool_otp_utility_round_trip():
     b = delivering_pool()
     rng = np.random.default_rng(9)
     bits = rng.integers(0, 2, size=4096).astype(np.uint8)
-    a.append(bits)
-    b.append(bits)
+    a.append(bits, next_pad=0)
+    b.append(bits, next_pad=0)
     msg = b"one-time pad demo payload"
     ct = a.otp_encrypt(msg)
     assert ct != msg

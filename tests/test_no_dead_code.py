@@ -30,7 +30,6 @@ ALLOWED = {
     "deception_bound",  # auth: MAC forgery bound
     "consumption_fraction",  # auth: key share spent on tags
     "consumption_report",  # auth: the consumption figures per reference point
-    "pads_consumed",  # auth: pads a session of a given length spends
     # perfbench's tracer binds it by name
     "lfsr_expand",  # privamp.lfsr_expand
     # the write side of ChannelParams.load's file format

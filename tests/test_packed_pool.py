@@ -39,13 +39,17 @@ def same_state(pool, ref):
     assert pool.digest() == ref.digest()
 
 
+# an append's next_pad: inside the pre-shared pads, or up to 200 pads past them
+next_pads = st.integers(0, N_PSK_PADS + 200)
 appends = st.tuples(st.just("append"), st.integers(1, 6000).filter(lambda n: n % 8),
-                   st.integers(0, 2 ** 32 - 1))  # sizes off byte boundaries
+                    st.integers(0, 2 ** 32 - 1), next_pads)  # sizes off byte boundaries
 operations = st.one_of(
     appends,
     appends,
     # pre-shared pads, carved pads in any order, repeats and pads not yet carved
     st.tuples(st.just("take_pad"), st.integers(N_PSK_PADS - 2, N_PSK_PADS + 100)),
+    # the first carved pads, so that a carved pad is often asked for twice
+    st.tuples(st.just("take_pad"), st.integers(N_PSK_PADS, N_PSK_PADS + 3)),
     st.tuples(st.just("deliver"), st.integers(0, 400).map(lambda n: 8 * n)),
     st.tuples(st.just("deliver"), st.integers(0, 60).map(lambda n: 8 * n)),
     st.tuples(st.just("deliver"), st.integers(1, 64).filter(lambda n: n % 8)),
@@ -53,9 +57,10 @@ operations = st.one_of(
 
 
 # a first block of none to over twice the pad reserve (12,192 bits), so that
-# delivery starts at once, later or not at all
+# delivery starts at once, later or not at all (at once only while next_pad
+# stays inside the pre-shared pads)
 first_append = st.tuples(st.just("append"), st.integers(0, 4).map(lambda k: 7_001 * k),
-                         st.integers(0, 2 ** 32 - 1))
+                         st.integers(0, 2 ** 32 - 1), next_pads)
 
 
 @settings(max_examples=150, deadline=None)
@@ -67,10 +72,10 @@ def test_packed_pool_matches_reference(first, schedule, freeze_at):
             pool.freeze()
             ref.freeze()
         if op == "append":
-            n, seed = args
+            n, seed, next_pad = args
             bits = np.random.default_rng(seed).integers(0, 2, n, dtype=np.uint8)
-            pool.append(bits)
-            ref.append(bits.copy())
+            pool.append(bits, next_pad)
+            ref.append(bits.copy(), next_pad)
         elif op == "take_pad":
             assert outcome(lambda: pool.take_pad(*args)) == outcome(lambda: ref.take_pad(*args))
         else:
@@ -90,7 +95,7 @@ def test_pool_storage_grows_with_the_key_not_the_appends():
     copied = 0  # bytes of history copied into grown buffers
     for _ in range(n_appends):
         before = [s.buf for s in streams]
-        pool.append(block)
+        pool.append(block, next_pad=0)
         for k, (s, old) in enumerate(zip(streams, before)):
             if s.buf is not old:
                 grown[k] += 1
