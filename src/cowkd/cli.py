@@ -18,8 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import ldpc
+from .auth import parse_psk
+from .cowsim import ChannelParams
 from .engine import (
-    EXIT_ABORT,
     EXIT_CONFIG,
     EXIT_OK,
     AliceParty,
@@ -73,39 +74,41 @@ def _read_config_file(args) -> dict:
     return settings
 
 
-def _build_config(args) -> SessionConfig:
-    if args.channel_config:
-        from .cowsim import ChannelParams
-
-        params = ChannelParams.load(args.channel_config)
-    else:
-        params = channel_params(args.fibre_km)
-    if args.compression == "auto":
-        compression = None
-    else:
-        compression = float(args.compression) / 100.0
-    seed_hex = args.seed or os.urandom(32).hex()
-    if args.psk:
-        psk = Path(args.psk).read_bytes()
-    else:
-        psk = _psk_from_seed(seed_hex)
-    return SessionConfig(
-        params=params,
-        code_rate=args.rate,
-        sift_bits=args.sift_bits,
-        compression=compression,
-        n_batches=args.batches,
-        blocks_per_batch=args.blocks_per_batch,
-        chunk_qubits=args.chunk_qubits,
-        seed_hex=seed_hex,
-        psk=psk,
-        enforce_compression_bound=not args.no_security_check,
-    )
+def _build_config(args, fibre_km: float | None) -> SessionConfig:
+    """The session the parsed options describe, `fibre_km` (if given) replacing
+    the channel's fibre length; any bad value is a configuration error."""
+    try:
+        if args.channel_config:
+            params = ChannelParams.load(args.channel_config)
+            if fibre_km is not None:
+                params = params.with_(fibre_km=fibre_km)
+        else:
+            params = channel_params(1.0 if fibre_km is None else fibre_km)
+        compression = None if args.compression == "auto" else float(args.compression) / 100
+        seed_hex = args.seed or os.urandom(32).hex()
+        psk = Path(args.psk).read_bytes() if args.psk else _psk_from_seed(seed_hex)
+        return SessionConfig(
+            params=params,
+            code_rate=args.rate,
+            sift_bits=args.sift_bits,
+            compression=compression,
+            n_batches=args.batches,
+            blocks_per_batch=args.blocks_per_batch,
+            chunk_qubits=args.chunk_qubits,
+            seed_hex=seed_hex,
+            psk=psk,
+            enforce_compression_bound=not args.no_security_check,
+        )
+    except (TypeError, ValueError, OSError) as exc:  # OSError: unreadable file
+        raise SessionAborted(str(exc), EXIT_CONFIG) from exc
 
 
 BATCH_COLUMNS = ("batch", "qber_raw", "qber_effective", "visibility_raw",
                  "visibility_corrected", "f_sec_measured", "compression",
                  "n_out_bits", "attempted_blocks", "dropped_blocks", "monitor_clicks")
+FIBRE_SWEEP_COLUMNS = ("fibre_km", "sifted_rate_bps", "secret_rate_bps",
+                       "authenticated_rate_bps", "qber_raw", "qber_effective",
+                       "visibility_raw", "compression", "classical_bits_per_secret_bit")
 
 
 def _write_report(out_dir: Path, report: dict):
@@ -138,42 +141,45 @@ def _print_summary(report: dict):
         print("ALARMS:", "; ".join(report["alarms"]))
 
 
+def _run_loopback(args, fibre_km: float | None, out_dir: Path) -> dict:
+    """Run both parties in this process, write both reports; Bob's report."""
+    report_a, report_b = run_session(_build_config(args, fibre_km))
+    _write_report(out_dir, report_a)
+    _write_report(out_dir, report_b)
+    if report_a["pool_digest"] != report_b["pool_digest"]:
+        raise SessionAborted("pool mismatch between the parties")
+    return report_b
+
+
+def _run_tcp(args) -> dict:
+    """Run this process's party of a `tcp:host:port` session; its report."""
+    config = _build_config(args, args.fibre_km)
+    if args.role not in ("alice", "bob"):
+        raise SessionAborted(f"tcp transport requires --role alice or bob, not {args.role}",
+                             EXIT_CONFIG)
+    try:
+        host, port = parse_endpoint(args.transport.removeprefix("tcp:"))
+    except ValueError as exc:
+        raise SessionAborted(str(exc), EXIT_CONFIG) from exc
+    try:
+        if args.role == "bob":
+            transport = TcpTransport.listen_accept(host, port, timeout=args.timeout)
+        else:  # retry until Bob listens, for up to the timeout
+            transport = TcpTransport.connect(host, port, timeout=args.timeout,
+                                             retries=max(1, int(args.timeout / 0.1)))
+    except OSError as exc:  # refused, unreachable or timed out
+        raise SessionAborted(f"no connection to {host}:{port}: {exc}") from exc
+    report = (BobParty if args.role == "bob" else AliceParty)(config, transport).run()
+    _write_report(Path(args.out), report)
+    return report
+
+
 def cmd_run(args) -> int:
-    try:
-        config = _build_config(args)
-    except (SessionAborted, KeyError, ValueError, OSError) as exc:  # OSError: unreadable file
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    out_dir = Path(args.out)
-    try:
-        if args.transport == "loopback":
-            report_a, report_b = run_session(config)
-            _write_report(out_dir, report_a)
-            _write_report(out_dir, report_b)
-            _print_summary(report_b)
-            if report_a["pool_digest"] != report_b["pool_digest"]:
-                print("POOL MISMATCH", file=sys.stderr)
-                return EXIT_ABORT
-        else:
-            if args.role is None:
-                print("tcp transport requires --role alice|bob", file=sys.stderr)
-                return EXIT_CONFIG
-            host, port = parse_endpoint(args.transport.removeprefix("tcp:"))
-            try:
-                if args.role == "bob":
-                    transport = TcpTransport.listen_accept(host, port, timeout=args.timeout)
-                else:  # retry until Bob listens, for up to the timeout
-                    transport = TcpTransport.connect(host, port, timeout=args.timeout,
-                                                     retries=max(1, int(args.timeout / 0.1)))
-            except OSError as exc:  # refused, unreachable or timed out
-                raise SessionAborted(f"no connection to {host}:{port}: {exc}") from exc
-            party = (BobParty if args.role == "bob" else AliceParty)(config, transport)
-            report = party.run()
-            _write_report(out_dir, report)
-            _print_summary(report)
-    except SessionAborted as exc:
-        print(f"session aborted: {exc}", file=sys.stderr)
-        return exc.exit_code
+    if args.transport == "loopback":
+        report = _run_loopback(args, args.fibre_km, Path(args.out))
+    else:
+        report = _run_tcp(args)
+    _print_summary(report)
     return EXIT_OK
 
 
@@ -186,12 +192,21 @@ def _parse_values(text: str) -> list[float]:
     return [float(v) for v in text.split(",")]
 
 
+def _sift_cost_row(p: float) -> list:
+    c6 = sifting_cost(p, SiftingMode(6))
+    c14 = sifting_cost(p, SiftingMode(14))
+    sh = shannon_limit(p)
+    best = min(c6, c14)
+    return [p, c6, c14, best, sh, best / sh if sh else ""]
+
+
 def cmd_sweep(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         values = _parse_values(args.values)
-    except ValueError as exc:
+        sift_rows = [_sift_cost_row(p) for p in values] if args.param == "sift-p" else []
+    except ValueError as exc:  # a detection probability outside (0, 1] too
         print(f"bad sweep range: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -201,38 +216,17 @@ def cmd_sweep(args) -> int:
             w = csv.writer(fh)
             w.writerow(["p_detect", "cost_6bit", "cost_14bit", "best_cost",
                         "shannon_limit", "best_over_shannon"])
-            for p in values:
-                c6 = sifting_cost(p, SiftingMode(6))
-                c14 = sifting_cost(p, SiftingMode(14))
-                sh = shannon_limit(p)
-                best = min(c6, c14)
-                w.writerow([p, c6, c14, best, sh, best / sh if sh else ""])
+            w.writerows(sift_rows)
         print(f"wrote {path}")
         return EXIT_OK
 
     # --param is fibre-km, the only other choice
+    rows = [{**_run_loopback(args, km, out_dir / f"run_{km:g}km"), "fibre_km": km}
+            for km in values]
     path = out_dir / "fibre_sweep.csv"
-    rows = []
-    for km in values:
-        sub = argparse.Namespace(**vars(args))
-        sub.fibre_km = km
-        sub.out = str(out_dir / f"run_{km:g}km")
-        sub.transport = "loopback"
-        code = cmd_run(sub)
-        if code != EXIT_OK:
-            return code
-        report = json.loads((Path(sub.out) / "report_bob.json").read_text())
-        rows.append([km, report["sifted_rate_bps"], report["secret_rate_bps"],
-                     report["authenticated_rate_bps"], report["qber_raw"],
-                     report["qber_effective"], report["visibility_raw"],
-                     report["compression"],
-                     report["classical_bits_per_secret_bit"]])
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["fibre_km", "sifted_rate_bps", "secret_rate_bps",
-                    "authenticated_rate_bps", "qber_raw", "qber_effective",
-                    "visibility_raw", "compression",
-                    "classical_bits_per_secret_bit"])
+        w = csv.DictWriter(fh, FIBRE_SWEEP_COLUMNS, extrasaction="ignore")
+        w.writeheader()
         w.writerows(rows)
     print(f"wrote {path}")
     return EXIT_OK
@@ -288,16 +282,22 @@ def cmd_finite_key(args) -> int:
 
 
 def cmd_gen_psk(args) -> int:
-    data = os.urandom(args.bytes)
+    data = os.urandom(max(args.bytes, 0))
+    try:
+        parse_psk(data)  # a key too short for `run` is refused here
+    except ValueError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     Path(args.path).write_bytes(data)
     print(f"wrote {args.bytes} bytes to {args.path}")
     return EXIT_OK
 
 
-def _add_run_args(p):
-    p.add_argument("--fibre-km", type=float, default=1.0)
-    p.add_argument("--rate", default="3/4", choices=["1/2", "2/3", "3/4", "5/6"])
-    p.add_argument("--sift-bits", type=int, default=14, choices=[6, 14])
+def _add_session_args(p):
+    """Options of a loopback session, shared by `run` and `sweep`."""
+    p.add_argument("--rate", default="3/4",
+                   help=f"LDPC code rate, one of {', '.join(map(str, ldpc.RATES))}")
+    p.add_argument("--sift-bits", type=int, default=14, help="sifting time-field width")
     p.add_argument("--compression", default="auto",
                    help="percent (e.g. 11.5) or 'auto'")
     p.add_argument("--batches", type=int, default=3)
@@ -305,10 +305,6 @@ def _add_run_args(p):
     p.add_argument("--chunk-qubits", type=int, default=1 << 24)
     p.add_argument("--seed", default=None, help="hex256 for deterministic runs")
     p.add_argument("--psk", default=None, help="pre-shared key file")
-    p.add_argument("--transport", default="loopback",
-                   help="'loopback' or 'tcp:host:port'")
-    p.add_argument("--role", default=None, choices=["alice", "bob"])
-    p.add_argument("--timeout", type=float, default=120.0)
     p.add_argument("--out", default="out")
     p.add_argument("--no-security-check", action="store_true",
                    help="skip the per-batch compression bound (test runs)")
@@ -325,14 +321,20 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="simulate a distillation session")
-    _add_run_args(p_run)
+    p_run.add_argument("--fibre-km", type=float, default=None,
+                       help="fibre length (default: --channel-config's, or 1 km)")
+    p_run.add_argument("--transport", default="loopback",
+                       help="'loopback' or 'tcp:host:port'")
+    p_run.add_argument("--role", default=None, help="alice or bob, over tcp")
+    p_run.add_argument("--timeout", type=float, default=120.0)
+    _add_session_args(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="sweep a parameter and emit a CSV curve")
     p_sweep.add_argument("--param", required=True, choices=["fibre-km", "sift-p"])
     p_sweep.add_argument("--values", required=True,
                          help="comma list or lo:hi:n geometric grid")
-    _add_run_args(p_sweep)
+    _add_session_args(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_fk = sub.add_parser("finite-key", help="evaluate the finite-key secret fraction")
@@ -369,7 +371,12 @@ def main(argv=None) -> int:
         # parses from argv wins, however it is spelled
         sub.choices[args.command].set_defaults(**settings)
         args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SessionAborted as exc:  # one line for a session that ends early
+        kind = "configuration error" if exc.exit_code == EXIT_CONFIG else "session aborted"
+        print(f"{kind}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

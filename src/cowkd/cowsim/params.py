@@ -56,6 +56,12 @@ class ChannelParams:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name}={v} outside [0, 1]")
+        # a negative loss would bring Bob more light than Alice sends
+        losses = {"fibre_km": self.fibre_km, "atten_db_per_km": self.atten_db_per_km,
+                  **self.insertion_losses_db}
+        for name, v in losses.items():
+            if not v >= 0.0:  # NaN too
+                raise ValueError(f"{name}={v} must be at least 0")
 
     # -- transmission arithmetic ----------------------------------------------
 

@@ -48,7 +48,9 @@ index once (`SecretKeyPool.take_pad`). Each batch's append carves pads up to
 `_Endpoint.next_pad`: the index past both directions' units through the last
 frame sent and the last frame read. At an append those are Bob's PA seed and
 Alice's estimation report on both sides, so the two pools carve alike,
-although each has yet to verify tags the other has already sent.
+although each has yet to verify tags the other has already sent. The carve
+reaches 1.5 times the pad span of the batch just closed past that index, or
+the pool's reserve if more, so a large batch does not outrun its pads.
 
 Each batch is delivered only if its measured secret fraction covers the
 applied compression. The measurement uses what the two parties observe:
@@ -81,6 +83,7 @@ import hashlib
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -117,7 +120,7 @@ from .frames import (
     decode_header,
     encode_frame,
 )
-from .keypool import SecretKeyPool
+from .keypool import PAD_RESERVE_TARGET, SecretKeyPool
 from .transport import TransportClosed
 
 # domain labels of the session seed's streams
@@ -154,20 +157,22 @@ class SessionConfig:
     enforce_compression_bound: bool = True
 
     def __post_init__(self):
-        for name in ("chunk_qubits", "blocks_per_batch", "n_batches"):
-            if getattr(self, name) < 1:
-                raise SessionAborted(f"{name} must be at least 1, not {getattr(self, name)}",
-                                     EXIT_CONFIG)
-        if self.chunk_qubits > ALICE_BUFFER_QUBITS:
-            raise SessionAborted(
-                "sifting chunk exceeds Alice's preparation buffer", EXIT_CONFIG)
-        if not self.psk:
-            raise SessionAborted("pre-shared key required", EXIT_CONFIG)
+        # every bad value ends here, in one configuration error (exit 2)
         try:
+            for name in ("chunk_qubits", "blocks_per_batch", "n_batches"):
+                value = getattr(self, name)
+                if not isinstance(value, Integral) or value < 1:
+                    raise ValueError(f"{name} must be a whole number of at least 1, not {value!r}")
+            if self.chunk_qubits > ALICE_BUFFER_QUBITS:
+                raise ValueError("sifting chunk exceeds Alice's preparation buffer")
             parse_psk(self.psk)
+            ldpc.as_rate(self.code_rate)
+            SiftingMode(self.sift_bits)
+            if self.seed_hex is not None:
+                EntropySeed.from_hex(self.seed_hex)
             if self.compression is not None:
                 quantize_compression(self.compression)
-        except ValueError as exc:  # a short key or a ratio outside [0, 1]
+        except (TypeError, ValueError) as exc:
             raise SessionAborted(str(exc), EXIT_CONFIG) from exc
 
     @property
@@ -410,6 +415,7 @@ class _PartyBase:
         self.alarms: list[str] = []
         self.window = 0  # EC windows so far
         self._dropped_blocks = 0  # since the last amplification round
+        self._appended_pad = 0  # pad schedule position at the last append
 
     def run(self) -> dict:
         try:
@@ -439,7 +445,11 @@ class _PartyBase:
                 f"exceeds measured secret fraction {f_sec:.4f}")
             self.pool.freeze()
             raise SessionAborted(self.alarms[-1])
-        self.pool.append(key, self.ep.next_pad())
+        # carve ahead by 1.5 times the pad span of the batch just closed, at
+        # least the reserve; both parties measure the same span
+        next_pad = self.ep.next_pad()
+        span, self._appended_pad = next_pad - self._appended_pad, next_pad
+        self.pool.append(key, next_pad + max(0, span + span // 2 - PAD_RESERVE_TARGET))
         stats = cfg.params.expected_stats()
         self.batches.append(BatchRow(
             batch=batch_index, qber_raw=est.qber_raw, qber_effective=est.qber_effective,

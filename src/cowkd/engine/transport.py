@@ -89,5 +89,8 @@ class LoopbackTransport(TcpTransport):
 
 
 def parse_endpoint(spec: str) -> tuple[str, int]:
+    """`host:port` (host 127.0.0.1 if empty); ValueError if malformed."""
     host, _, port = spec.rpartition(":")
+    if not (port.isdecimal() and int(port) < 1 << 16):
+        raise ValueError(f"endpoint {spec!r} is not host:port")
     return host or "127.0.0.1", int(port)

@@ -31,11 +31,10 @@ def syndrome_length(rate: Fraction) -> int:
 
 def as_rate(value) -> Fraction:
     """Normalize '3/4', 0.75 or Fraction(3, 4) to a supported code rate."""
-    if isinstance(value, str):
-        num, den = value.split("/")
-        rate = Fraction(int(num), int(den))
-    else:
-        rate = Fraction(value).limit_denominator(6)
+    try:
+        rate = Fraction(value) if isinstance(value, str) else Fraction(value).limit_denominator(6)
+    except (ArithmeticError, TypeError, ValueError):  # "1/0", inf, None, "x"
+        rate = None
     if rate not in RATES:
         raise ValueError(f"unsupported code rate {value!r}; have {[str(r) for r in RATES]}")
     return rate

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import socket
 import subprocess
 import sys
@@ -219,9 +220,9 @@ def _psk_one_byte_short(tmp_path):
     return path
 
 
-def _run_config_naming_the_handler(tmp_path):
+def _run_config(tmp_path, settings):
     path = tmp_path / "run.json"
-    path.write_text(json.dumps({"func": 1}))
+    path.write_text(json.dumps(settings))
     return path
 
 
@@ -230,11 +231,21 @@ def _run_config_naming_the_handler(tmp_path):
     ("--channel-config", lambda tmp_path: tmp_path / "missing.json"),
     ("--channel-config", _channel_json_with_unknown_key),
     ("--channel-config", _channel_json_list),
-    ("--config", _run_config_naming_the_handler),
+    ("--config", lambda tmp_path: _run_config(tmp_path, {"func": 1})),
     ("--psk", _psk_one_byte_short),
     ("--compression", lambda tmp_path: "150"),  # percent, so a ratio of 1.5
+    # a flag and a config value meet one check, in SessionConfig; the config
+    # values, the short seed and the negative fibre used to get past it
+    ("--rate", lambda tmp_path: "7/8"),
+    ("--sift-bits", lambda tmp_path: "7"),
+    ("--seed", lambda tmp_path: "abcd"),  # the last --seed wins
+    ("--config", lambda tmp_path: _run_config(tmp_path, {"rate": "7/8"})),
+    ("--config", lambda tmp_path: _run_config(tmp_path, {"sift_bits": 7})),
+    ("--fibre-km", lambda tmp_path: "-5"),
 ], ids=["missing psk file", "missing channel file", "unknown channel key", "channel list",
-        "non-flag config key", "psk too short", "compression over 100 percent"])
+        "non-flag config key", "psk too short", "compression over 100 percent", "rate flag",
+        "sift-bits flag", "short seed", "rate in config", "sift bits in config",
+        "negative fibre"])
 def test_bad_input_file_is_one_line_config_error(flag, make_file, tmp_path, capsys):
     code = main(run_args(tmp_path / "o", flag, str(make_file(tmp_path))))
     err = capsys.readouterr().err
@@ -253,3 +264,110 @@ def test_tcp_run_without_peer_exits_3_with_one_line(role, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("session aborted: no connection to") and err.count("\n") == 1
+
+
+# CLI-only values end before any connection: a malformed endpoint used to be
+# a traceback, a config file's unknown role ran as Alice
+@pytest.mark.parametrize("extra", [
+    lambda tmp_path, port: ["--transport", "bogus"],
+    lambda tmp_path, port: ["--transport", "tcp:127.0.0.1:notaport"],
+    lambda tmp_path, port: ["--transport", "tcp:127.0.0.1:65536", "--role", "bob"],
+    lambda tmp_path, port: ["--transport", f"tcp:127.0.0.1:{port}"],
+    lambda tmp_path, port: ["--transport", f"tcp:127.0.0.1:{port}",
+                            "--config", str(_run_config(tmp_path, {"role": "carol"}))],
+], ids=["bogus transport", "port not a number", "port out of range", "no role",
+        "role from config file"])
+def test_bad_tcp_option_is_one_line_config_error(extra, tmp_path, capsys):
+    with socket.socket() as listener:  # a peer that must never be contacted
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        listener.settimeout(0)
+        port = listener.getsockname()[1]
+        code = main(run_args(tmp_path / "o", "--timeout", "0.3", *extra(tmp_path, port)))
+        with pytest.raises(BlockingIOError):
+            listener.accept()
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("configuration error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("values", ["2", "0.5,-1", "0"])
+def test_sift_sweep_outside_unit_interval_is_one_line(values, tmp_path, capsys):
+    code = main(["sweep", "--param", "sift-p", "--values", values, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("bad sweep range: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "sift_cost.csv").exists()
+
+
+@pytest.mark.parametrize("n_bytes", [PSK_MIN_BYTES - 1, 10, 0, -3])
+def test_gen_psk_refuses_a_key_run_would_refuse(n_bytes, tmp_path, capsys):
+    path = tmp_path / "psk.bin"
+    code = main(["gen-psk", str(path), "--bytes", str(n_bytes)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("configuration error: ") and err.count("\n") == 1, err
+    assert not path.exists()
+
+
+def _options(capsys, command) -> set[str]:
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    return set(re.findall(r"^\s+(?:-h, )?(--[\w-]+)", capsys.readouterr().out, re.M)) - {"--help"}
+
+
+def test_sweep_registers_only_the_options_it_reads(capsys):
+    run, sweep = _options(capsys, "run"), _options(capsys, "sweep")
+    assert len(run) == 16 and len(sweep) == 14
+    assert run - sweep == {"--fibre-km", "--transport", "--role", "--timeout"}
+    for flag, value in [("--fibre-km", "5"), ("--transport", "loopback"),
+                        ("--role", "alice"), ("--timeout", "1")]:
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--param", "fibre-km", "--values", "1", flag, value])
+        assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_sweep_config_file_naming_a_run_only_option_is_refused(tmp_path, capsys):
+    code = main(["sweep", "--param", "fibre-km", "--values", "1", "--out", str(tmp_path),
+                 "--config", str(_run_config(tmp_path, {"transport": "loopback"}))])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("configuration error: unknown config key"), err
+
+
+def test_fibre_sweep_over_a_channel_file_varies_the_distance(tmp_path, capsys):
+    # the file's 1 km channel used to be run at every distance: equal rows
+    from cowkd.presets import channel_params
+
+    chan = tmp_path / "channel.json"
+    channel_params(1.0).save(chan)
+    code = main(["sweep", "--param", "fibre-km", "--values", "1,25",
+                 "--channel-config", str(chan), "--batches", "1", "--blocks-per-batch", "4",
+                 "--chunk-qubits", str(1 << 20), "--seed", "5e" * 32,
+                 "--compression", "11.5", "--no-security-check", "--out", str(tmp_path / "o")])
+    assert code == 0
+    capsys.readouterr()
+    rows = list(csv.DictReader(open(tmp_path / "o/fibre_sweep.csv")))
+    assert [float(r["fibre_km"]) for r in rows] == [1.0, 25.0]
+    near, far = (float(r["sifted_rate_bps"]) for r in rows)
+    assert (round(near), round(far)) == (1085281, 364368)
+    for km in ("1", "25"):  # each distance is a loopback run with both reports
+        for role in ("alice", "bob"):
+            report = json.loads((tmp_path / f"o/run_{km}km/report_{role}.json").read_text())
+            assert report["sifted_rate_bps"] == float(rows[km == "25"]["sifted_rate_bps"])
+
+
+def test_run_fibre_km_replaces_a_channel_files_length(tmp_path, capsys):
+    from cowkd.presets import channel_params
+
+    chan = tmp_path / "channel.json"
+    channel_params(1.0).save(chan)
+    rates = []
+    for extra in ([], ["--fibre-km", "1"], ["--fibre-km", "25"]):
+        out = tmp_path / str(len(rates))
+        args = run_args(out, "--channel-config", str(chan), *extra)
+        del args[1:3]  # run_args' own --fibre-km
+        assert main(args) == 0
+        rates.append(json.loads((out / "report_bob.json").read_text())["sifted_rate_bps"])
+    capsys.readouterr()
+    assert rates[0] == rates[1] > 2 * rates[2]

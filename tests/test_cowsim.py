@@ -34,6 +34,20 @@ def test_invariants_enforced():
         ChannelParams(f_gate=1e9, f_qubit=625e6)  # not two gates per qubit
 
 
+@pytest.mark.parametrize("change", [
+    {"fibre_km": -5.0},
+    {"atten_db_per_km": -0.2},
+    {"insertion_losses_db": {"fbg_filter": -1.4}},
+    {"fibre_km": float("nan")},
+], ids=["fibre", "attenuation", "insertion loss", "fibre not a number"])
+def test_negative_loss_is_refused(change):
+    # a negative loss would bring Bob more light than at 0 km; a NaN fibre
+    # from a channel file ended in a traceback inside the simulator
+    with pytest.raises(ValueError, match="must be at least 0"):
+        ChannelParams(**change)
+    ChannelParams(**{k: 0.0 if k != "insertion_losses_db" else {} for k in change})
+
+
 def test_loss_arithmetic_against_scalar_oracle():
     p = ChannelParams(fibre_km=10.0)
     # data line: fibre + filter + both multiplexers, then the splitter

@@ -459,6 +459,19 @@ def test_sessions_past_the_pre_shared_pads_keep_equal_pools(km, n_batches, block
         assert report["pool"]["consumed_auth_bits"] > 0  # pads past the pre-shared ones
 
 
+def test_pad_reserve_covers_batches_past_its_constant():
+    # a 1,024-block batch spans ~100 pad indices, more than the constant
+    # reserve: each append carves 1.5 spans ahead, so the third batch no
+    # longer ends in "pad 303 beyond reserved stream" with ample key pooled
+    cfg = small_config(n_batches=3, blocks_per_batch=1024, chunk_qubits=1 << 24,
+                       seed_hex="5e" * 32, psk=PSK[:2000])
+    ra, rb = run_session(cfg, timeout=60)
+    assert ra["pool_digest"] == rb["pool_digest"]
+    for report in (ra, rb):
+        assert report["exit_code"] == 0 and report["batches"] == 3
+        assert report["pool"]["consumed_auth_bits"] > 0  # pads past the pre-shared ones
+
+
 def test_psk_too_short_for_the_first_batch_aborts_both_with_exit_3():
     # the shortest valid key holds 64 pads, enough for a full-size first
     # batch; a 1,024-block batch at 1 km tags more units than that before
