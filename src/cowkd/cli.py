@@ -37,11 +37,13 @@ from .finitekey import (
     corrected_observables,
     secret_fraction_terms,
     secret_rate,
+    sift_ratio,
 )
-from .presets import channel_params, measured_point
+from .presets import channel_params, measured_point, optimum
 from .sifting import SiftingMode, shannon_limit, sifting_cost
 
 PE_MODES = {"compare": PEMode.KEY_COMPARISON, "subsample": PEMode.SUBSAMPLING}
+TCP_TIMEOUT_S = 120.0  # `run --timeout` over tcp, unless given
 
 
 def _psk_from_seed(seed_hex: str, n_bytes: int = 16384) -> bytes:
@@ -60,16 +62,31 @@ def _psk_from_seed(seed_hex: str, n_bytes: int = 16384) -> bytes:
     return bytes(out[:n_bytes])
 
 
-def _read_config_file(args) -> dict:
-    """The JSON settings file named by `--config`, keyed by argument name."""
-    data = json.loads(Path(args.config).read_text())
+def _read_config_file(path, parser) -> dict:
+    """The JSON settings file at `path`, keyed by the argument names of the
+    subcommand `parser`. A switch takes a JSON boolean; an option a string,
+    converted as its flag's value would be, or a number for a typed flag."""
+    data = json.loads(Path(path).read_text())
     if not isinstance(data, dict):
         raise ValueError("a config file holds one JSON object")
+    actions = {action.dest: action for action in parser._actions if action.dest != "help"}
     settings = {}
     for key, value in data.items():
         attr = key.replace("-", "_")
-        if attr in ("command", "func") or not hasattr(args, attr):  # not flags
+        if attr not in actions:
             raise ValueError(f"unknown config key {key!r}")
+        kind = actions[attr].type
+        if actions[attr].nargs == 0:  # a switch
+            valid = isinstance(value, bool)
+        elif isinstance(value, str) and kind is not None:
+            try:
+                value, valid = kind(value), True
+            except ValueError:
+                valid = False
+        else:
+            valid = isinstance(value, str) or (kind is not None and type(value) in (int, float))
+        if not valid:
+            raise ValueError(f"config key {key!r}: invalid value {value!r}")
         settings[attr] = value
     return settings
 
@@ -161,12 +178,13 @@ def _run_tcp(args) -> dict:
         host, port = parse_endpoint(args.transport.removeprefix("tcp:"))
     except ValueError as exc:
         raise SessionAborted(str(exc), EXIT_CONFIG) from exc
+    timeout = TCP_TIMEOUT_S if args.timeout is None else args.timeout
     try:
         if args.role == "bob":
-            transport = TcpTransport.listen_accept(host, port, timeout=args.timeout)
+            transport = TcpTransport.listen_accept(host, port, timeout=timeout)
         else:  # retry until Bob listens, for up to the timeout
-            transport = TcpTransport.connect(host, port, timeout=args.timeout,
-                                             retries=max(1, int(args.timeout / 0.1)))
+            transport = TcpTransport.connect(host, port, timeout=timeout,
+                                             retries=max(1, int(timeout / 0.1)))
     except OSError as exc:  # refused, unreachable or timed out
         raise SessionAborted(f"no connection to {host}:{port}: {exc}") from exc
     report = (BobParty if args.role == "bob" else AliceParty)(config, transport).run()
@@ -176,6 +194,8 @@ def _run_tcp(args) -> dict:
 
 def cmd_run(args) -> int:
     if args.transport == "loopback":
+        if args.role is not None or args.timeout is not None:
+            raise SessionAborted("--role and --timeout apply only over tcp", EXIT_CONFIG)
         report = _run_loopback(args, args.fibre_km, Path(args.out))
     else:
         report = _run_tcp(args)
@@ -238,7 +258,7 @@ def cmd_finite_key(args) -> int:
         if args.fibre_km is not None:
             point = measured_point(args.fibre_km)
             obs = point.observables(pe_mode=PE_MODES[args.pe_mode])
-            r_det = point.sifted_rate / ((1 - obs.p_decoy) / (1 + obs.p_decoy))
+            r_det = point.sifted_rate / sift_ratio(obs.p_decoy)
         else:
             required = ("mu", "qber_raw", "qber_effective", "visibility_raw")
             missing = [f for f in required if getattr(args, f.replace("-", "_")) is None]
@@ -277,6 +297,10 @@ def cmd_finite_key(args) -> int:
         },
         "asymptotic": args.asymptotic,
     }
+    if args.fibre_km is not None:
+        best = optimum(channel_params(args.fibre_km))
+        out["optimum"] = {"mu": best.mu, "code_rate": best.code_rate,
+                          "compression": best.compression, "r_sec_bps": best.r_sec}
     print(json.dumps(out, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -325,8 +349,9 @@ def main(argv=None) -> int:
                        help="fibre length (default: --channel-config's, or 1 km)")
     p_run.add_argument("--transport", default="loopback",
                        help="'loopback' or 'tcp:host:port'")
-    p_run.add_argument("--role", default=None, help="alice or bob, over tcp")
-    p_run.add_argument("--timeout", type=float, default=120.0)
+    p_run.add_argument("--role", default=None, help="alice or bob, over tcp only")
+    p_run.add_argument("--timeout", type=float, default=None,
+                       help=f"seconds, over tcp only (default {TCP_TIMEOUT_S:g})")
     _add_session_args(p_run)
     p_run.set_defaults(func=cmd_run)
 
@@ -363,7 +388,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
         try:
-            settings = _read_config_file(args)
+            settings = _read_config_file(args.config, sub.choices[args.command])
         except (OSError, ValueError) as exc:
             print(f"configuration error: {exc}", file=sys.stderr)
             return EXIT_CONFIG

@@ -134,8 +134,6 @@ class ChannelParams:
         per_data_qubit = 1.0 - (1.0 - p_full) * (1.0 - p_leak) * (1.0 - p_bg_gate) ** 2
         per_decoy_qubit = 1.0 - (1.0 - p_decoy_bin) ** 2 * (1.0 - p_bg_gate) ** 2
         raw_per_qubit = (1.0 - p) * per_data_qubit + p * per_decoy_qubit
-        sift = (1.0 - p) / (1.0 + p)
-        sifted_per_qubit = (1.0 - p) * per_data_qubit
         # error composition on sifted detections, to first order: wrong-bin
         # leakage clicks, plus background clicks (two gates, half of which
         # fall in the wrong bin and read out as errors)
@@ -143,14 +141,10 @@ class ChannelParams:
         q_dark_share = self.p_dark_data / per_data_qubit if per_data_qubit else 0.0
         q_noise_share = self.p_dwdm_noise / per_data_qubit if per_data_qubit else 0.0
         return {
-            "p_click_full_bin": p_full,
             "p_click_per_data_qubit": per_data_qubit,
-            "p_click_per_decoy_qubit": per_decoy_qubit,
             "p_click_per_qubit": raw_per_qubit,
-            "sift_ratio": sift,
-            "sifted_per_qubit": sifted_per_qubit,
             "raw_rate_bps": raw_per_qubit * self.f_qubit,
-            "sifted_rate_bps": sifted_per_qubit * self.f_qubit,
+            "sifted_rate_bps": (1.0 - p) * per_data_qubit * self.f_qubit,
             "qber_expected": qber,
             "qber_dark": q_dark_share,
             "qber_noise": q_noise_share,
@@ -175,10 +169,6 @@ class ChannelParams:
     def load(cls, path) -> "ChannelParams":
         with open(path) as fh:
             return cls.from_json(fh.read())
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_json() + "\n")
 
     def with_(self, **kwargs) -> "ChannelParams":
         return replace(self, **kwargs)

@@ -47,11 +47,6 @@ class PoolLedger:
     consumed_auth: int = 0  # bits consumed as tag pads (pool share only)
     delivered: int = 0  # bits handed to consumers
 
-    @property
-    def remaining(self) -> int:
-        """Unconsumed bits still in the pool (carved-but-unused pads count)."""
-        return self.produced - self.consumed_auth - self.delivered
-
 
 # auth pads the pool keeps carved ahead of use
 PAD_RESERVE_TARGET = 96

@@ -53,14 +53,16 @@ reaches 1.5 times the pad span of the batch just closed past that index, or
 the pool's reserve if more, so a large batch does not outrun its pads.
 
 Each batch is delivered only if its measured secret fraction covers the
-applied compression. The measurement uses what the two parties observe:
-Alice's exact mismatch count and the batch's dropped blocks, the monitor
-visibility Alice counts from Bob's monitor disclosures since the last seed
-(`decode_and_sift`), and the dark-count and background-noise shares of the
-calibrated trusted detectors (`ChannelParams.expected_stats`). Alice sends
-her counts in the estimation report; both parties then decide alike, in
-`_PartyBase._close_batch`: it amplifies the batch, decides it and only then
-appends its key to the pool.
+applied compression: the configured one, or by default 0.85 of the secret
+fraction of the batch the channel should measure
+(`presets.expected_observables`). The measurement uses what the two parties
+observe: Alice's exact mismatch count and the batch's dropped blocks, the
+monitor visibility Alice counts from Bob's monitor disclosures since the
+last seed (`decode_and_sift`), and the dark-count and background-noise
+shares of the calibrated trusted detectors (`ChannelParams.expected_stats`).
+Alice sends her counts in the estimation report; both parties then decide
+alike, in `_PartyBase._close_batch`: it amplifies the batch, decides it and
+only then appends its key to the pool.
 
 Key material in flight waits in one kind of queue, `_Fifo`: arrays queued
 in order, counted in rows and joined only when rows are taken, so no queued
@@ -101,7 +103,7 @@ from ..finitekey import (
     secret_fraction,
 )
 from ..ldpc.codec import DECODE_SLICE
-from ..ldpc.fer import fer_estimate
+from ..presets import expected_observables
 from ..privamp import SeedLedger, amplify_batch, make_seed
 from ..randomness import EntropySeed, RandomStream
 from ..sifting import SiftingMode, decode_and_sift, encode, resolve_collisions
@@ -211,18 +213,11 @@ class SessionConfig:
         )
 
     def auto_compression(self) -> float:
-        """Compression from the expected operating point, with margin.
-
-        The expectation takes the interferometer's calibrated contrast
-        `visibility_if` as the corrected visibility: the quantity each
-        batch's proxy-corrected monitor visibility estimates.
-        """
+        """The configured compression, or the margin times the secret fraction
+        of the batch the channel should measure (`presets.expected_observables`)."""
         if self.compression is not None:
             return quantize_compression(self.compression)[0]
-        q = self.params.expected_stats()["qber_expected"]
-        fer = fer_estimate(self.code_rate, q)
-        obs = self.observables(q, (1 - fer) * q + 0.5 * fer, self.params.visibility_if)
-        obs.visibility_corrected = self.params.visibility_if
+        obs = expected_observables(self.params, self.code_rate, self.n_sift)
         f_sec = secret_fraction(obs, FiniteKeyBudget.reference())
         return quantize_compression(f_sec * COMPRESSION_MARGIN)[0]
 

@@ -72,7 +72,7 @@ class FiniteKeyBudget:
         return cls(eps_pe_v=part, eps_smooth=part, eps_pa=last, eps_ver=EPS_VER_REF, eps_mac=EPS_MAC_REF)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Observables:
     """Measured (or modelled) quantities feeding the secret fraction."""
 

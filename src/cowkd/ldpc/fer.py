@@ -2,8 +2,9 @@
 
 The table below was produced by `python -m cowkd.ldpc.fer` on this
 implementation (15/16 min-sum, ten iterations) over a binary symmetric
-channel and is consumed by the parameter optimizer to predict
-verification-drop rates. Regenerate after any decoder change.
+channel; `presets.expected_observables` reads it to predict the blocks
+verification drops, for auto compression and the parameter optimum.
+Regenerate after any decoder change.
 """
 
 from __future__ import annotations

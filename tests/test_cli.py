@@ -86,6 +86,20 @@ def test_finite_key_explicit_observables(capsys):
     assert abs(out["f_sec"] - 0.065) < 0.03
 
 
+@pytest.mark.parametrize("km, mu", [("1", 0.075), ("12.5", 0.085), ("25", 0.1)])
+def test_finite_key_preset_prints_the_optimum(km, mu, capsys):
+    assert main(["finite-key", "--fibre-km", km]) == 0
+    best = json.loads(capsys.readouterr().out)["optimum"]
+    assert (best["code_rate"], best["mu"]) == (0.75, mu)
+    assert 0 < best["compression"] and 0 < best["r_sec_bps"]
+
+
+def test_finite_key_explicit_observables_print_no_optimum(capsys):
+    assert main(["finite-key", "--mu", "0.105", "--qber-raw", "0.0191",
+                 "--qber-effective", "0.0342", "--visibility-raw", "0.9781"]) == 0
+    assert "optimum" not in json.loads(capsys.readouterr().out)
+
+
 def test_finite_key_missing_observables_is_config_error(capsys):
     assert main(["finite-key", "--mu", "0.1"]) == 2
 
@@ -159,7 +173,7 @@ def test_run_with_config_files(tmp_path, capsys):
     from cowkd.presets import channel_params
 
     chan = tmp_path / "channel.json"
-    channel_params(1.0).save(chan)
+    chan.write_text(channel_params(1.0).to_json())
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"batches": 1, "blocks-per-batch": 4,
                                "chunk-qubits": 1 << 21,
@@ -242,10 +256,27 @@ def _run_config(tmp_path, settings):
     ("--config", lambda tmp_path: _run_config(tmp_path, {"rate": "7/8"})),
     ("--config", lambda tmp_path: _run_config(tmp_path, {"sift_bits": 7})),
     ("--fibre-km", lambda tmp_path: "-5"),
+    # a config value argparse cannot convert used to end in its usage text
+    ("--config", lambda tmp_path: _run_config(tmp_path, {"batches": "x"})),
+    ("--config", lambda tmp_path: _run_config(tmp_path, {"fibre_km": "far"})),
+    # a switch read any non-empty string as on, "no" too; a number for the
+    # output directory ended in a traceback
+    ("--config", lambda tmp_path: _run_config(tmp_path, {"no_security_check": "no"})),
+    ("--config", lambda tmp_path: _run_config(tmp_path, {"out": 5})),
+    ("--config", lambda tmp_path: _run_config(tmp_path, {"out": None})),
+    # options that mean something only over tcp used to pass unread
+    ("--role", lambda tmp_path: "carol"),
+    ("--timeout", lambda tmp_path: "0.001"),
+    ("--config", lambda tmp_path: _run_config(tmp_path, {"role": "alice"})),
+    ("--config", lambda tmp_path: _run_config(tmp_path, {"timeout": 5})),
 ], ids=["missing psk file", "missing channel file", "unknown channel key", "channel list",
         "non-flag config key", "psk too short", "compression over 100 percent", "rate flag",
         "sift-bits flag", "short seed", "rate in config", "sift bits in config",
-        "negative fibre"])
+        "negative fibre", "batches not a number in config", "fibre not a number in config",
+        "switch not a boolean in config", "directory not a string in config",
+        "directory null in config",
+        "role on loopback", "timeout on loopback", "role in config on loopback",
+        "timeout in config on loopback"])
 def test_bad_input_file_is_one_line_config_error(flag, make_file, tmp_path, capsys):
     code = main(run_args(tmp_path / "o", flag, str(make_file(tmp_path))))
     err = capsys.readouterr().err
@@ -291,6 +322,23 @@ def test_bad_tcp_option_is_one_line_config_error(extra, tmp_path, capsys):
     assert err.startswith("configuration error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("role", ["alice", "bob"])
+def test_tcp_timeout_defaults_to_120_seconds(role, tmp_path, capsys, monkeypatch):
+    from cowkd import cli
+
+    waits = []
+
+    def no_peer(*args, timeout, **kwargs):
+        waits.append(timeout)
+        raise OSError("no peer")
+
+    monkeypatch.setattr(cli.TcpTransport, "connect", no_peer)
+    monkeypatch.setattr(cli.TcpTransport, "listen_accept", no_peer)
+    code = main(run_args(tmp_path, "--transport", "tcp:127.0.0.1:9", "--role", role))
+    capsys.readouterr()
+    assert code == 3 and waits == [120.0]
+
+
 @pytest.mark.parametrize("values", ["2", "0.5,-1", "0"])
 def test_sift_sweep_outside_unit_interval_is_one_line(values, tmp_path, capsys):
     code = main(["sweep", "--param", "sift-p", "--values", values, "--out", str(tmp_path)])
@@ -319,6 +367,7 @@ def _options(capsys, command) -> set[str]:
 def test_sweep_registers_only_the_options_it_reads(capsys):
     run, sweep = _options(capsys, "run"), _options(capsys, "sweep")
     assert len(run) == 16 and len(sweep) == 14
+    assert len(_options(capsys, "finite-key")) == 12
     assert run - sweep == {"--fibre-km", "--transport", "--role", "--timeout"}
     for flag, value in [("--fibre-km", "5"), ("--transport", "loopback"),
                         ("--role", "alice"), ("--timeout", "1")]:
@@ -340,7 +389,7 @@ def test_fibre_sweep_over_a_channel_file_varies_the_distance(tmp_path, capsys):
     from cowkd.presets import channel_params
 
     chan = tmp_path / "channel.json"
-    channel_params(1.0).save(chan)
+    chan.write_text(channel_params(1.0).to_json())
     code = main(["sweep", "--param", "fibre-km", "--values", "1,25",
                  "--channel-config", str(chan), "--batches", "1", "--blocks-per-batch", "4",
                  "--chunk-qubits", str(1 << 20), "--seed", "5e" * 32,
@@ -361,7 +410,7 @@ def test_run_fibre_km_replaces_a_channel_files_length(tmp_path, capsys):
     from cowkd.presets import channel_params
 
     chan = tmp_path / "channel.json"
-    channel_params(1.0).save(chan)
+    chan.write_text(channel_params(1.0).to_json())
     rates = []
     for extra in ([], ["--fibre-km", "1"], ["--fibre-km", "25"]):
         out = tmp_path / str(len(rates))

@@ -67,7 +67,7 @@ def test_doubling_fibre_scales_transmission_exactly():
 def test_config_file_round_trip(tmp_path):
     p = ChannelParams(mu=0.1, fibre_km=12.5, p_dark_data=3e-6)
     path = tmp_path / "channel.json"
-    p.save(path)
+    path.write_text(p.to_json())
     assert ChannelParams.load(path) == p
 
 

@@ -257,7 +257,9 @@ def test_pool_delivery_disjoint_and_zeroized():
     # a second pool fed the same key and asked later must not see k1 again
     with pytest.raises(InsufficientKey):
         pool.deliver(1 << 20)
-    assert pool.ledger.remaining == PAD_RESERVE_TARGET * TAG_BITS + 4096 - 256
+    ledger = pool.ledger
+    assert ledger.produced - ledger.consumed_auth - ledger.delivered == (
+        PAD_RESERVE_TARGET * TAG_BITS + 4096 - 256)
 
 
 def test_pool_delivery_cadence_identity():

@@ -12,6 +12,7 @@ Dunder methods are called by the language and are skipped.
 
 import ast
 import importlib.util
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -21,23 +22,20 @@ import cowkd
 SRC = Path(cowkd.__file__).resolve().parent
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
-# Public on purpose though nothing in the package calls them.
+# Public on purpose though nothing in the package calls them yet: each name
+# maps to the open ROADMAP item that gives it a caller.
 ALLOWED = {
-    # the paper's analysis API: parameter optimization and the security,
-    # verification and authentication-cost figures it reports
-    "optimize",  # finitekey: the optimal (mu, rate, compression) point
-    "eps_ver_bound",  # verification: union bound on a missed block mismatch
-    "deception_bound",  # auth: MAC forgery bound
-    "consumption_fraction",  # auth: key share spent on tags
-    "consumption_report",  # auth: the consumption figures per reference point
-    # perfbench's tracer binds it by name
-    "lfsr_expand",  # privamp.lfsr_expand
-    # the write side of ChannelParams.load's file format
-    "save",  # ChannelParams.save
+    # perfbench's tracer binds it by name until the benchmark drops its metrics
+    "lfsr_expand": "item 4: the benchmark change",  # privamp.lfsr_expand
     # key delivery to an application, the pool's consumer-facing use
-    "otp_encrypt",  # SecretKeyPool.otp_encrypt
-    "remaining",  # PoolLedger.remaining
+    "otp_encrypt": "item 2: the key-file carry",  # SecretKeyPool.otp_encrypt
+    # the paper's security, verification and authentication-cost figures
+    "eps_ver_bound": "item 4: the security block",  # verification
+    "deception_bound": "item 4: the security block",  # auth: MAC forgery bound
+    "consumption_fraction": "item 4: the security block",  # auth: key share spent on tags
+    "consumption_report": "item 4: the security block",  # auth: figures per reference point
 }
+ROADMAP = Path(__file__).resolve().parent.parent / "ROADMAP.md"
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -121,7 +119,16 @@ def test_every_definition_has_a_caller_in_src():
 
 def test_allowlist_names_only_uncalled_definitions():
     # an allowlisted name that gained a caller, or was deleted, leaves the list
-    assert set(unused_names(SRC)) >= ALLOWED
+    assert set(unused_names(SRC)) >= set(ALLOWED)
+
+
+def test_every_allowlisted_name_names_the_open_item_that_calls_it():
+    open_items = set(re.findall(r"^(\d+)\. \*\*", ROADMAP.read_text().split("## Open items")[1],
+                                re.M))
+    for name, why in ALLOWED.items():
+        item = re.match(r"item (\d+): \S", why)
+        assert item, f"{name}: {why!r} names no ROADMAP item"
+        assert item[1] in open_items, f"{name}: ROADMAP has no open item {item[1]}"
 
 
 def test_every_name_perfbench_traces_resolves():
