@@ -43,6 +43,9 @@ from .presets import channel_params, measured_point, optimum
 from .sifting import SiftingMode, shannon_limit, sifting_cost
 
 PE_MODES = {"compare": PEMode.KEY_COMPARISON, "subsample": PEMode.SUBSAMPLING}
+# `finite-key` options a measured point (`--fibre-km`) fixes itself
+POINT_OPTIONS = ("mu", "qber_raw", "qber_effective", "visibility_raw", "dark_qber",
+                 "noise_qber", "rate", "detection_rate")
 TCP_TIMEOUT_S = 120.0  # `run --timeout` over tcp, unless given
 
 
@@ -89,6 +92,20 @@ def _read_config_file(path, parser) -> dict:
             raise ValueError(f"config key {key!r}: invalid value {value!r}")
         settings[attr] = value
     return settings
+
+
+def _given(subparser, argv) -> set[str]:
+    """The destinations of the options `argv`, the words after the command,
+    sets on `subparser`, whatever their values."""
+    unset = object()
+    probe = argparse.Namespace(**{action.dest: unset for action in subparser._actions})
+    subparser.parse_args(argv, probe)  # argparse fills in only unset defaults
+    return {action.dest for action in subparser._actions
+            if getattr(probe, action.dest) is not unset}
+
+
+def _flags(dests) -> str:
+    return ", ".join("--" + dest.replace("_", "-") for dest in sorted(dests))
 
 
 def _build_config(args, fibre_km: float | None) -> SessionConfig:
@@ -221,6 +238,10 @@ def _sift_cost_row(p: float) -> list:
 
 
 def cmd_sweep(args) -> int:
+    unread = args.given - {"param", "values", "out", "config"}
+    if args.param == "sift-p" and unread:
+        raise SessionAborted("sweep --param sift-p reads only --values, --out and --config, "
+                             f"not {_flags(unread)}", EXIT_CONFIG)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
@@ -254,6 +275,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_finite_key(args) -> int:
     budget = FiniteKeyBudget.reference()
+    if not 0 <= args.auth_fraction <= 1:
+        raise SessionAborted(f"--auth-fraction {args.auth_fraction:g} outside [0, 1]", EXIT_CONFIG)
+    fixed = args.given & set(POINT_OPTIONS)
+    if args.fibre_km is not None and fixed:
+        raise SessionAborted(f"a measured point fixes {_flags(fixed)} itself", EXIT_CONFIG)
     try:
         if args.fibre_km is not None:
             point = measured_point(args.fibre_km)
@@ -265,6 +291,11 @@ def cmd_finite_key(args) -> int:
             if missing:
                 print(f"missing observables: {missing}", file=sys.stderr)
                 return EXIT_CONFIG
+            if not 0 < args.mu < 1:
+                raise SessionAborted(f"--mu {args.mu:g} outside (0, 1)", EXIT_CONFIG)
+            if not args.detection_rate >= 0:
+                raise SessionAborted(f"--detection-rate {args.detection_rate:g} below 0",
+                                     EXIT_CONFIG)
             obs = corrected_observables(
                 qber_raw=args.qber_raw, qber_effective=args.qber_effective,
                 visibility_raw=args.visibility_raw, dark_qber=args.dark_qber,
@@ -386,16 +417,19 @@ def main(argv=None) -> int:
 
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
+    command = sub.choices[args.command]
+    settings = {}
     if getattr(args, "config", None):
         try:
-            settings = _read_config_file(args.config, sub.choices[args.command])
+            settings = _read_config_file(args.config, command)
         except (OSError, ValueError) as exc:
             print(f"configuration error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         # the file's values become the defaults, so every flag argparse
         # parses from argv wins, however it is spelled
-        sub.choices[args.command].set_defaults(**settings)
+        command.set_defaults(**settings)
         args = parser.parse_args(argv)
+    args.given = _given(command, argv[1:]) | set(settings)  # set by flag or by file
     try:
         return args.func(args)
     except SessionAborted as exc:  # one line for a session that ends early

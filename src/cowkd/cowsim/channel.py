@@ -48,7 +48,6 @@ class QubitSource:
     def __init__(self, key: bytes, p_decoy: float):
         if len(key) != 32:
             raise ValueError("qubit source key must be 32 bytes")
-        self.key = key
         self.p_decoy = p_decoy
         # ECB keeps no state between whole blocks: one encryptor serves every lookup
         self._ecb = Cipher(algorithms.AES(key), modes.ECB()).encryptor()

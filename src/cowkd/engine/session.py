@@ -40,16 +40,20 @@ protocol randomness (verification seeds and PA seeds) comes from his party
 stream, another domain of the same seed. Given the same session seed and
 configuration, transcripts and pools are bit-identical run to run.
 
-Per-direction authentication: every non-admin frame byte enters a 2^20-bit
-unit stream; each filled unit is tagged under pad index 2*unit + direction
-and the receiver re-verifies against its mirrored stream. A mismatch freezes
-key delivery and aborts the session. The key pool alone issues pads, each
-index once (`SecretKeyPool.take_pad`). Each batch's append carves pads up to
-`_Endpoint.next_pad`: the index past both directions' units through the last
-frame sent and the last frame read. At an append those are Bob's PA seed and
-Alice's estimation report on both sides, so the two pools carve alike,
+Per-direction authentication: each direction of the service channel is one
+`_Stream`, which counts its bytes per channel, hashes its transcript and
+holds its authenticated bytes until they are tagged. Every non-admin frame
+byte enters a 2^20-bit unit stream; each filled unit is tagged under pad
+index 2*unit + direction (`_Stream.take_unit`), and the receiver verifies the
+tag against its own copy of the stream before the tag frame joins it. A
+mismatch freezes key delivery and aborts the session. The key pool alone
+issues pads, each index once (`SecretKeyPool.take_pad`). Each batch's append
+carves pads to `_Endpoint.carve_reach`, from the pad schedule position: the
+index past both directions' units through the last frame sent and the last
+frame read (the two streams' `reach`). At an append those are Bob's PA seed
+and Alice's estimation report on both sides, so the two pools carve alike,
 although each has yet to verify tags the other has already sent. The carve
-reaches 1.5 times the pad span of the batch just closed past that index, or
+reaches 1.5 times the pad span since the last append past that position, or
 the pool's reserve if more, so a large batch does not outrun its pads.
 
 Each batch is delivered only if its measured secret fraction covers the
@@ -226,8 +230,43 @@ class SessionConfig:
 # authenticated framing endpoint
 # ---------------------------------------------------------------------------
 
+class _Stream:
+    """One direction of the service channel: its bytes per channel, its
+    transcript hash, the authenticated bytes not yet tagged, the units tagged
+    and `reach`, the pad index past both directions' units through its last
+    non-tag frame."""
+
+    def __init__(self, direction: int):
+        self.direction = direction
+        self.bytes: dict[int, int] = {c: 0 for c in CHANNEL_NAMES}
+        self.hash = hashlib.sha256()
+        self.untagged = bytearray()
+        self.units = 0
+        self.reach = 0
+
+    def add(self, channel_id: int, *parts: bytes):
+        """Count one frame; every frame but an admin one joins the authenticated bytes."""
+        for part in parts:
+            self.bytes[channel_id] += len(part)
+            self.hash.update(part)
+            if channel_id != CH_ADMIN:
+                self.untagged += part
+        if channel_id != CH_AUTH_TAG:
+            self.reach = 2 * (self.units + len(self.untagged) // _UNIT_BYTES + 1)
+
+    def take_unit(self) -> tuple[int, bytes]:
+        """The next unit's pad index and message: one full unit, or what is
+        left when the stream closes."""
+        pad_index = 2 * self.units + self.direction
+        message = bytes(self.untagged[:_UNIT_BYTES])
+        del self.untagged[:_UNIT_BYTES]
+        self.units += 1
+        return pad_index, message
+
+
 class _Endpoint:
-    """Transport wrapper handling tagging, verification and accounting.
+    """Transport wrapper tagging the outbound stream and verifying the
+    inbound one.
 
     A failed or timed-out transport raises `SessionAborted`; a tag that is
     malformed, out of schedule or wrong freezes the pool and raises
@@ -238,18 +277,11 @@ class _Endpoint:
         self.transport = transport
         self.pool = pool
         self.auth_state = AuthKeyState(poly_key)
-        self.out_dir = out_dir
-        self.in_dir = 1 - out_dir
-        self._out_buf = bytearray()
-        self._in_buf = bytearray()
-        self._out_units = 0
-        self._in_units = 0
-        self._sent = 0  # stream bytes through the last frame sent, not the tags it triggers
-        self._read = 0  # stream bytes through the last frame read
-        self.bytes_out: dict[int, int] = {c: 0 for c in CHANNEL_NAMES}
-        self.bytes_in: dict[int, int] = {c: 0 for c in CHANNEL_NAMES}
-        self._out_hash = hashlib.sha256()
-        self._in_hash = hashlib.sha256()
+        self.outbound = _Stream(out_dir)
+        self.inbound = _Stream(1 - out_dir)
+        self.bytes_out = self.outbound.bytes
+        self.bytes_in = self.inbound.bytes
+        self._appended_pad = 0  # the pad schedule position at the last append
 
     def _io(self, call, *args):
         try:
@@ -261,54 +293,41 @@ class _Endpoint:
 
     def send(self, channel_id: int, payload: bytes):
         self._write(channel_id, encode_frame(channel_id, payload))
-        self._sent = self._out_units * _UNIT_BYTES + len(self._out_buf)
         # tag each unit the stream fills; a tag frame joins the stream too
-        while len(self._out_buf) >= _UNIT_BYTES:
-            unit = bytes(self._out_buf[:_UNIT_BYTES])
-            del self._out_buf[:_UNIT_BYTES]
-            self._emit_tag(unit)
-
-    def _write(self, channel_id: int, raw: bytes):
-        self._io(self.transport.send, raw)
-        self.bytes_out[channel_id] += len(raw)
-        self._out_hash.update(raw)
-        if channel_id != CH_ADMIN:
-            self._out_buf.extend(raw)
-
-    def _emit_tag(self, unit: bytes):
-        pad_index = 2 * self._out_units + self.out_dir
-        self._out_units += 1
-        tag = auth_mod.tag(unit, self.auth_state, self.pool.take_pad(pad_index))
-        self._write(CH_AUTH_TAG, encode_frame(CH_AUTH_TAG, frames.encode_auth_tag(pad_index, tag)))
+        while len(self.outbound.untagged) >= _UNIT_BYTES:
+            self._tag_unit()
 
     def flush_final_tag(self):
         """Tag whatever remains of the outbound stream (possibly empty)."""
-        unit = bytes(self._out_buf)
-        self._out_buf.clear()
-        self._emit_tag(unit)
+        self._tag_unit()
+
+    def _tag_unit(self):
+        pad_index, unit = self.outbound.take_unit()
+        tag = auth_mod.tag(unit, self.auth_state, self.pool.take_pad(pad_index))
+        self._write(CH_AUTH_TAG, encode_frame(CH_AUTH_TAG, frames.encode_auth_tag(pad_index, tag)))
+
+    def _write(self, channel_id: int, raw: bytes):
+        self._io(self.transport.send, raw)
+        self.outbound.add(channel_id, raw)
 
     # -- receive ---------------------------------------------------------------
 
-    def _read_frame(self) -> tuple[int, bytes, bytes]:
+    def _read_frame(self) -> tuple[int, bytes]:
+        """The next frame's channel and payload; a tag frame is verified
+        before it joins the inbound stream."""
         header = self._io(self.transport.recv_exact, HEADER_BYTES)
         channel_id, length = decode_header(header)
         payload = self._io(self.transport.recv_exact, length) if length else b""
-        self.bytes_in[channel_id] += HEADER_BYTES + length
-        self._in_hash.update(header)
-        self._in_hash.update(payload)
-        return channel_id, header, payload
+        if channel_id == CH_AUTH_TAG:
+            self._verify_tag(payload)
+        self.inbound.add(channel_id, header, payload)
+        return channel_id, payload
 
     def recv(self) -> tuple[int, bytes]:
         """Next non-auth frame; tag frames are consumed and verified inline."""
         while True:
-            channel_id, header, payload = self._read_frame()
-            if channel_id == CH_AUTH_TAG:
-                self._verify_tag(payload)
-            if channel_id != CH_ADMIN:
-                self._in_buf += header
-                self._in_buf += payload
+            channel_id, payload = self._read_frame()
             if channel_id != CH_AUTH_TAG:
-                self._read = self._in_units * _UNIT_BYTES + len(self._in_buf)
                 return channel_id, payload
 
     def expect(self, channel_id: int) -> bytes:
@@ -321,18 +340,12 @@ class _Endpoint:
 
     def recv_final_tag(self):
         """Verify the peer's closing tag, which covers the rest of its stream."""
-        channel_id, _, payload = self._read_frame()
-        if channel_id != CH_AUTH_TAG:
+        if self._read_frame()[0] != CH_AUTH_TAG:
             raise SessionAborted("peer failed to flush its final tag")
-        self._verify_tag(payload)
 
     def _verify_tag(self, payload: bytes):
         # a tag covers one full unit, or what is left when the peer closes
-        message = bytes(self._in_buf[:_UNIT_BYTES])
-        del self._in_buf[:_UNIT_BYTES]
-        unit = self._in_units
-        self._in_units += 1
-        pad_index = 2 * unit + self.in_dir
+        pad_index, message = self.inbound.take_unit()
         pad = self.pool.take_pad(pad_index)
         try:
             tag = frames.decode_auth_tag(payload, pad_index)
@@ -341,25 +354,20 @@ class _Endpoint:
             ok, problem = False, str(exc)
         if not ok:
             self.pool.freeze()
-            raise AuthAlarm(f"authentication failed on unit {unit}: {problem}")
+            raise AuthAlarm(f"authentication failed on unit {pad_index // 2}: {problem}")
 
-    def next_pad(self) -> int:
-        """The pad index past both directions' units through the last frame
-        sent and the last frame read: where the pool's carve reaches."""
-        return 2 * (max(self._sent, self._read) // _UNIT_BYTES) + 2
-
-    # -- accounting --------------------------------------------------------------
-
-    def total_classical_bits(self) -> int:
-        out_b = sum(v for c, v in self.bytes_out.items() if c != CH_ADMIN)
-        in_b = sum(v for c, v in self.bytes_in.items() if c != CH_ADMIN)
-        return 8 * (out_b + in_b)
+    def carve_reach(self) -> int:
+        """Where a batch's append carves pads to (see the module docstring);
+        both parties measure the same span. Called once per append."""
+        next_pad = max(self.outbound.reach, self.inbound.reach)
+        span, self._appended_pad = next_pad - self._appended_pad, next_pad
+        return next_pad + max(0, span + span // 2 - PAD_RESERVE_TARGET)
 
     def units_tagged(self) -> int:
-        return self._out_units + self._in_units
+        return self.outbound.units + self.inbound.units
 
     def transcript_digests(self) -> dict:
-        return {"out": self._out_hash.hexdigest(), "in": self._in_hash.hexdigest()}
+        return {"out": self.outbound.hash.hexdigest(), "in": self.inbound.hash.hexdigest()}
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +418,6 @@ class _PartyBase:
         self.alarms: list[str] = []
         self.window = 0  # EC windows so far
         self._dropped_blocks = 0  # since the last amplification round
-        self._appended_pad = 0  # pad schedule position at the last append
 
     def run(self) -> dict:
         try:
@@ -440,11 +447,7 @@ class _PartyBase:
                 f"exceeds measured secret fraction {f_sec:.4f}")
             self.pool.freeze()
             raise SessionAborted(self.alarms[-1])
-        # carve ahead by 1.5 times the pad span of the batch just closed, at
-        # least the reserve; both parties measure the same span
-        next_pad = self.ep.next_pad()
-        span, self._appended_pad = next_pad - self._appended_pad, next_pad
-        self.pool.append(key, next_pad + max(0, span + span // 2 - PAD_RESERVE_TARGET))
+        self.pool.append(key, self.ep.carve_reach())
         stats = cfg.params.expected_stats()
         self.batches.append(BatchRow(
             batch=batch_index, qber_raw=est.qber_raw, qber_effective=est.qber_effective,
@@ -464,8 +467,16 @@ class _PartyBase:
         time_s = self.total_qubits / cfg.params.f_qubit if self.total_qubits else 0.0
         produced = self.pool.ledger.produced
         consumed = self.pool.ledger.consumed_auth
-        total_bits = self.ep.total_classical_bits()
-        breakdown = self.traffic_breakdown()
+        by = {name: self.ep.bytes_out[cid] + self.ep.bytes_in[cid]
+              for cid, name in CHANNEL_NAMES.items() if cid != CH_ADMIN}
+        total = sum(by.values())
+        shares = {
+            "sifting": by["sifting"] / total,
+            "ec_verify": (by["syndrome"] + by["verify"]) / total,
+            "pa_seed": by["pa_seed"] / total,
+            "auth": by["auth_tag"] / total,
+            "control": by["control"] / total,
+        } if total else {}
         auth_fraction = consumed / produced if produced else 0.0
         return {
             "role": self.role,
@@ -483,9 +494,9 @@ class _PartyBase:
             "auth_units": self.ep.units_tagged(),
             "auth_fraction": auth_fraction,
             "compression": self.compression,
-            "classical_bits_total": total_bits,
-            "classical_bits_per_secret_bit": total_bits / produced if produced else 0.0,
-            "traffic_breakdown": breakdown,
+            "classical_bits_total": 8 * total,
+            "classical_bits_per_secret_bit": 8 * total / produced if produced else 0.0,
+            "traffic_breakdown": {"bytes": by, "shares": shares},
             "per_batch": [vars(row) for row in self.batches],
             "qber_raw": self.batches[-1].qber_raw if self.batches else 0.0,
             "qber_effective": self.batches[-1].qber_effective if self.batches else 0.0,
@@ -497,23 +508,6 @@ class _PartyBase:
             "exit_code": EXIT_AUTH_ALARM if self.pool.frozen else EXIT_OK,
         }
 
-    def traffic_breakdown(self) -> dict:
-        total = 0
-        by = {}
-        for cid, name in CHANNEL_NAMES.items():
-            if cid == CH_ADMIN:
-                continue
-            n = self.ep.bytes_out[cid] + self.ep.bytes_in[cid]
-            by[name] = n
-            total += n
-        shares = {
-            "sifting": by["sifting"] / total,
-            "ec_verify": (by["syndrome"] + by["verify"]) / total,
-            "pa_seed": by["pa_seed"] / total,
-            "auth": by["auth_tag"] / total,
-            "control": by["control"] / total,
-        } if total else {}
-        return {"bytes": by, "shares": shares}
 
 # ---------------------------------------------------------------------------
 # Bob: detector side, drives the pipeline

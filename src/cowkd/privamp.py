@@ -43,6 +43,7 @@ import hashlib
 import numpy as np
 
 from .bitops import unpack_range
+from .errors import SessionAborted
 from .randomness import RandomStream
 
 _MIN_TRANSFORM = 1 << 11  # smallest transform a hash folds its key with
@@ -50,8 +51,9 @@ _FFT_FACTORS = (1, 3, 5 ** 5)  # transform sizes are one of these times 2^k
 _ROUNDER = 1.5 * 2.0 ** 52  # see `_Transforms.parity`
 
 
-class SeedReuseError(RuntimeError):
-    """A privacy-amplification seed was offered for a second batch."""
+class SeedReuseError(SessionAborted):
+    """A privacy-amplification seed was offered for a second batch; the
+    session ends (exit 3)."""
 
 
 class NumericalOverflow(RuntimeError):

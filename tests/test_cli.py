@@ -348,6 +348,77 @@ def test_sift_sweep_outside_unit_interval_is_one_line(values, tmp_path, capsys):
     assert not (tmp_path / "sift_cost.csv").exists()
 
 
+# the sift-cost sweep runs no session: every session option used to pass
+# unread, by flag or by config file, and the CSV was written
+@pytest.mark.parametrize("extra", [
+    lambda tmp_path: ["--rate", "9/9"],
+    lambda tmp_path: ["--rate", "3/4"],  # the default, given explicitly
+    lambda tmp_path: ["--sift-bits", "6"],
+    lambda tmp_path: ["--compression", "auto"],
+    lambda tmp_path: ["--batches", "7"],
+    lambda tmp_path: ["--blocks-per-batch", "4"],
+    lambda tmp_path: ["--chunk-qubits", "1024"],
+    lambda tmp_path: ["--seed", "zz"],
+    lambda tmp_path: ["--psk", "/nonexistent"],
+    lambda tmp_path: ["--no-security-check"],
+    lambda tmp_path: ["--channel-config", "/nonexistent.json"],
+    lambda tmp_path: ["--config", str(_run_config(tmp_path, {"batches": 2}))],
+    lambda tmp_path: ["--config", str(_run_config(tmp_path, {"no_security_check": False}))],
+], ids=["rate", "default rate", "sift-bits", "compression", "batches", "blocks-per-batch",
+        "chunk-qubits", "seed", "psk", "no-security-check", "channel-config",
+        "batches in config", "switch in config"])
+def test_sift_sweep_refuses_the_session_options_it_never_reads(extra, tmp_path, capsys):
+    out = tmp_path / "o"
+    code = main(["sweep", "--param", "sift-p", "--values", "0.01", "--out", str(out),
+                 *extra(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("configuration error: ") and err.count("\n") == 1, err
+    assert not (out / "sift_cost.csv").exists()
+
+
+def test_sift_sweep_reads_out_from_its_config_file(tmp_path, capsys):
+    config = _run_config(tmp_path, {"out": str(tmp_path / "o")})
+    assert main(["sweep", "--param", "sift-p", "--values", "0.01", "--config", str(config)]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "o" / "sift_cost.csv").exists()
+
+
+OBSERVED = ["--mu", "0.105", "--qber-raw", "0.0191", "--qber-effective", "0.0342",
+            "--visibility-raw", "0.9781"]
+
+
+# a measured point used to ignore explicit observables, a rate or detection
+# rate, and every value outside its range passed into the output
+@pytest.mark.parametrize("args", [
+    ["--fibre-km", "1", "--mu", "0.5"],
+    ["--fibre-km", "1", "--qber-raw", "0.3"],
+    ["--fibre-km", "1", "--qber-effective", "0.3"],
+    ["--fibre-km", "1", "--visibility-raw", "0.5"],
+    ["--fibre-km", "1", "--dark-qber", "0.01"],
+    ["--fibre-km", "1", "--noise-qber", "0.01"],
+    ["--fibre-km", "1", "--rate", "1/2"],
+    ["--fibre-km", "1", "--detection-rate", "5"],
+    ["--fibre-km", "1", "--mu", "0.5", "--rate", "1/2", "--detection-rate", "5",
+     "--qber-raw", "0.3"],
+    ["--fibre-km", "1", "--auth-fraction", "2"],
+    ["--fibre-km", "1", "--auth-fraction", "-0.1"],
+    [*OBSERVED, "--auth-fraction", "1.5"],
+    [*OBSERVED, "--detection-rate", "-1"],
+    [*OBSERVED[2:], "--mu", "1.5"],
+    [*OBSERVED[2:], "--mu", "1"],
+], ids=["mu at a point", "qber-raw at a point", "qber-effective at a point",
+        "visibility-raw at a point", "dark-qber at a point", "noise-qber at a point",
+        "rate at a point", "detection-rate at a point", "four at a point",
+        "auth-fraction over 1", "auth-fraction below 0", "explicit auth-fraction over 1",
+        "negative detection rate", "mu over 1", "mu of 1"])
+def test_finite_key_refuses_a_value_it_would_not_read(args, capsys):
+    code = main(["finite-key", *args])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("configuration error: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("n_bytes", [PSK_MIN_BYTES - 1, 10, 0, -3])
 def test_gen_psk_refuses_a_key_run_would_refuse(n_bytes, tmp_path, capsys):
     path = tmp_path / "psk.bin"

@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 from cowkd.engine import EXIT_ABORT, EXIT_AUTH_ALARM, EXIT_CONFIG, LoopbackTransport, SessionAborted
 from cowkd.engine import frames
+from cowkd.engine import session as session_mod
 from cowkd.engine.frames import CH_AUTH_TAG, CH_CONTROL, CH_PA_SEED, CH_SIFTING, CH_SYNDROME, CH_VERIFY
 from cowkd.engine.session import AliceParty, BobParty
+from cowkd.privamp import SeedReuseError, make_seed
 from test_engine import _RewriteTransport, run_parties, small_config
 
 
@@ -161,3 +163,26 @@ def test_estimate_claiming_more_monitor_clicks_than_disclosed_aborts_both(bright
     for err in errors.values():
         assert type(err) is SessionAborted and err.exit_code == EXIT_ABORT, repr(err)
     assert "more monitor clicks than were disclosed" in str(errors["bob"])
+
+
+def test_a_repeated_pa_seed_ends_both_parties_in_exit_3(monkeypatch):
+    # Bob announces batch 0's seed again for batch 1: each party's seed
+    # ledger refuses it, a protocol abort that leaves the pool unfrozen
+    first = []
+
+    def replay_first(rng, n_sift):
+        if not first:
+            first.append(make_seed(rng, n_sift))
+        return first[0]
+
+    cfg = small_config(n_batches=2)
+    monkeypatch.setattr(session_mod, "make_seed", replay_first)
+    ta, tb = LoopbackTransport.pair(timeout=10)
+    alice, bob = AliceParty(cfg, ta), BobParty(cfg, tb)
+    errors = run_parties(alice, bob, 30)
+    assert set(errors) == {"alice", "bob"}
+    for err in errors.values():
+        assert isinstance(err, SeedReuseError) and isinstance(err, SessionAborted), repr(err)
+        assert err.exit_code == EXIT_ABORT
+    assert len(alice.batches) == len(bob.batches) == 1
+    assert not alice.pool.frozen and not bob.pool.frozen
