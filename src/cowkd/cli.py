@@ -94,45 +94,39 @@ def _read_config_file(path, parser) -> dict:
     return settings
 
 
-def _given(subparser, argv) -> set[str]:
-    """The destinations of the options `argv`, the words after the command,
-    sets on `subparser`, whatever their values."""
-    unset = object()
-    probe = argparse.Namespace(**{action.dest: unset for action in subparser._actions})
-    subparser.parse_args(argv, probe)  # argparse fills in only unset defaults
-    return {action.dest for action in subparser._actions
-            if getattr(probe, action.dest) is not unset}
-
-
 def _flags(dests) -> str:
     return ", ".join("--" + dest.replace("_", "-") for dest in sorted(dests))
 
 
+def _refuse(args, dests, reason: str):
+    """Refuse the options among `dests` that are set, by flag or by config
+    file; an option is set when its value is not None."""
+    given = [dest for dest in dests if getattr(args, dest) is not None]
+    if given:
+        raise SessionAborted(f"{reason} {_flags(given)}", EXIT_CONFIG)
+
+
 def _build_config(args, fibre_km: float | None) -> SessionConfig:
     """The session the parsed options describe, `fibre_km` (if given) replacing
-    the channel's fibre length; any bad value is a configuration error."""
+    the channel's fibre length; an option left unset keeps `SessionConfig`'s
+    default, and any bad value is a configuration error."""
     try:
-        if args.channel_config:
+        if args.channel_config is not None:
             params = ChannelParams.load(args.channel_config)
             if fibre_km is not None:
                 params = params.with_(fibre_km=fibre_km)
         else:
             params = channel_params(1.0 if fibre_km is None else fibre_km)
-        compression = None if args.compression == "auto" else float(args.compression) / 100
-        seed_hex = args.seed or os.urandom(32).hex()
-        psk = Path(args.psk).read_bytes() if args.psk else _psk_from_seed(seed_hex)
-        return SessionConfig(
-            params=params,
-            code_rate=args.rate,
-            sift_bits=args.sift_bits,
-            compression=compression,
-            n_batches=args.batches,
-            blocks_per_batch=args.blocks_per_batch,
-            chunk_qubits=args.chunk_qubits,
-            seed_hex=seed_hex,
-            psk=psk,
-            enforce_compression_bound=not args.no_security_check,
-        )
+        fields = dict(code_rate=args.rate, sift_bits=args.sift_bits, n_batches=args.batches,
+                      blocks_per_batch=args.blocks_per_batch, chunk_qubits=args.chunk_qubits)
+        if args.compression not in (None, "auto"):
+            fields["compression"] = float(args.compression) / 100
+        if args.no_security_check:
+            fields["enforce_compression_bound"] = False
+        seed_hex = os.urandom(32).hex() if args.seed is None else args.seed
+        psk = _psk_from_seed(seed_hex) if args.psk is None else Path(args.psk).read_bytes()
+        fields = {name: value for name, value in fields.items() if value is not None}
+        return SessionConfig(params=params, seed_hex=seed_hex, psk=psk, **fields)
     except (TypeError, ValueError, OSError) as exc:  # OSError: unreadable file
         raise SessionAborted(str(exc), EXIT_CONFIG) from exc
 
@@ -175,9 +169,9 @@ def _print_summary(report: dict):
         print("ALARMS:", "; ".join(report["alarms"]))
 
 
-def _run_loopback(args, fibre_km: float | None, out_dir: Path) -> dict:
+def _run_loopback(config: SessionConfig, out_dir: Path) -> dict:
     """Run both parties in this process, write both reports; Bob's report."""
-    report_a, report_b = run_session(_build_config(args, fibre_km))
+    report_a, report_b = run_session(config)
     _write_report(out_dir, report_a)
     _write_report(out_dir, report_b)
     if report_a["pool_digest"] != report_b["pool_digest"]:
@@ -211,9 +205,8 @@ def _run_tcp(args) -> dict:
 
 def cmd_run(args) -> int:
     if args.transport == "loopback":
-        if args.role is not None or args.timeout is not None:
-            raise SessionAborted("--role and --timeout apply only over tcp", EXIT_CONFIG)
-        report = _run_loopback(args, args.fibre_km, Path(args.out))
+        _refuse(args, ("role", "timeout"), "only a tcp run reads")
+        report = _run_loopback(_build_config(args, args.fibre_km), Path(args.out))
     else:
         report = _run_tcp(args)
     _print_summary(report)
@@ -238,18 +231,19 @@ def _sift_cost_row(p: float) -> list:
 
 
 def cmd_sweep(args) -> int:
-    unread = args.given - {"param", "values", "out", "config"}
-    if args.param == "sift-p" and unread:
-        raise SessionAborted("sweep --param sift-p reads only --values, --out and --config, "
-                             f"not {_flags(unread)}", EXIT_CONFIG)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if args.param == "sift-p":
+        _refuse(args, args.session_options,
+                "sweep --param sift-p reads only --values, --out and --config, not")
     try:
         values = _parse_values(args.values)
         sift_rows = [_sift_cost_row(p) for p in values] if args.param == "sift-p" else []
     except ValueError as exc:  # a detection probability outside (0, 1] too
         print(f"bad sweep range: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    # every distance's session is checked before anything is written
+    configs = [_build_config(args, km) for km in values] if args.param == "fibre-km" else []
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.param == "sift-p":
         path = out_dir / "sift_cost.csv"
@@ -262,8 +256,8 @@ def cmd_sweep(args) -> int:
         return EXIT_OK
 
     # --param is fibre-km, the only other choice
-    rows = [{**_run_loopback(args, km, out_dir / f"run_{km:g}km"), "fibre_km": km}
-            for km in values]
+    rows = [{**_run_loopback(config, out_dir / f"run_{km:g}km"), "fibre_km": km}
+            for km, config in zip(values, configs)]
     path = out_dir / "fibre_sweep.csv"
     with open(path, "w", newline="") as fh:
         w = csv.DictWriter(fh, FIBRE_SWEEP_COLUMNS, extrasaction="ignore")
@@ -277,36 +271,31 @@ def cmd_finite_key(args) -> int:
     budget = FiniteKeyBudget.reference()
     if not 0 <= args.auth_fraction <= 1:
         raise SessionAborted(f"--auth-fraction {args.auth_fraction:g} outside [0, 1]", EXIT_CONFIG)
-    fixed = args.given & set(POINT_OPTIONS)
-    if args.fibre_km is not None and fixed:
-        raise SessionAborted(f"a measured point fixes {_flags(fixed)} itself", EXIT_CONFIG)
     try:
         if args.fibre_km is not None:
+            _refuse(args, POINT_OPTIONS, "a measured point fixes its own")
             point = measured_point(args.fibre_km)
             obs = point.observables(pe_mode=PE_MODES[args.pe_mode])
             r_det = point.sifted_rate / sift_ratio(obs.p_decoy)
         else:
             required = ("mu", "qber_raw", "qber_effective", "visibility_raw")
-            missing = [f for f in required if getattr(args, f.replace("-", "_")) is None]
+            missing = [dest for dest in required if getattr(args, dest) is None]
             if missing:
-                print(f"missing observables: {missing}", file=sys.stderr)
-                return EXIT_CONFIG
+                raise SessionAborted(f"missing observables: {_flags(missing)}", EXIT_CONFIG)
             if not 0 < args.mu < 1:
                 raise SessionAborted(f"--mu {args.mu:g} outside (0, 1)", EXIT_CONFIG)
-            if not args.detection_rate >= 0:
-                raise SessionAborted(f"--detection-rate {args.detection_rate:g} below 0",
-                                     EXIT_CONFIG)
+            r_det = 1.0 if args.detection_rate is None else args.detection_rate
+            if not r_det >= 0:
+                raise SessionAborted(f"--detection-rate {r_det:g} below 0", EXIT_CONFIG)
             obs = corrected_observables(
                 qber_raw=args.qber_raw, qber_effective=args.qber_effective,
-                visibility_raw=args.visibility_raw, dark_qber=args.dark_qber,
-                noise_qber=args.noise_qber, mu=args.mu,
-                code_rate=float(ldpc.as_rate(args.rate)),
+                visibility_raw=args.visibility_raw, dark_qber=args.dark_qber or 0.0,
+                noise_qber=args.noise_qber or 0.0, mu=args.mu,
+                code_rate=float(ldpc.as_rate(args.rate or SessionConfig.code_rate)),
                 pe_mode=PE_MODES[args.pe_mode],
             )
-            r_det = args.detection_rate
-    except (ValueError, KeyError) as exc:
-        print(f"bad observables: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except ValueError as exc:  # no measured point there, or an observable out of range
+        raise SessionAborted(str(exc), EXIT_CONFIG) from exc
     terms = secret_fraction_terms(obs, budget, asymptotic=args.asymptotic)
     r_sec = secret_rate(r_det, obs.p_decoy, obs.pe_mode, terms["f_sec"],
                         args.auth_fraction)
@@ -341,32 +330,33 @@ def cmd_gen_psk(args) -> int:
     try:
         parse_psk(data)  # a key too short for `run` is refused here
     except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise SessionAborted(str(exc), EXIT_CONFIG) from exc
     Path(args.path).write_bytes(data)
     print(f"wrote {args.bytes} bytes to {args.path}")
     return EXIT_OK
 
 
-def _add_session_args(p):
-    """Options of a loopback session, shared by `run` and `sweep`."""
-    p.add_argument("--rate", default="3/4",
-                   help=f"LDPC code rate, one of {', '.join(map(str, ldpc.RATES))}")
-    p.add_argument("--sift-bits", type=int, default=14, help="sifting time-field width")
-    p.add_argument("--compression", default="auto",
-                   help="percent (e.g. 11.5) or 'auto'")
-    p.add_argument("--batches", type=int, default=3)
-    p.add_argument("--blocks-per-batch", type=int, default=512)
-    p.add_argument("--chunk-qubits", type=int, default=1 << 24)
-    p.add_argument("--seed", default=None, help="hex256 for deterministic runs")
-    p.add_argument("--psk", default=None, help="pre-shared key file")
+def _add_session_args(p) -> list[str]:
+    """Options of a loopback session, shared by `run` and `sweep`; the
+    destinations of those that describe the session. These carry no default:
+    `SessionConfig`'s are the only ones."""
+    session = [
+        p.add_argument("--rate", help=f"LDPC code rate, one of {', '.join(map(str, ldpc.RATES))}"),
+        p.add_argument("--sift-bits", type=int, help="sifting time-field width"),
+        p.add_argument("--compression", help="percent (e.g. 11.5) or 'auto'"),
+        p.add_argument("--batches", type=int),
+        p.add_argument("--blocks-per-batch", type=int),
+        p.add_argument("--chunk-qubits", type=int),
+        p.add_argument("--seed", help="hex256 for deterministic runs"),
+        p.add_argument("--psk", help="pre-shared key file"),
+        p.add_argument("--no-security-check", action="store_true", default=None,
+                       help="skip the per-batch compression bound (test runs)"),
+        p.add_argument("--channel-config",
+                       help="JSON channel parameter file overriding the preset"),
+    ]
     p.add_argument("--out", default="out")
-    p.add_argument("--no-security-check", action="store_true",
-                   help="skip the per-batch compression bound (test runs)")
-    p.add_argument("--config", default=None,
-                   help="JSON file with run settings (explicit flags win)")
-    p.add_argument("--channel-config", default=None,
-                   help="JSON channel parameter file overriding the preset")
+    p.add_argument("--config", help="JSON file with run settings (explicit flags win)")
+    return [action.dest for action in session]
 
 
 def main(argv=None) -> int:
@@ -390,8 +380,7 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--param", required=True, choices=["fibre-km", "sift-p"])
     p_sweep.add_argument("--values", required=True,
                          help="comma list or lo:hi:n geometric grid")
-    _add_session_args(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.set_defaults(func=cmd_sweep, session_options=_add_session_args(p_sweep))
 
     p_fk = sub.add_parser("finite-key", help="evaluate the finite-key secret fraction")
     p_fk.add_argument("--fibre-km", type=float, default=None,
@@ -400,12 +389,12 @@ def main(argv=None) -> int:
     p_fk.add_argument("--qber-raw", dest="qber_raw", type=float, default=None)
     p_fk.add_argument("--qber-effective", dest="qber_effective", type=float, default=None)
     p_fk.add_argument("--visibility-raw", dest="visibility_raw", type=float, default=None)
-    p_fk.add_argument("--dark-qber", dest="dark_qber", type=float, default=0.0)
-    p_fk.add_argument("--noise-qber", dest="noise_qber", type=float, default=0.0)
-    p_fk.add_argument("--rate", default="3/4")
+    p_fk.add_argument("--dark-qber", dest="dark_qber", type=float, help="default 0")
+    p_fk.add_argument("--noise-qber", dest="noise_qber", type=float, help="default 0")
+    p_fk.add_argument("--rate", help=f"default {SessionConfig.code_rate}")
     p_fk.add_argument("--pe-mode", default="compare", choices=list(PE_MODES))
-    p_fk.add_argument("--detection-rate", type=float, default=1.0,
-                      help="detections per second feeding the rate output")
+    p_fk.add_argument("--detection-rate", type=float,
+                      help="detections per second feeding the rate output (default 1)")
     p_fk.add_argument("--auth-fraction", type=float, default=0.0)
     p_fk.add_argument("--asymptotic", action="store_true")
     p_fk.set_defaults(func=cmd_finite_key)
@@ -417,20 +406,16 @@ def main(argv=None) -> int:
 
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    command = sub.choices[args.command]
-    settings = {}
-    if getattr(args, "config", None):
-        try:
-            settings = _read_config_file(args.config, command)
-        except (OSError, ValueError) as exc:
-            print(f"configuration error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        # the file's values become the defaults, so every flag argparse
-        # parses from argv wins, however it is spelled
-        command.set_defaults(**settings)
-        args = parser.parse_args(argv)
-    args.given = _given(command, argv[1:]) | set(settings)  # set by flag or by file
     try:
+        if getattr(args, "config", None) is not None:
+            command = sub.choices[args.command]
+            try:
+                # the file's values become the defaults, so every flag
+                # argparse parses from argv wins, however it is spelled
+                command.set_defaults(**_read_config_file(args.config, command))
+            except (OSError, ValueError) as exc:
+                raise SessionAborted(str(exc), EXIT_CONFIG) from exc
+            args = parser.parse_args(argv)
         return args.func(args)
     except SessionAborted as exc:  # one line for a session that ends early
         kind = "configuration error" if exc.exit_code == EXIT_CONFIG else "session aborted"

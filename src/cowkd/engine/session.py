@@ -78,6 +78,12 @@ verified block, summed when the batch closes. The PA seed is packed as soon
 as Bob has sent it or Alice has decoded it, and the batch is amplified from
 the packed key and seed; its output is held one bit per byte.
 
+A `SessionConfig` checks its fields once and holds what they parse to: the
+pre-shared key, code rate, sifting mode and seed, the applied compression
+and its output length, and the calibrated dark-count and noise shares. A bad
+value, a compression that extracts no key included, ends in `SessionAborted`
+(exit 2) before either party starts; the parties parse nothing.
+
 Every record is built and parsed by `frames`. A malformed record or a lost or
 silent peer ends the session in `SessionAborted` (exit 3), a bad tag in
 `AuthAlarm` (exit 4).
@@ -163,7 +169,8 @@ class SessionConfig:
     enforce_compression_bound: bool = True
 
     def __post_init__(self):
-        # every bad value ends here, in one configuration error (exit 2)
+        # every bad value ends here, in one configuration error (exit 2); what
+        # the fields parse to is kept, and the parties read it
         try:
             for name in ("chunk_qubits", "blocks_per_batch", "n_batches"):
                 value = getattr(self, name)
@@ -171,15 +178,19 @@ class SessionConfig:
                     raise ValueError(f"{name} must be a whole number of at least 1, not {value!r}")
             if self.chunk_qubits > ALICE_BUFFER_QUBITS:
                 raise ValueError("sifting chunk exceeds Alice's preparation buffer")
-            parse_psk(self.psk)
-            ldpc.as_rate(self.code_rate)
-            SiftingMode(self.sift_bits)
-            if self.seed_hex is not None:
-                EntropySeed.from_hex(self.seed_hex)
-            if self.compression is not None:
-                quantize_compression(self.compression)
+            self.key = parse_psk(self.psk)
+            self.rate = ldpc.as_rate(self.code_rate)
+            self.mode = SiftingMode(self.sift_bits)
+            self.seed = None if self.seed_hex is None else EntropySeed.from_hex(self.seed_hex)
+            self.applied_compression = self.auto_compression()
         except (TypeError, ValueError) as exc:
             raise SessionAborted(str(exc), EXIT_CONFIG) from exc
+        self.n_out = round(self.applied_compression * self.n_sift)  # secret bits per batch
+        if self.n_out == 0:
+            raise SessionAborted("configured compression extracts no key at this block size",
+                                 EXIT_CONFIG)
+        stats = self.params.expected_stats()
+        self.dark_qber, self.noise_qber = stats["qber_dark"], stats["qber_noise"]
 
     @property
     def n_sift(self) -> int:
@@ -208,11 +219,10 @@ class SessionConfig:
                     visibility_raw: float) -> Observables:
         """Finite-key observables at these rates, with the calibrated
         dark-count and noise shares (`ChannelParams.expected_stats`)."""
-        stats = self.params.expected_stats()
         return corrected_observables(
             qber_raw=qber_raw, qber_effective=qber_effective, visibility_raw=visibility_raw,
-            dark_qber=stats["qber_dark"], noise_qber=stats["qber_noise"],
-            mu=self.params.mu, code_rate=float(ldpc.as_rate(self.code_rate)),
+            dark_qber=self.dark_qber, noise_qber=self.noise_qber,
+            mu=self.params.mu, code_rate=float(self.rate),
             n_sift=self.n_sift, p_decoy=self.params.p_decoy, t_bob=self.params.t_bob,
         )
 
@@ -396,17 +406,9 @@ class _PartyBase:
 
     def __init__(self, config: SessionConfig, transport, out_dir: int):
         self.config = config
-        psk = parse_psk(config.psk)
-        self.pool = SecretKeyPool(psk)
-        self.ep = _Endpoint(transport, self.pool, psk.poly_key, out_dir)
-        self.mode = SiftingMode(config.sift_bits)
-        self.rate = ldpc.as_rate(config.code_rate)
-        self.compression = config.auto_compression()
-        self.n_out = round(self.compression * config.n_sift)
-        if self.n_out == 0:
-            raise SessionAborted(
-                "configured compression extracts no key at this block size",
-                EXIT_CONFIG)
+        self.pool = SecretKeyPool(config.key)
+        self.ep = _Endpoint(transport, self.pool, config.key.poly_key, out_dir)
+        self.compression, self.n_out = config.applied_compression, config.n_out
         self.seed_ledger = SeedLedger()
         self.batches: list[BatchRow] = []
         self.sifted = _Fifo()  # sifted bits awaiting error correction, one per byte
@@ -448,12 +450,11 @@ class _PartyBase:
             self.pool.freeze()
             raise SessionAborted(self.alarms[-1])
         self.pool.append(key, self.ep.carve_reach())
-        stats = cfg.params.expected_stats()
         self.batches.append(BatchRow(
             batch=batch_index, qber_raw=est.qber_raw, qber_effective=est.qber_effective,
             visibility_raw=obs.visibility_raw,
             visibility_corrected=obs.visibility_corrected,
-            dark_qber=stats["qber_dark"], noise_qber=stats["qber_noise"],
+            dark_qber=cfg.dark_qber, noise_qber=cfg.noise_qber,
             f_sec_measured=f_sec, compression=self.compression,
             n_out_bits=key.size, attempted_blocks=est.n_blocks,
             dropped_blocks=est.n_dropped, monitor_clicks=bright + dest,
@@ -580,7 +581,7 @@ class BobParty(_PartyBase):
         data, monitor = sample_detections(cfg.params, chunk_view, n_q, self.rng)
         events = resolve_collisions(data, monitor, self.rng)
         self.total_qubits += n_q
-        payload, n_blocks = encode(events, self.mode)
+        payload, n_blocks = encode(events, cfg.mode)
         self.ep.send(CH_SIFTING, frames.encode_sift_disclosure(n_q, n_blocks, payload))
         bits = events.bob_bit[events.data_mask()]
         self._monitor_disclosed += len(events) - bits.size
@@ -615,7 +616,7 @@ class BobParty(_PartyBase):
 
     def _send_window(self, n_blocks: int):
         blocks = self.sifted.take(n_blocks * BLOCK_BITS).reshape(n_blocks, BLOCK_BITS)
-        synd = ldpc.syndrome_batch(blocks, self.rate)
+        synd = ldpc.syndrome_batch(blocks, self.config.rate)
         self.ep.send(CH_SYNDROME, frames.encode_syndrome(self.window, synd))
         seeds, tags = make_tags(blocks, self.proto_rng)
         self.ep.send(CH_VERIFY, frames.encode_tags(self.window, seeds, tags))
@@ -679,8 +680,8 @@ class AliceParty(_PartyBase):
 
     def _handshake(self):
         cfg = self.config
-        if cfg.seed_hex:
-            session_seed = EntropySeed.from_hex(cfg.seed_hex).bits
+        if cfg.seed is not None:
+            session_seed = cfg.seed.bits
         else:
             import os
 
@@ -699,7 +700,7 @@ class AliceParty(_PartyBase):
         cfg = self.config
         n_q, n_blocks, blocks = frames.decode_sift_disclosure(payload, cfg.chunk_qubits)
         view = decode_and_sift(_OffsetSource(self.source, self.total_qubits),
-                               blocks, self.mode, n_blocks, n_q)
+                               blocks, cfg.mode, n_blocks, n_q)
         self.total_qubits += n_q
         self.total_raw += view.raw_count
         self.total_sifted += view.sifted_count
@@ -709,12 +710,11 @@ class AliceParty(_PartyBase):
         self.ep.send(CH_SIFTING, frames.encode_sift_response(view.keep_mask))
 
     def _ec_round(self, payload: bytes):
-        synd = frames.decode_syndrome(payload, self.window, self.rate,
-                                      self.sifted.size // BLOCK_BITS)
+        rate = self.config.rate
+        synd = frames.decode_syndrome(payload, self.window, rate, self.sifted.size // BLOCK_BITS)
         n_blocks = synd.shape[0]
         mine = self.sifted.take(n_blocks * BLOCK_BITS).reshape(n_blocks, BLOCK_BITS)
-        corrected, ok, _ = ldpc.decode_batch(mine, synd, self.rate,
-                                             channel_p=self.channel_p)
+        corrected, ok, _ = ldpc.decode_batch(mine, synd, rate, channel_p=self.channel_p)
         seeds, tags = frames.decode_tags(self.ep.expect(CH_VERIFY), self.window, n_blocks)
         passed = verify_batch(corrected, seeds, tags) & ok
         self.ep.send(CH_VERIFY, frames.encode_verify_response(self.window, passed))

@@ -85,7 +85,7 @@ def measured_point(fibre_km: float) -> MeasuredPoint:
     try:
         return MEASURED[float(fibre_km)]
     except KeyError:
-        raise KeyError(f"no measured preset at {fibre_km} km; have {sorted(MEASURED)}")
+        raise ValueError(f"no measured preset at {fibre_km} km; have {sorted(MEASURED)}")
 
 
 def nearest_point(fibre_km: float) -> MeasuredPoint:

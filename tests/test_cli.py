@@ -491,3 +491,61 @@ def test_run_fibre_km_replaces_a_channel_files_length(tmp_path, capsys):
         rates.append(json.loads((out / "report_bob.json").read_text())["sifted_rate_bps"])
     capsys.readouterr()
     assert rates[0] == rates[1] > 2 * rates[2]
+
+
+def test_finite_key_without_a_measured_point_there_is_one_config_line(capsys):
+    # the preset lookup's KeyError used to print in quotes after "bad observables:"
+    code = main(["finite-key", "--fibre-km", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("configuration error: no measured preset at 2.0 km; "
+                            "have [1.0, 12.5, 25.0]\n")
+
+
+SMALL_SESSION = ["--batches", "1", "--blocks-per-batch", "4", "--chunk-qubits", str(1 << 21),
+                 "--seed", SEED, "--compression", "11.5", "--no-security-check"]
+
+
+# each used to leave --out behind: an empty directory, or the whole 1 km
+# session's reports before the -5 km one was refused
+@pytest.mark.parametrize("args", [
+    ["--param", "sift-p", "--values", "2"],
+    ["--param", "fibre-km", "--values", "1", "--rate", "9/9"],
+    ["--param", "fibre-km", "--values", "1,-5", *SMALL_SESSION],
+], ids=["sift-p outside (0, 1]", "bad rate", "bad distance after a good one"])
+def test_a_refused_sweep_writes_nothing(args, tmp_path, capsys):
+    out = tmp_path / "o"
+    code = main(["sweep", *args, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_run_without_session_options_takes_the_config_defaults(tmp_path, capsys, monkeypatch):
+    from cowkd import cli
+    from cowkd.engine import SessionAborted, SessionConfig
+    from cowkd.presets import channel_params
+
+    seen = []
+
+    def capture(config):
+        seen.append(config)
+        raise SessionAborted("captured")
+
+    monkeypatch.setattr(cli, "run_session", capture)
+    assert main(["run", "--out", str(tmp_path / "o")]) == 3
+    capsys.readouterr()
+    (config,) = seen
+    assert config == SessionConfig(params=channel_params(1.0), seed_hex=config.seed_hex,
+                                   psk=config.psk)
+
+
+# an empty value is a value: each of these used to be read as not given and
+# ran a session on a random seed, the derived key, the preset channel or no file
+@pytest.mark.parametrize("flag", ["--seed=", "--psk=", "--channel-config=", "--config="])
+def test_an_empty_option_value_is_refused_not_ignored(flag, tmp_path, capsys):
+    code = main(run_args(tmp_path / "o", flag))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("configuration error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "o").exists()

@@ -801,9 +801,9 @@ def test_config_validation():
         SessionConfig(psk=b"")  # missing pre-shared key
     with pytest.raises(SessionAborted):
         small_config(chunk_qubits=session_mod.ALICE_BUFFER_QUBITS + 1)
-    # a key too short to parse, and a ratio outside [0, 1], end before any
-    # connection as configuration errors
-    for kw in (dict(psk=PSK[:100]), dict(compression=1.5)):
+    # a key too short to parse, a ratio outside [0, 1] and a compression
+    # that extracts no key end before any connection as configuration errors
+    for kw in (dict(psk=PSK[:100]), dict(compression=1.5), dict(compression=0.0)):
         with pytest.raises(SessionAborted) as info:
             small_config(**kw)
         assert info.value.exit_code == EXIT_CONFIG
